@@ -21,8 +21,6 @@ from .algebras import (
     FinAlgebra,
     Ideal,
     PartialAut,
-    alg_mul,
-    alg_norm,
     compose_paut,
     function_algebra,
     ideal_validate,
@@ -71,9 +69,7 @@ from .reps import (
 from .semigroups import (
     InvSemigroup,
     PartialBijection,
-    compose_pbij,
     generate_semigroup,
-    invert_pbij,
     natural_order,
     validate_inverse,
     wagner_preston_embed,
@@ -101,13 +97,10 @@ __all__ = [
     "ReprSpace",
     "SchemaError",
     "adjoint_check",
-    "alg_mul",
-    "alg_norm",
     "check_algebraic",
     "check_derived_identities",
     "check_spatial",
     "compose_paut",
-    "compose_pbij",
     "convolve",
     "ell1_norm",
     "function_algebra",
@@ -117,7 +110,6 @@ __all__ = [
     "induce_action",
     "instance_to_dict",
     "integrate",
-    "invert_pbij",
     "involution",
     "is_normalized",
     "load_instance",

@@ -101,10 +101,3 @@ def operator_norm(m: np.ndarray, p) -> float:
     if p in (np.inf, "inf"):
         return float(np.max(np.sum(np.abs(m), axis=1)))
     raise ValueError(f"unsupported p: {p!r}")
-
-
-def vector_norm(v: np.ndarray, p) -> float:
-    v = as_complex(v)
-    if p in (np.inf, "inf"):
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float(np.linalg.norm(v, p))

@@ -135,14 +135,6 @@ def matrix_algebra(sizes, p) -> FinAlgebra:
     return FinAlgebra(tuple(labels), structure, tuple(blocks), p, star_mat, "matrix")
 
 
-def alg_mul(algebra: FinAlgebra, x, y) -> np.ndarray:
-    return algebra.mul(x, y)
-
-
-def alg_norm(algebra: FinAlgebra, x) -> float:
-    return algebra.norm(x)
-
-
 def validate_algebra(
     algebra: FinAlgebra, seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000
 ) -> None:

@@ -167,13 +167,6 @@ def _run_build(args, inst: ParsedInstance, out: dict, everything: bool = False) 
         null = null_ideal(action, tol=args.tol)
         build["dim_null"] = null.dim
         _say(args, f"dim null = {null.dim}")
-        if null.products_only_dim != null.dim:
-            build["dim_null_products_only"] = null.products_only_dim
-            _say(
-                args,
-                "  span of two-sided products alone has dimension "
-                f"{null.products_only_dim}; both are reported, neither is preferred",
-            )
         if want_null:
             build["null_basis"] = [
                 [[float(z.real), float(z.imag)] for z in row] for row in null.basis

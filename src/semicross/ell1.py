@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._linalg import DEFAULT_TOL, as_complex, in_rowspace, orth_rows
+from ._linalg import DEFAULT_TOL, as_complex, in_rowspace, orth_rows, rows_leq
 from .actions import Action
-from .errors import ActionMismatch, NotAnIdeal
+from .errors import ActionMismatch, NotAnIdeal, OrderDifferenceNotProduct
 
 N_FACETS = 64  # polygonal model of |z| <= m; relative error <= 1 - cos(pi/64)
 
@@ -185,20 +185,31 @@ def monomials(action: Action) -> list:
     return out
 
 
+def monomial_products(
+    action: Action, basis: np.ndarray, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Rows m * x and x * m for every row x of ``basis`` and every spanning
+    monomial m; a subspace is a two-sided ideal iff these stay inside it."""
+    mono = monomials(action)
+    rows = [np.zeros((0, action.total_dim), dtype=complex)]
+    for row in basis:
+        x = Ell1Element.from_dense(action, row)
+        for m in mono:
+            rows.append(convolve(m, x, tol).to_dense()[None, :])
+            rows.append(convolve(x, m, tol).to_dense()[None, :])
+    return np.vstack(rows)
+
+
 @dataclass
 class NullIdeal:
     """The ideal generated by the differences a delta_s - a delta_t, s <= t.
 
     ``basis`` holds orthonormal rows in the dense coordinates of the section
-    space.  ``products_only_dim`` is the dimension of the closed span of
-    two-sided products f (a delta_s - a delta_t) g alone; it can in principle
-    be smaller when the section algebra lacks a unit, and both numbers are
-    reported when they differ.
+    space.
     """
 
     action: Action
     basis: np.ndarray
-    products_only_dim: int
 
     @property
     def dim(self) -> int:
@@ -206,57 +217,61 @@ class NullIdeal:
 
 
 def _order_differences(action: Action, tol: float) -> list:
+    """The seeds d = a delta_s - a delta_t, each checked to equal u * d * v
+    (see ``null_ideal``)."""
     sg = action.semigroup
+
+    def mono(e, a):
+        return Ell1Element.monomial(action, e, a, tol)
+
     diffs = []
     for s, t in sorted(sg.order):
         if s == t or action.ideal(s).dim == 0:
             continue
-        for row in action.ideal(s).basis:
-            a_s = Ell1Element.monomial(action, s, row, tol)
-            a_t = Ell1Element.monomial(action, t, row, tol)
-            diffs.append(a_s - a_t)
+        tt, t_t = sg.mul(t, sg.inv(t)), sg.mul(sg.inv(t), t)
+        try:
+            u, v = mono(tt, action.ideal(tt).unit), mono(t_t, action.ideal(t_t).unit)
+        except np.linalg.LinAlgError:  # a unit outside its own ideal
+            raise OrderDifferenceNotProduct(sg.labels[s], sg.labels[t]) from None
+        for a in action.ideal(s).basis:
+            d = mono(s, a) - mono(t, a)
+            if not convolve(convolve(u, d, tol), v, tol).allclose(d, tol):
+                raise OrderDifferenceNotProduct(sg.labels[s], sg.labels[t])
+            diffs.append(d)
     return diffs
 
 
 def _saturate(action: Action, seed_rows: np.ndarray, tol: float) -> np.ndarray:
     """Smallest subspace containing the rows and closed under convolution by
     the spanning monomials on either side."""
-    mono = monomials(action)
     basis = orth_rows(seed_rows, tol)
     while True:
-        products = [basis] if basis.shape[0] else [np.zeros((0, action.total_dim))]
-        for row in basis:
-            x = Ell1Element.from_dense(action, row)
-            for m in mono:
-                products.append(convolve(m, x, tol).to_dense()[None, :])
-                products.append(convolve(x, m, tol).to_dense()[None, :])
-        grown = orth_rows(np.vstack(products), tol)
+        grown = orth_rows(
+            np.vstack([basis, monomial_products(action, basis, tol)]), tol
+        )
         if grown.shape[0] == basis.shape[0]:
             return grown
         basis = grown
 
 
 def null_ideal(action: Action, tol: float = DEFAULT_TOL) -> NullIdeal:
-    """Saturate the order differences into a two-sided ideal.
+    """Saturate the order differences into a two-sided ideal, once per
+    (action, tol).
 
-    The generators include the bare differences themselves; the span of
-    two-sided products around them is computed alongside for comparison.
+    Each generator d = a delta_s - a delta_t (s <= t, a in I_s) equals the
+    two-sided product u * d * v with u = 1_{tt*} delta_{tt*} and
+    v = 1_{t*t} delta_{t*t}, since tt*s = s = st*t, I_s lies in I_t and
+    alpha_e is the identity on I_e.  So the span of two-sided products around
+    the differences is already the whole ideal.  Actions reach here
+    unvalidated, so u * d * v = d is checked on every seed.
     """
-    diffs = _order_differences(action, tol)
-    D = action.total_dim
-    if not diffs:
-        return NullIdeal(action, np.zeros((0, D), dtype=complex), 0)
-    seed = np.vstack([d.to_dense()[None, :] for d in diffs])
-    basis = _saturate(action, seed, tol)
-    mono = monomials(action)
-    prod_rows = [np.zeros((0, D))]
-    for d in diffs:
-        for m1 in mono:
-            left = convolve(m1, d, tol)
-            for m2 in mono:
-                prod_rows.append(convolve(left, m2, tol).to_dense()[None, :])
-    prod_basis = _saturate(action, np.vstack(prod_rows), tol)
-    return NullIdeal(action, basis, prod_basis.shape[0])
+    if not hasattr(action, "_null"):
+        action._null = {}
+    if tol not in action._null:
+        diffs = _order_differences(action, tol)
+        seed = np.array([d.to_dense() for d in diffs]).reshape(-1, action.total_dim)
+        action._null[tol] = NullIdeal(action, _saturate(action, seed, tol))
+    return action._null[tol]
 
 
 @dataclass
@@ -288,13 +303,8 @@ def quotient_algebra(
     """Verify the subspace is a convolution ideal, then quotient by it."""
     D = action.total_dim
     null_basis = orth_rows(null_basis, tol)
-    mono = monomials(action)
-    for row in null_basis:
-        x = Ell1Element.from_dense(action, row)
-        for m in mono:
-            for y in (convolve(m, x, tol), convolve(x, m, tol)):
-                if not in_rowspace(null_basis, y.to_dense(), tol):
-                    raise NotAnIdeal("subspace is not convolution invariant")
+    if not rows_leq(monomial_products(action, null_basis, tol), null_basis, tol):
+        raise NotAnIdeal("subspace is not convolution invariant")
     chosen = []
     cur = null_basis
     for j in range(D):

@@ -131,6 +131,12 @@ class ActionMismatch(CheckError):
     pass
 
 
+class OrderDifferenceNotProduct(CheckError):
+    def __init__(self, s, t):
+        self.pair = (s, t)
+        super().__init__(f"ideal units do not fix the order difference at ({s}, {t})")
+
+
 # ----------------------------------------------------------- representations
 
 
@@ -170,6 +176,12 @@ class CR3Violation(CheckError):
     def __init__(self, e):
         self.element = e
         super().__init__(f"unit law fails at idempotent {e}")
+
+
+class NotContractive(CheckError):
+    def __init__(self, what: str, evidence: str):
+        self.what = what
+        super().__init__(f"{what} is not contractive: {evidence}")
 
 
 class EmptyFamily(CheckError):

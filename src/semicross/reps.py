@@ -25,7 +25,7 @@ from ._linalg import (
     rows_leq,
 )
 from .actions import Action, PartialSetAction
-from .ell1 import Ell1Element, NullIdeal, convolve, ell1_norm, monomials, null_ideal
+from .ell1 import Ell1Element, convolve, ell1_norm, monomial_products, monomials, null_ideal
 from .errors import (
     CR1Violation,
     CR2Violation,
@@ -33,6 +33,8 @@ from .errors import (
     DegenerateRepresentation,
     EmptyFamily,
     NotAGroup,
+    NotContractive,
+    NotMultiplicative,
     NotSemigroupHom,
     SCR1Violation,
     SCR2RangeMismatch,
@@ -79,12 +81,6 @@ class CovariantRep:
         return f"CovariantRep<dim E={self.space.dim}, p={self.space.p}>"
 
 
-def cached_null(action: Action) -> NullIdeal:
-    if not hasattr(action, "_null_cache"):
-        action._null_cache = null_ideal(action)
-    return action._null_cache
-
-
 # --------------------------------------------------------------- basic layer
 
 
@@ -98,13 +94,13 @@ def certify_contractive(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int =
     <= 16 since they are the extreme points of the real unit ball.
     """
     A = rep.action.algebra
-    n = rep.space.dim
     diagonal = all(
         np.allclose(m, np.diag(np.diag(m)), atol=tol, rtol=0.0) for m in rep.pi
     )
     if A.kind == "function" and diagonal:
         rowsums = np.sum(np.abs([np.diag(m) for m in rep.pi]), axis=0)
-        assert np.all(rowsums <= 1.0 + tol), "diagonal representation expands the norm"
+        if np.any(rowsums > 1.0 + tol):
+            raise NotContractive("pi", "a diagonal row sum exceeds 1")
         return "exact"
     trials = []
     if A.kind == "function" and A.dim <= 16:
@@ -118,9 +114,8 @@ def certify_contractive(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int =
         if na > tol:
             trials.append(a / na)
     for a in trials:
-        assert rep.opnorm(rep.pi_of(a)) <= A.norm(a) + tol, (
-            "representation expands the norm on a sampled element"
-        )
+        if rep.opnorm(rep.pi_of(a)) > A.norm(a) + tol:
+            raise NotContractive("pi", "it expands a sampled element")
     return "sampled"
 
 
@@ -134,14 +129,14 @@ def validate_rep(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int = 0) -> 
         for j in range(d):
             want = rep.pi_of(A.mul(eye[i], eye[j]))
             got = rep.pi[i] @ rep.pi[j]
-            assert np.allclose(got, want, atol=tol, rtol=0.0), (
-                f"pi is not multiplicative at basis pair {(i, j)}"
-            )
+            if not np.allclose(got, want, atol=tol, rtol=0.0):
+                raise NotMultiplicative((i, j))
     report.add("pi", "algebra homomorphism", True)
     level = certify_contractive(rep, tol, seed)
     report.add("pi", "contractive", True, f"certification: {level}")
     for t, m in enumerate(rep.v):
-        assert rep.opnorm(m) <= 1.0 + tol, f"v at {t} is not contractive"
+        if rep.opnorm(m) > 1.0 + tol:
+            raise NotContractive(f"v at {rep.action.semigroup.labels[t]}", "norm exceeds 1")
     report.add("v", "contractive", True)
     report.note(f"nondegenerate (span pi(A)E = E): {rep.is_nondegenerate(tol)}")
     return report
@@ -383,7 +378,7 @@ def integrate(
             assert rep.opnorm(out.apply(f)) <= ell1_norm(f) + tol, (
                 "integration is not contractive on a sampled section"
             )
-        for row in cached_null(act).basis:
+        for row in null_ideal(act, tol).basis:
             img = out.apply(Ell1Element.from_dense(act, row))
             assert rep.opnorm(img) <= tol, (
                 "integration does not kill the order differences"
@@ -449,24 +444,13 @@ def seminorm_kernel(
     act = family[0].action
     stacked = np.vstack([integrate(rep, tol, check=False).matrix for rep in family])
     kernel = null_rows(stacked, tol)
-    mono = monomials(act)
-    for row in kernel:
-        x = Ell1Element.from_dense(act, row)
-        for m in mono:
-            for y in (convolve(m, x, tol), convolve(x, m, tol)):
-                assert _in_span(kernel, y.to_dense(), tol), (
-                    "kernel is not convolution invariant"
-                )
-    assert rows_leq(cached_null(act).basis, kernel, tol), (
+    assert rows_leq(monomial_products(act, kernel, tol), kernel, tol), (
+        "kernel is not convolution invariant"
+    )
+    assert rows_leq(null_ideal(act, tol).basis, kernel, tol), (
         "kernel does not contain the order differences"
     )
     return kernel
-
-
-def _in_span(basis: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    from ._linalg import in_rowspace
-
-    return in_rowspace(basis, v, tol)
 
 
 # ------------------------------------------------------------- C* and groups

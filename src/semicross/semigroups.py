@@ -107,14 +107,6 @@ class PartialBijection:
         return f"PartialBijection<{self.label} on {self.carrier}>"
 
 
-def compose_pbij(f: PartialBijection, g: PartialBijection) -> PartialBijection:
-    return f.compose(g)
-
-
-def invert_pbij(f: PartialBijection) -> PartialBijection:
-    return f.invert()
-
-
 @dataclass(eq=False)
 class InvSemigroup:
     """Finite inverse semigroup on indices 0..n-1.

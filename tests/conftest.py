@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semicross import fixtures
+import fixtures
 from semicross.io_json import load_instance
 
 D1 = np.array([1, 0], dtype=complex)
@@ -55,7 +55,14 @@ def z2_reg(z2):
     return z2.regular(2)
 
 
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+@pytest.fixture(scope="session")
+def m2():
+    return load_instance(INSTANCES / "m2.json")
+
+
 @pytest.fixture(scope="session")
 def m2_swap():
-    path = Path(__file__).resolve().parent.parent / "instances" / "m2_swap.json"
-    return load_instance(path)
+    return load_instance(INSTANCES / "m2_swap.json")

@@ -1,5 +1,4 @@
-"""Canonical desk-scale instances used by the tests, the docs and the CLI
-sample files.
+"""Canonical desk-scale instances shared by the tests.
 
 * ``flip``: the 5-element closure of the single shift 1 -> 2 on two points,
   acting on C({1,2}); the order differences generate nothing.
@@ -14,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import Action, PartialSetAction, induce_action
-from .reps import CovariantRep, regular_rep
-from .semigroups import InvSemigroup, PartialBijection, generate_semigroup
+from semicross.actions import Action, PartialSetAction, induce_action
+from semicross.reps import CovariantRep, regular_rep
+from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
 
 POINTS = ("1", "2")
 

@@ -6,8 +6,6 @@ import pytest
 from semicross.algebras import (
     Ideal,
     PartialAut,
-    alg_mul,
-    alg_norm,
     compose_paut,
     function_algebra,
     ideal_validate,
@@ -43,19 +41,19 @@ def m2_unit(i, j):
 
 class TestMul:
     def test_orthogonal_idempotents(self):
-        assert np.allclose(alg_mul(C2, e(C2, 0), e(C2, 1)), 0)
+        assert np.allclose(C2.mul(e(C2, 0), e(C2, 1)), 0)
 
     def test_pointwise_product(self):
         x = 2 * e(C2, 0) + e(C2, 1)
-        assert np.allclose(alg_mul(C2, x, e(C2, 0)), 2 * e(C2, 0))
+        assert np.allclose(C2.mul(x, e(C2, 0)), 2 * e(C2, 0))
 
     def test_matrix_units(self):
         # E12 E21 = E11
-        assert np.allclose(alg_mul(M2, m2_unit(0, 1), m2_unit(1, 0)), m2_unit(0, 0))
+        assert np.allclose(M2.mul(m2_unit(0, 1), m2_unit(1, 0)), m2_unit(0, 0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            alg_mul(C2, np.zeros(3), e(C2, 0))
+            C2.mul(np.zeros(3), e(C2, 0))
 
     def test_validate_factories(self):
         validate_algebra(C2, samples=200)
@@ -66,31 +64,31 @@ class TestMul:
 
 class TestNorm:
     def test_sup_norm(self):
-        assert alg_norm(C2, 3 * e(C2, 0) - 4 * e(C2, 1)) == pytest.approx(4.0)
+        assert C2.norm(3 * e(C2, 0) - 4 * e(C2, 1)) == pytest.approx(4.0)
 
     def test_matrix_partial_isometry(self):
-        assert alg_norm(M2, m2_unit(1, 0)) == pytest.approx(1.0)
+        assert M2.norm(m2_unit(1, 0)) == pytest.approx(1.0)
 
     def test_max_column_sum(self):
         a1 = matrix_algebra([2], 1)
         x = m2_unit(0, 0) + m2_unit(1, 0)  # [[1,0],[1,0]]
-        assert alg_norm(a1, x) == pytest.approx(2.0)
+        assert a1.norm(x) == pytest.approx(2.0)
 
     def test_max_row_sum(self):
         ainf = matrix_algebra([2], np.inf)
         x = m2_unit(0, 0) + m2_unit(0, 1)
-        assert alg_norm(ainf, x) == pytest.approx(2.0)
+        assert ainf.norm(x) == pytest.approx(2.0)
 
     def test_spectral_norm(self):
         x = m2_unit(0, 0) + m2_unit(0, 1) + m2_unit(1, 0) + m2_unit(1, 1)
-        assert alg_norm(M2, x) == pytest.approx(2.0, abs=1e-10)
+        assert M2.norm(x) == pytest.approx(2.0, abs=1e-10)
 
     def test_direct_sum_takes_max(self):
         a = matrix_algebra([2, 1], 2)
         x = np.zeros(5, dtype=complex)
         x[0] = 1.0  # block 0 entry (0,0)
         x[4] = 3.0  # the 1x1 block
-        assert alg_norm(a, x) == pytest.approx(3.0)
+        assert a.norm(x) == pytest.approx(3.0)
 
 
 class TestIdeal:

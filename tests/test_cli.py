@@ -2,6 +2,7 @@
 evaluator."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ from semicross.cli import eval_expression, main
 from semicross.errors import EvalError, SchemaError
 from semicross.io_json import load_instance, parse_instance, serialize_instance
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
 
 
 def run(capsys, *argv):
@@ -223,3 +225,21 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "PA1: 25/25 pass" in result.stdout
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_bad_representation_fails_with_a_named_code(self, tmp_path, flags):
+        # python -O strips assert statements; input checks must not rely on them
+        doc = json.loads((INSTANCES / "m2.json").read_text())
+        pi = doc["representations"][0]["pi"]
+        pi["b0:0,1"] = [[[2 * re, 2 * im] for re, im in row] for row in pi["b0:0,1"]]
+        bad = tmp_path / "m2_doubled.json"
+        bad.write_text(json.dumps(doc))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "semicross.cli", "--json", "validate", str(bad)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"]["code"] == "NotMultiplicative"

@@ -4,7 +4,9 @@ and quotients."""
 import numpy as np
 import pytest
 
-from semicross._linalg import in_rowspace, rows_equal
+from semicross._linalg import in_rowspace, orth_rows, rows_equal
+from semicross.actions import Action, PartialSetAction, induce_action
+from semicross.algebras import Ideal, PartialAut
 from semicross.ell1 import (
     Ell1Element,
     convolve,
@@ -15,7 +17,8 @@ from semicross.ell1 import (
     quotient_algebra,
     quotient_ell1_norm,
 )
-from semicross.errors import ActionMismatch, NotAnIdeal
+from semicross.errors import ActionMismatch, NotAnIdeal, OrderDifferenceNotProduct
+from semicross.semigroups import PartialBijection, generate_semigroup
 
 D1 = np.array([1, 0], dtype=complex)
 D2 = np.array([0, 1], dtype=complex)
@@ -38,6 +41,38 @@ def naive_convolution(inst, f, g):
             pulled = act.apply(sg.inv(s), fs)
             out[sg.mul(s, t)] += act.apply(s, act.algebra.mul(pulled, gt))
     return out
+
+
+def products_only_dim(action, tol=1e-9):
+    """Reference path: dimension of the saturated span of the two-sided
+    products m1 * (a delta_s - a delta_t) * m2 over all spanning monomials,
+    leaving the bare differences out of the seed."""
+    sg = action.semigroup
+    mono = monomials(action)
+    rows = [np.zeros((0, action.total_dim), dtype=complex)]
+    for s, t in sorted(sg.order):
+        if s == t or action.ideal(s).dim == 0:
+            continue
+        for a in action.ideal(s).basis:
+            d = Ell1Element.monomial(action, s, a, tol) - Ell1Element.monomial(
+                action, t, a, tol
+            )
+            for m1 in mono:
+                left = convolve(m1, d, tol)
+                for m2 in mono:
+                    rows.append(convolve(left, m2, tol).to_dense()[None, :])
+    basis = orth_rows(np.vstack(rows), tol)
+    while True:
+        products = [basis]
+        for row in basis:
+            x = Ell1Element.from_dense(action, row)
+            for m in mono:
+                products.append(convolve(m, x, tol).to_dense()[None, :])
+                products.append(convolve(x, m, tol).to_dense()[None, :])
+        grown = orth_rows(np.vstack(products), tol)
+        if grown.shape[0] == basis.shape[0]:
+            return grown.shape[0]
+        basis = grown
 
 
 class TestConvolve:
@@ -141,17 +176,47 @@ class TestInvolution:
 class TestNullIdeal:
     def test_flip_null_is_zero(self, flip):
         null = null_ideal(flip.action)
-        assert null.dim == 0 and null.products_only_dim == 0
+        assert null.dim == 0 == products_only_dim(flip.action)
 
     def test_semi_null_is_the_single_difference(self, semi):
         null = null_ideal(semi.action)
-        assert null.dim == 1 and null.products_only_dim == 1
+        assert null.dim == 1 == products_only_dim(semi.action)
         diff = mono(semi, "id{1}", D1) - mono(semi, "id{1,2}", D1)
         assert in_rowspace(null.basis, diff.to_dense())
 
     def test_sim2_null_dimension(self, sim2):
         null = null_ideal(sim2.action)
-        assert null.dim == 4 and null.products_only_dim == 4
+        assert null.dim == 4 == products_only_dim(sim2.action)
+
+    def test_matrix_instances_match_the_products_only_span(self, m2, m2_swap):
+        for inst in (m2, m2_swap):
+            assert null_ideal(inst.action).dim == products_only_dim(inst.action)
+
+    def test_memoized_per_tolerance(self, sim2):
+        assert null_ideal(sim2.action, 1e-9) is null_ideal(sim2.action, 1e-9)
+        assert null_ideal(sim2.action, 1e-8) is null_ideal(sim2.action, 1e-8)
+        assert null_ideal(sim2.action, 1e-8) is not null_ideal(sim2.action, 1e-9)
+
+    @pytest.mark.parametrize(
+        "unit", [[2, 2, 0], [0, 0, 1]], ids=["doubled", "outside-the-ideal"]
+    )
+    def test_broken_unit_is_a_named_error(self, unit):
+        # the chain id{1} <= id{1,2} <= id{1,2,3} on C({1,2,3}), left
+        # unvalidated after I_{1,2} is given a wrong unit
+        points = ("1", "2", "3")
+        chain = generate_semigroup(
+            [PartialBijection.identity(points, p) for p in (points, ("1", "2"), ("1",))]
+        )
+        act = induce_action(PartialSetAction.tautological(chain))
+        t = chain.index("id{1,2}")
+        good = act.paut(t)
+        bad = Ideal(act.algebra, good.target.basis, np.array(unit, dtype=complex))
+        pauts = list(act.pauts)
+        pauts[t] = PartialAut(good.source, bad, good.matrix)
+        broken = Action(chain, act.algebra, tuple(pauts))
+        with pytest.raises(OrderDifferenceNotProduct) as err:
+            null_ideal(broken)
+        assert err.value.pair == ("id{1}", "id{1,2}")
 
     def test_null_is_convolution_invariant(self, semi, sim2):
         for inst in (semi, sim2):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semicross import fixtures
+import fixtures
 from semicross.ell1 import Ell1Element, convolve, ell1_norm, involution
 from semicross.semigroups import PartialBijection, generate_semigroup
 

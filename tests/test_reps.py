@@ -4,7 +4,10 @@ adjoints and the group specialization."""
 import numpy as np
 import pytest
 
-from semicross._linalg import rows_equal, rows_leq
+import fixtures
+import semicross.ell1
+import semicross.reps
+from semicross._linalg import DEFAULT_TOL, rows_equal, rows_leq
 from semicross.ell1 import Ell1Element, convolve, ell1_norm, null_ideal
 from semicross.errors import (
     CheckError,
@@ -14,6 +17,8 @@ from semicross.errors import (
     DegenerateRepresentation,
     EmptyFamily,
     NotAGroup,
+    NotContractive,
+    NotMultiplicative,
     NotSemigroupHom,
     SCR2RangeMismatch,
 )
@@ -21,6 +26,7 @@ from semicross.reps import (
     CovariantRep,
     ReprSpace,
     adjoint_check,
+    certify_contractive,
     check_algebraic,
     check_spatial,
     grading_space,
@@ -126,6 +132,21 @@ class TestRegularRep:
         for inst in all_instances:
             report = validate_rep(inst.regular(2))
             assert report.passed
+
+    def test_scaled_pi_is_not_multiplicative(self, flip_reg):
+        broken = CovariantRep(
+            flip_reg.action, flip_reg.space, 2 * flip_reg.pi, flip_reg.v
+        )
+        with pytest.raises(NotMultiplicative):
+            validate_rep(broken)
+        with pytest.raises(NotContractive):
+            certify_contractive(broken)
+
+    def test_scaled_v_is_not_contractive(self, flip_reg):
+        broken = with_v_at(flip_reg, "(1>2)", 2 * E21)
+        with pytest.raises(NotContractive) as err:
+            validate_rep(broken)
+        assert err.value.what == "v at (1>2)"
 
 
 class TestSpatial:
@@ -284,6 +305,37 @@ class TestIntegrate:
                     ir.apply(convolve(f, g)), ir.apply(f) @ ir.apply(g), atol=1e-9
                 )
                 assert rep.opnorm(ir.apply(f)) <= ell1_norm(f) + 1e-9
+
+    def test_null_ideal_is_asked_for_at_the_given_tolerance(
+        self, sim2_reg, monkeypatch
+    ):
+        seen = []
+        real = semicross.reps.null_ideal
+
+        def spy(action, tol=DEFAULT_TOL):
+            seen.append(tol)
+            return real(action, tol)
+
+        monkeypatch.setattr(semicross.reps, "null_ideal", spy)
+        integrate(sim2_reg, tol=1e-8, check=True)
+        seminorm_kernel([sim2_reg], tol=1e-8)
+        assert seen == [1e-8, 1e-8]
+
+    def test_one_saturation_per_action_and_tolerance(self, monkeypatch):
+        seen = []
+        real = semicross.ell1._saturate
+
+        def spy(action, seed_rows, tol):
+            seen.append(tol)
+            return real(action, seed_rows, tol)
+
+        monkeypatch.setattr(semicross.ell1, "_saturate", spy)
+        inst = fixtures.sim2()  # a fresh action, nothing memoized yet
+        rep = inst.regular(2)
+        null_ideal(inst.action)
+        integrate(rep, check=True)
+        seminorm_kernel([rep])
+        assert seen == [DEFAULT_TOL]
 
     def test_null_inside_kernel(self, all_instances):
         for inst in all_instances:

@@ -40,22 +40,16 @@ def null_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[rank:].conj()
 
 
-def project_onto_rows(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto the row space of an orthonormal basis."""
-    if basis.shape[0] == 0:
-        return np.zeros_like(as_complex(v))
-    return (as_complex(v) @ basis.conj().T) @ basis
-
-
 def in_rowspace(basis: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True when ``v`` (each row of a 2-d ``v``) lies in the span of orthonormal rows."""
     v = as_complex(v)
-    resid = v - project_onto_rows(basis, v)
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(v)))
+    resid = np.linalg.norm(v - (v @ basis.conj().T) @ basis, axis=-1)
+    return bool(np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(v, axis=-1))))
+
 
 def rows_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when row space of ``a`` is contained in row space of ``b``."""
-    bo = orth_rows(b, tol)
-    return all(in_rowspace(bo, row, tol) for row in np.atleast_2d(as_complex(a)))
+    return in_rowspace(orth_rows(b, tol), np.atleast_2d(as_complex(a)), tol)
 
 
 def rows_equal(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

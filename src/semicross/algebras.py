@@ -199,17 +199,18 @@ class Ideal:
         return in_rowspace(self._orth, x, tol)
 
     def coords(self, x, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Coefficients over the basis; rejects vectors off the subspace."""
+        """Basis coefficients (of each row, if 2-d); rejects vectors off the subspace."""
         x = as_complex(x)
+        norms = np.linalg.norm(x, axis=-1)
         if self.dim == 0:
-            if float(np.linalg.norm(x)) > tol:
+            if np.any(norms > tol):
                 raise np.linalg.LinAlgError("vector not in the zero ideal")
-            return np.zeros(0, dtype=complex)
+            return np.zeros(x.shape[:-1] + (0,), dtype=complex)
         if not hasattr(self, "_pinv"):
             self._pinv = np.linalg.pinv(self.basis)
         c = x @ self._pinv
-        resid = x - c @ self.basis
-        if float(np.linalg.norm(resid)) > tol * max(1.0, float(np.linalg.norm(x))):
+        resid = np.linalg.norm(x - c @ self.basis, axis=-1)
+        if np.any(resid > tol * np.maximum(1.0, norms)):
             raise np.linalg.LinAlgError("vector not in the ideal subspace")
         return c
 
@@ -287,7 +288,7 @@ class PartialAut:
 
     def apply(self, x, tol: float = DEFAULT_TOL) -> np.ndarray:
         if self.source.dim == 0:
-            return np.zeros(self.parent.dim, dtype=complex)
+            return np.zeros(np.shape(x)[:-1] + (self.parent.dim,), dtype=complex)
         return self.source.coords(x, tol) @ self.matrix
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "PartialAut":

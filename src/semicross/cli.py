@@ -68,14 +68,10 @@ def main(argv=None) -> int:
     args = _argument_parser().parse_args(argv)
     out: dict = {"command": args.command}
     try:
-        inst = load_instance(args.path, cap=args.cap, tol=args.tol)
-    except SchemaError as err:
-        _emit_error(args, out, err)
-        return 2
-    except OSError as err:
-        _emit_error(args, out, SchemaError(str(err)))
-        return 2
-    try:
+        try:
+            inst = load_instance(args.path, cap=args.cap, tol=args.tol)
+        except OSError as err:
+            raise SchemaError(str(err)) from err
         if args.command == "validate":
             _run_validate(args, inst, out)
         elif args.command == "build":

@@ -6,10 +6,15 @@ the convolution product
 the norm ||f||_1 = sum of ideal norms, the involution (when the coefficient
 algebra has one), the ideal generated by the order differences
 a delta_s - a delta_t for s <= t, and quotients by such ideals.
+
+Every product contracts one sparse structure tensor per (action, tol); that
+each summand lands in the ideal of its product element is checked once, when
+the tensor is built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +22,12 @@ from scipy.optimize import linprog
 
 from ._linalg import DEFAULT_TOL, as_complex, in_rowspace, orth_rows, rows_leq
 from .actions import Action
-from .errors import ActionMismatch, NotAnIdeal, OrderDifferenceNotProduct
+from .errors import (
+    ActionMismatch,
+    ConvolutionEscapesIdeal,
+    NotAnIdeal,
+    OrderDifferenceNotProduct,
+)
 
 N_FACETS = 64  # polygonal model of |z| <= m; relative error <= 1 - cos(pi/64)
 
@@ -40,7 +50,7 @@ class Ell1Element:
             dim = self.action.ideal(t).dim
             if v.shape != (dim,):
                 raise ValueError(f"coefficient at {t} has wrong length")
-            if dim and np.any(v != 0):
+            if dim and v.any():
                 clean[t] = v
         self.coeffs = clean
 
@@ -74,11 +84,8 @@ class Ell1Element:
     @classmethod
     def from_dense(cls, action: Action, dense) -> "Ell1Element":
         dense = as_complex(dense)
-        coeffs = {}
-        for t, off in action.offsets.items():
-            dim = action.ideal(t).dim
-            coeffs[t] = dense[off : off + dim]
-        return cls(action, coeffs)
+        offs = action.offsets
+        return cls(action, {t: dense[o : o + action.ideal(t).dim] for t, o in offs.items()})
 
     def __add__(self, other: "Ell1Element") -> "Ell1Element":
         if self.action is not other.action:
@@ -124,37 +131,45 @@ class Ell1Element:
         return " + ".join(parts) if parts else "0"
 
 
+def structure_tensor(action: Action, tol: float = DEFAULT_TOL) -> tuple:
+    """The products of the spanning monomials, once per (action, tol), as
+    read-only arrays (I, J, K, C): m_i * m_j = sum of C[e] m_K[e] over the
+    entries e with I[e] = i and J[e] = j.  Actions reach here unvalidated, so
+    each alpha_s(alpha_{s*}(a) b), a in I_s and b in I_t, is checked to lie in
+    I_st; if one does not, ``ConvolutionEscapesIdeal`` names (s, t)."""
+    if not hasattr(action, "_tensor"):
+        action._tensor = {}
+    if tol in action._tensor:
+        return action._tensor[tol]
+    sg, A, offs = action.semigroup, action.algebra, action.offsets
+    entries = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=complex),)]
+    for s, t in itertools.product(action.nonzero_elements, repeat=2):
+        r, bs, bt = sg.mul(s, t), action.ideal(s).basis, action.ideal(t).basis
+        try:
+            pulled = action.apply(sg.inv(s), bs, tol)
+            prod = np.einsum("ai,bj,ijk->abk", pulled, bt, A.structure).reshape(-1, A.dim)
+            coords = action.ideal(r).coords(action.apply(s, prod, tol), tol)
+        except np.linalg.LinAlgError:
+            raise ConvolutionEscapesIdeal(sg.labels[s], sg.labels[t]) from None
+        ab, k = np.nonzero(coords)
+        a, b = divmod(ab, len(bt))
+        entries.append((offs[s] + a, offs[t] + b, offs.get(r, 0) + k, coords[ab, k]))
+    tensor = tuple(map(np.concatenate, zip(*entries)))
+    for arr in tensor:
+        arr.flags.writeable = False
+    action._tensor[tol] = tensor
+    return tensor
+
+
 def convolve(f: Ell1Element, g: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1Element:
-    """Exact double sum over support pairs; every summand is checked to land
-    in the ideal of the product element."""
+    """One contraction with the structure tensor at ``tol``; the ideal
+    membership of every summand was checked when the tensor was built."""
     if f.action is not g.action:
         raise ActionMismatch("elements of different section algebras")
-    act = f.action
-    sg = act.semigroup
-    out: dict[int, np.ndarray] = {}
-    for s in f.support:
-        fs = f.value(s)
-        pulled = act.apply(sg.inv(s), fs, tol)
-        for t in g.support:
-            r = sg.mul(s, t)
-            gt = g.value(t)
-            summand = act.apply(s, act.algebra.mul(pulled, gt), tol)
-            ideal = act.ideal(r)
-            scale = max(
-                1.0, float(np.linalg.norm(fs)) * float(np.linalg.norm(gt))
-            )
-            if ideal.dim == 0:
-                # the product element carries the zero ideal, so the summand
-                # must vanish up to roundoff of the inputs
-                assert float(np.linalg.norm(summand)) <= tol * scale, (
-                    "convolution summand escapes the ideal of the product element"
-                )
-                continue
-            assert ideal.contains(summand, tol), (
-                "convolution summand escapes the ideal of the product element"
-            )
-            out[r] = out.get(r, 0) + ideal.coords(summand, tol)
-    return Ell1Element(act, out)
+    I, J, K, C = structure_tensor(f.action, tol)
+    out = np.zeros(f.action.total_dim, dtype=complex)
+    np.add.at(out, K, f.to_dense()[I] * g.to_dense()[J] * C)
+    return Ell1Element.from_dense(f.action, out)
 
 
 def ell1_norm(f: Ell1Element) -> float:
@@ -175,14 +190,9 @@ def involution(f: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1Element:
 
 
 def monomials(action: Action) -> list:
-    """One a delta_t per ideal basis vector; they span the whole section space."""
-    out = []
-    for t in action.nonzero_elements:
-        for i in range(action.ideal(t).dim):
-            coeff = np.zeros(action.ideal(t).dim, dtype=complex)
-            coeff[i] = 1.0
-            out.append(Ell1Element(action, {t: coeff}))
-    return out
+    """One a delta_t per ideal basis vector, in dense coordinate order; they
+    span the whole section space."""
+    return [Ell1Element.from_dense(action, e) for e in np.eye(action.total_dim)]
 
 
 def monomial_products(
@@ -190,14 +200,15 @@ def monomial_products(
 ) -> np.ndarray:
     """Rows m * x and x * m for every row x of ``basis`` and every spanning
     monomial m; a subspace is a two-sided ideal iff these stay inside it."""
-    mono = monomials(action)
-    rows = [np.zeros((0, action.total_dim), dtype=complex)]
-    for row in basis:
-        x = Ell1Element.from_dense(action, row)
-        for m in mono:
-            rows.append(convolve(m, x, tol).to_dense()[None, :])
-            rows.append(convolve(x, m, tol).to_dense()[None, :])
-    return np.vstack(rows)
+    I, J, K, C = structure_tensor(action, tol)
+    D = action.total_dim
+    x = np.atleast_2d(as_complex(basis)).reshape(-1, D)
+    rows = np.arange(x.shape[0])[:, None]
+    # m_i * x adds C x[J] to row (i, x) at column K, x * m_j adds C x[I] to (j, x)
+    left, right = np.zeros((2, D, x.shape[0], D), dtype=complex)
+    np.add.at(left, (I, rows, K), x[:, J] * C)
+    np.add.at(right, (J, rows, K), x[:, I] * C)
+    return np.vstack([left.reshape(-1, D), right.reshape(-1, D)])
 
 
 @dataclass
@@ -305,26 +316,23 @@ def quotient_algebra(
     null_basis = orth_rows(null_basis, tol)
     if not rows_leq(monomial_products(action, null_basis, tol), null_basis, tol):
         raise NotAnIdeal("subspace is not convolution invariant")
-    chosen = []
-    cur = null_basis
+    eye = np.eye(D, dtype=complex)
+    chosen, cur = [], null_basis
     for j in range(D):
-        ej = np.zeros(D, dtype=complex)
-        ej[j] = 1.0
-        if not in_rowspace(cur, ej, tol):
+        if not in_rowspace(cur, eye[j], tol):
             chosen.append(j)
-            cur = orth_rows(np.vstack([cur, ej[None, :]]), tol)
+            cur = orth_rows(np.vstack([cur, eye[j]]), tol)
     q = len(chosen)
-    comp = np.zeros((q, D), dtype=complex)
-    for r, j in enumerate(chosen):
-        comp[r, j] = 1.0
+    comp = eye[chosen]
     full = np.vstack([comp, null_basis])
     proj = np.linalg.inv(full.T)[:q, :] if D else np.zeros((0, 0), dtype=complex)
-    structure = np.zeros((q, q, q), dtype=complex)
-    for a in range(q):
-        fa = Ell1Element.from_dense(action, comp[a])
-        for b in range(q):
-            fb = Ell1Element.from_dense(action, comp[b])
-            structure[a, b] = proj @ convolve(fa, fb, tol).to_dense()
+    I, J, K, C = structure_tensor(action, tol)
+    pos = np.full(D, -1)
+    pos[chosen] = np.arange(q)
+    keep = (pos[I] >= 0) & (pos[J] >= 0)
+    sliced = np.zeros((q, q, D), dtype=complex)  # products of the chosen monomials
+    np.add.at(sliced, (pos[I[keep]], pos[J[keep]], K[keep]), C[keep])
+    structure = sliced @ proj.T
     return QuotientAlgebra(action, null_basis, tuple(chosen), structure, proj)
 
 
@@ -364,10 +372,6 @@ def quotient_ell1_norm(
     rows, rhs = [], []
     n_aux = 0
 
-    def affine(t, coord):
-        """Real LP row pieces for the complex coordinate of the coset at (t, coord)."""
-        return base[t][coord], dirs[t][:, coord]
-
     # variable layout: [zr(k), zi(k), m(n_m), u(...)]
     var_m0 = 2 * k
     u_index = {}
@@ -382,7 +386,7 @@ def quotient_ell1_norm(
 
     def facet_rows(t, coord, bound_col):
         """|affine coordinate| <= variable at bound_col, one row per facet."""
-        b, w = affine(t, coord)
+        b, w = base[t][coord], dirs[t][:, coord]  # the coset's coordinate, affine in z
         for ph in phase:
             row = np.zeros(n_vars)
             row[0:k] = np.real(w * ph)

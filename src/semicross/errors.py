@@ -131,6 +131,12 @@ class ActionMismatch(CheckError):
     pass
 
 
+class ConvolutionEscapesIdeal(CheckError):
+    def __init__(self, s, t):
+        self.pair = (s, t)
+        super().__init__(f"product of monomials at ({s}, {t}) escapes the ideal of st")
+
+
 class OrderDifferenceNotProduct(CheckError):
     def __init__(self, s, t):
         self.pair = (s, t)

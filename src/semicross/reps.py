@@ -25,7 +25,13 @@ from ._linalg import (
     rows_leq,
 )
 from .actions import Action, PartialSetAction
-from .ell1 import Ell1Element, convolve, ell1_norm, monomial_products, monomials, null_ideal
+from .ell1 import (
+    Ell1Element,
+    ell1_norm,
+    monomial_products,
+    null_ideal,
+    structure_tensor,
+)
 from .errors import (
     CR1Violation,
     CR2Violation,
@@ -360,21 +366,17 @@ def integrate(
     matrix = np.array(cols).T.reshape(n * n, act.total_dim)
     out = IntegratedRep(rep, matrix)
     if check:
-        mono = monomials(act)
-        for x in mono:
-            for y in mono:
-                got = out.apply(convolve(x, y, tol))
-                want = out.apply(x) @ out.apply(y)
-                assert np.allclose(got, want, atol=tol, rtol=0.0), (
-                    "integration is not multiplicative on monomials"
-                )
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            f = Ell1Element.from_dense(
-                act,
-                rng.standard_normal(act.total_dim)
-                + 1j * rng.standard_normal(act.total_dim),
-            )
+        I, J, K, C = structure_tensor(act, tol)
+        images = matrix.T.reshape(-1, n, n)
+        got = np.zeros((len(images), len(images), n * n), dtype=complex)
+        np.add.at(got, (I, J), C[:, None] * matrix[:, K].T)  # images of m_i * m_j
+        want = np.einsum("iab,jbc->ijac", images, images).reshape(got.shape)
+        assert np.allclose(got, want, atol=tol, rtol=0.0), (
+            "integration is not multiplicative on monomials"
+        )
+        draws = np.random.default_rng(seed).standard_normal((samples, 2, act.total_dim))
+        for re, im in draws:
+            f = Ell1Element.from_dense(act, re + 1j * im)
             assert rep.opnorm(out.apply(f)) <= ell1_norm(f) + tol, (
                 "integration is not contractive on a sampled section"
             )
@@ -503,26 +505,22 @@ def group_case_check(
     if not sg.is_group:
         raise NotAGroup(len(sg.idempotents))
     report = CheckReport("group case")
-    A = action.algebra
-    for s in action.nonzero_elements:
-        for a in action.ideal(s).basis:
-            fa = Ell1Element.monomial(action, s, a, tol)
-            for t in action.nonzero_elements:
-                for b in action.ideal(t).basis:
-                    fb = Ell1Element.monomial(action, t, b, tol)
-                    got = convolve(fa, fb, tol)
-                    for r in action.nonzero_elements:
-                        want = np.zeros(A.dim, dtype=complex)
-                        for h in range(len(sg)):
-                            # (x * y)(r) = sum_h x(h) alpha_h(y(h^-1 r))
-                            hr = sg.mul(sg.inv(h), r)
-                            xh = fa.value(h)
-                            yhr = fb.value(hr)
-                            if np.any(xh) and np.any(yhr):
-                                want += A.mul(xh, action.apply(h, yhr, tol))
-                        assert np.allclose(got.value(r), want, atol=tol, rtol=0.0), (
-                            "group and semigroup convolutions disagree"
-                        )
+    A, D = action.algebra, action.total_dim
+    I, J, K, C = structure_tensor(action, tol)
+    # parent-coordinate value of each monomial, and of each m_i * m_j
+    P = np.vstack([np.zeros((0, A.dim))] + [action.ideal(t).basis for t in action.offsets])
+    got = np.zeros((D, D, A.dim), dtype=complex)
+    np.add.at(got, (I, J), C[:, None] * P[K])
+    owner = np.repeat(list(action.offsets), [action.ideal(t).dim for t in action.offsets])
+    assert np.all(sg.table[owner[I], owner[J]] == owner[K]), "a product lands off st"
+    for s, off in action.offsets.items():
+        # in (x * y)(r) = sum_h x(h) alpha_h(y(h^-1 r)) with x = a delta_s only
+        # h = s survives, so x * b delta_t = a alpha_s(b) delta_st
+        a = P[off : off + action.ideal(s).dim]
+        want = np.einsum("ai,bj,ijk->abk", a, action.apply(s, P, tol), A.structure)
+        assert np.allclose(got[off : off + len(a)], want, atol=tol, rtol=0.0), (
+            "group and semigroup convolutions disagree"
+        )
     report.add("convolution", "group formula agrees on all basis pairs", True)
     if rep is not None:
         assert rep.is_nondegenerate(tol), "group check needs a nondegenerate pair"

@@ -31,6 +31,11 @@ def z2():
 
 
 @pytest.fixture(scope="session")
+def sim3():
+    return fixtures.sim3()
+
+
+@pytest.fixture(scope="session")
 def all_instances(flip, semi, sim2, z2):
     return [flip, semi, sim2, z2]
 

@@ -7,13 +7,20 @@
 * ``sim2``: the full symmetric inverse monoid on two points (7 elements)
   acting tautologically.
 * ``z2``: the two-point swap, a plain group action.
+* ``sim3``: the full symmetric inverse monoid on three points (34 elements,
+  dim l1 = 63) acting tautologically.
+* ``escaping_flip``: ``flip`` with alpha at (1>2) replaced by the identity
+  of C delta_1, so it leaves I_(1>2) = C delta_2; never validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from semicross.actions import Action, PartialSetAction, induce_action
+from semicross.algebras import PartialAut
 from semicross.reps import CovariantRep, regular_rep
 from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
 
@@ -57,6 +64,23 @@ def sim2() -> Instance:
 def z2() -> Instance:
     swap = PartialBijection.from_dict(POINTS, {"1": "2", "2": "1"})
     return _instance("z2", [swap])
+
+
+def sim3() -> Instance:
+    points = ("1", "2", "3")
+    cycle = PartialBijection.from_dict(points, {"1": "2", "2": "3", "3": "1"})
+    swap = PartialBijection.from_dict(points, {"1": "2", "2": "1", "3": "3"})
+    part = PartialBijection.identity(points, ("1", "2"))
+    return _instance("sim3", [cycle, swap, part])
+
+
+def escaping_flip() -> Action:
+    act = flip().action
+    t = act.semigroup.index("(1>2)")
+    good = act.paut(t)
+    pauts = list(act.pauts)
+    pauts[t] = PartialAut(good.source, good.target, np.array(good.source.basis))
+    return Action(act.semigroup, act.algebra, tuple(pauts))
 
 
 ALL = {"flip": flip, "semi": semi, "sim2": sim2, "z2": z2}

@@ -67,6 +67,28 @@ class TestValidate:
         assert doc["command"] == "validate"
         assert all(r["passed"] for r in doc["reports"])
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_check_error_while_loading_exits_1(self, tmp_path, flags):
+        # a stored star map that is not the inverse map fails inside
+        # load_instance, before any subcommand runs
+        doc = json.loads((INSTANCES / "semi_table.json").read_text())
+        doc["semigroup"]["star"] = [1, 0]
+        bad = tmp_path / "bad_star.json"
+        bad.write_text(json.dumps(doc))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        cmd = [sys.executable, *flags, "-m", "semicross.cli"]
+        result = subprocess.run(
+            [*cmd, "--json", "validate", str(bad)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"]["code"] == "NonUniqueInverse"
+        result = subprocess.run(
+            [*cmd, "validate", str(bad)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error[NonUniqueInverse]: ")
+
     def test_json_flag_reports_error_codes(self, capsys, tmp_path):
         doc = json.loads((INSTANCES / "semi_table.json").read_text())
         doc["action"]["ideals"]["e"] = [[[1, 0], [1, 0]]]  # not an ideal

@@ -1,9 +1,16 @@
-"""Convolution, the section norm, the involution, the order-difference ideal
-and quotients."""
+"""Convolution, the structure tensor, the section norm, the involution, the
+order-difference ideal and quotients."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fixtures
+from reference import reference_convolve, reference_monomial_products
 from semicross._linalg import in_rowspace, orth_rows, rows_equal
 from semicross.actions import Action, PartialSetAction, induce_action
 from semicross.algebras import Ideal, PartialAut
@@ -12,13 +19,25 @@ from semicross.ell1 import (
     convolve,
     ell1_norm,
     involution,
+    monomial_products,
     monomials,
     null_ideal,
     quotient_algebra,
     quotient_ell1_norm,
+    structure_tensor,
 )
-from semicross.errors import ActionMismatch, NotAnIdeal, OrderDifferenceNotProduct
+from semicross.errors import (
+    ActionMismatch,
+    ConvolutionEscapesIdeal,
+    NotAnIdeal,
+    OrderDifferenceNotProduct,
+)
+from semicross.io_json import load_instance
+from semicross.reps import seminorm_kernel
 from semicross.semigroups import PartialBijection, generate_semigroup
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ("flip", "semi", "semi_table", "sim2", "z2", "m2", "m2_swap")
 
 D1 = np.array([1, 0], dtype=complex)
 D2 = np.array([0, 1], dtype=complex)
@@ -114,6 +133,107 @@ class TestConvolve:
     def test_monomial_density(self, sim2):
         stack = np.array([m.to_dense() for m in monomials(sim2.action)])
         assert np.linalg.matrix_rank(stack) == sim2.action.total_dim
+
+
+class TestStructureTensor:
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_convolve_matches_the_reference_on_random_pairs(self, name):
+        act = load_instance(ROOT / "instances" / f"{name}.json").action
+        rng = np.random.default_rng(19)
+        D = act.total_dim
+        for _ in range(30):
+            f, g = (
+                Ell1Element.from_dense(
+                    act, rng.standard_normal(D) + 1j * rng.standard_normal(D)
+                )
+                for _ in range(2)
+            )
+            assert np.allclose(
+                convolve(f, g).to_dense(),
+                reference_convolve(f, g).to_dense(),
+                atol=1e-9,
+                rtol=0.0,
+            )
+
+    def test_monomial_products_match_the_reference(self, sim2, m2_swap):
+        bases = [
+            (sim2.action, null_ideal(sim2.action).basis),
+            (m2_swap.action, null_ideal(m2_swap.action).basis),
+            # the null ideal of m2_swap is zero; its one-representation kernel is not
+            (m2_swap.action, seminorm_kernel(list(m2_swap.representations.values()))),
+        ]
+        for act, basis in bases:
+            got = monomial_products(act, basis)
+            want = reference_monomial_products(act, basis)
+            assert got.shape == want.shape == (2 * act.total_dim * len(basis), act.total_dim)
+            assert rows_equal(got, want, 1e-9)
+        assert len(bases[0][1]) == 4 and len(bases[2][1]) == 4
+
+    def test_sim3_tensor_is_the_induced_partial_action(self, sim3):
+        # m_(s,x) * m_(t,y) = m_(st,x) exactly when y = theta_{s*}(x), from the
+        # partial bijections alone: alpha_{s*}(delta_x) = delta_{theta_{s*}(x)}
+        act = sim3.action
+        maps = sim3.theta.maps
+        points = act.algebra.points
+
+        def coord(t, x):
+            image = sorted(maps[t].image, key=points.index)
+            return act.offsets[t] + image.index(x)
+
+        want = set()
+        for s in act.nonzero_elements:
+            back = maps[sim3.semigroup.inv(s)]
+            for t in act.nonzero_elements:
+                for x in maps[s].image:
+                    if back(x) in maps[t].image:
+                        st = sim3.semigroup.mul(s, t)
+                        want.add((coord(s, x), coord(t, back(x)), coord(st, x)))
+        I, J, K, C = structure_tensor(act)
+        got = set(zip(I.tolist(), J.tolist(), K.tolist()))
+        assert len(sim3.semigroup) == 34 and act.total_dim == 63
+        assert len(C) == len(got) == len(want) == 1323
+        assert got == want
+        assert np.all(C == 1.0)
+        assert len(set(zip(I.tolist(), J.tolist()))) == 1323
+
+    def test_memoized_per_tolerance_and_read_only(self, sim2):
+        tensor = structure_tensor(sim2.action, 1e-9)
+        assert structure_tensor(sim2.action, 1e-9) is tensor
+        assert structure_tensor(sim2.action, 1e-8) is not tensor
+        for arr in tensor:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_escaping_summand_is_a_named_error(self):
+        broken = fixtures.escaping_flip()
+        f = Ell1Element.from_dense(broken, np.ones(broken.total_dim))
+        with pytest.raises(ConvolutionEscapesIdeal) as err:
+            convolve(f, f)
+        assert err.value.pair == ("(1>2)", "(2>1)")
+        with pytest.raises(ConvolutionEscapesIdeal):
+            null_ideal(fixtures.escaping_flip())
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_escaping_summand_is_named_under_python_flags(self, flags):
+        # python -O strips assert statements; the tensor build must not rely on them
+        code = (
+            "import fixtures\n"
+            "from semicross.ell1 import structure_tensor\n"
+            "from semicross.errors import CheckError\n"
+            "try:\n"
+            "    structure_tensor(fixtures.escaping_flip())\n"
+            "except CheckError as err:\n"
+            "    print(err.code, *err.pair)\n"
+        )
+        path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["ConvolutionEscapesIdeal", "(1>2)", "(2>1)"]
 
 
 class TestNorm:

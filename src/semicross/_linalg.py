@@ -40,11 +40,15 @@ def null_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[rank:].conj()
 
 
+def off_rows(resid: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per row, whether |resid| > tol * max(1, |v|) (compared squared: cheap on 1-d)."""
+    return (abs(resid) ** 2).sum(-1) > tol**2 * np.maximum(1.0, (abs(v) ** 2).sum(-1))
+
+
 def in_rowspace(basis: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when ``v`` (each row of a 2-d ``v``) lies in the span of orthonormal rows."""
     v = as_complex(v)
-    resid = np.linalg.norm(v - (v @ basis.conj().T) @ basis, axis=-1)
-    return bool(np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(v, axis=-1))))
+    return not off_rows(v - (v @ basis.conj().T) @ basis, v, tol).any()
 
 
 def rows_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -19,6 +19,7 @@ from ._linalg import (
     in_rowspace,
     intersect_rows,
     null_rows,
+    off_rows,
     operator_norm,
     orth_rows,
     rows_equal,
@@ -201,16 +202,10 @@ class Ideal:
     def coords(self, x, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Basis coefficients (of each row, if 2-d); rejects vectors off the subspace."""
         x = as_complex(x)
-        norms = np.linalg.norm(x, axis=-1)
-        if self.dim == 0:
-            if np.any(norms > tol):
-                raise np.linalg.LinAlgError("vector not in the zero ideal")
-            return np.zeros(x.shape[:-1] + (0,), dtype=complex)
         if not hasattr(self, "_pinv"):
             self._pinv = np.linalg.pinv(self.basis)
         c = x @ self._pinv
-        resid = np.linalg.norm(x - c @ self.basis, axis=-1)
-        if np.any(resid > tol * np.maximum(1.0, norms)):
+        if off_rows(x - c @ self.basis, x, tol).any():
             raise np.linalg.LinAlgError("vector not in the ideal subspace")
         return c
 

@@ -23,9 +23,9 @@ from .algebras import (
     ideal_validate,
     pauts_equal,
 )
-from .errors import NonzeroIdealAtZero, PA1Violation, PA2SpanDeficit
+from .errors import CarrierMismatch, NonzeroIdealAtZero, PA1Violation, PA2SpanDeficit
 from .reporting import CheckReport
-from .semigroups import InvSemigroup
+from .semigroups import InvSemigroup, check_homomorphism, inverse_rows, pbij_rows
 
 
 @dataclass(eq=False)
@@ -93,38 +93,54 @@ class PartialSetAction:
         assert sg.pbijs is not None, "semigroup was not generated from partial maps"
         return cls(sg, sg.pbijs[0].carrier, sg.pbijs)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """theta_t as int rows over the sorted carrier (-1 where undefined); cached."""
+        if not hasattr(self, "_rows"):
+            self._rows = pbij_rows(tuple(sorted(set(self.carrier))), self.maps)
+        return self._rows
+
     def validate(self) -> None:
-        n = len(self.semigroup)
-        for t in range(n):
-            assert self.maps[t].carrier == tuple(sorted(set(self.carrier)))
-        for s in range(n):
-            for t in range(n):
-                got = self.maps[s].compose(self.maps[t])
-                want = self.maps[self.semigroup.mul(s, t)]
-                assert got.pairs == want.pairs, (
-                    f"theta is not a homomorphism at ({s}, {t})"
-                )
+        """Every theta_t lives on the carrier and theta_s theta_t = theta_st."""
+        carrier = tuple(sorted(set(self.carrier)))
+        for t, m in enumerate(self.maps):
+            if m.carrier != carrier:
+                raise CarrierMismatch(f"theta at {t} lives on {m.carrier}, not {carrier}")
+        check_homomorphism(self.semigroup, self.rows)
 
 
 def induce_action(theta: PartialSetAction) -> Action:
     """Action on C(X) from a partial set action: I_t is supported on the
-    image of theta_t, and alpha_t precomposes with theta_{t*}."""
+    image of theta_t, and alpha_t precomposes with theta_{t*}.
+
+    The action is certified exactly from theta, not numerically: theta is a
+    homomorphism with theta_{t*} = theta_t^{-1}, so alpha_s alpha_t = alpha_st
+    on the largest domain and alpha_t starts at I_{t*} (PA1); the ideal of the
+    zero is {0}; and the idempotent images cover the carrier (PA2).
+    """
     theta.validate()
     sg = theta.semigroup
+    rows = theta.rows
+    if sg.zero is not None and (rows[sg.zero] >= 0).any():
+        raise NonzeroIdealAtZero(int((rows[sg.zero] >= 0).sum()))
+    images = rows[list(sg.idempotents)]
+    gap = rows.shape[1] - np.unique(images[images >= 0]).size
+    if gap:
+        raise PA2SpanDeficit(int(gap))
+    bad = np.flatnonzero((rows[sg.star] != inverse_rows(rows)).any(axis=1))
+    if bad.size:
+        t = int(bad[0])
+        raise PA1Violation(sg.labels[t], sg.labels[sg.inv(t)], "theta_t* is not theta_t^-1")
     algebra = function_algebra(theta.maps[0].carrier)
+    eye = np.eye(algebra.dim, dtype=complex)
     pauts = []
-    for t in range(len(sg)):
-        m = theta.maps[t]
-        src = Ideal.from_support(algebra, sorted(m.domain))
-        tgt = Ideal.from_support(algebra, sorted(m.image))
-        rows = np.zeros((src.dim, algebra.dim), dtype=complex)
-        for r, x in enumerate(sorted(m.domain)):
-            # delta_x o theta_{t*} = delta_{theta_t(x)}
-            rows[r, algebra.points.index(m(x))] = 1.0
-        pauts.append(PartialAut(src, tgt, rows))
-    action = Action(sg, algebra, tuple(pauts))
-    validate_action(action)
-    return action
+    for r in rows:
+        dom = np.flatnonzero(r >= 0)
+        src = Ideal.from_support(algebra, [algebra.points[i] for i in dom])
+        tgt = Ideal.from_support(algebra, [algebra.points[i] for i in r[dom]])
+        # delta_x o theta_{t*} = delta_{theta_t(x)}
+        pauts.append(PartialAut(src, tgt, eye[r[dom]]))
+    return Action(sg, algebra, tuple(pauts))
 
 
 def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:

@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._linalg import DEFAULT_TOL, as_complex, in_rowspace, orth_rows, rows_leq
 from .actions import Action
@@ -416,6 +415,8 @@ def quotient_ell1_norm(
     objective = np.zeros(n_vars)
     objective[var_m0 : var_m0 + n_m] = 1.0
     bounds = [(None, None)] * var_m0 + [(0, None)] * (n_m + n_aux)
+    from scipy.optimize import linprog  # imported here: it is most of the package's import time
+
     res = linprog(
         c=objective,
         A_ub=np.array(rows),

@@ -60,6 +60,12 @@ class IdempotentsDoNotCommute(CheckError):
         super().__init__(f"idempotents {pair} do not commute")
 
 
+class NotAHomomorphism(CheckError):
+    def __init__(self, s, t):
+        self.pair = (s, t)
+        super().__init__(f"partial bijections do not compose as the semigroup at ({s}, {t})")
+
+
 # ------------------------------------------------------------------ algebras
 
 

@@ -5,7 +5,6 @@ into partial bijections.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +14,7 @@ from .errors import (
     IdempotentsDoNotCommute,
     NoGeneralizedInverse,
     NonUniqueInverse,
+    NotAHomomorphism,
     NotAssociative,
     SizeCapExceeded,
 )
@@ -180,9 +180,9 @@ def _assoc_witness(table: np.ndarray) -> tuple | None:
     for i in range(n):
         lhs = table[table[i, :], :]        # [j, k] -> (i j) k
         rhs = table[i, table]              # [j, k] -> i (j k)
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            j, k = bad[0]
+        bad = lhs != rhs
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
             return (i, int(j), int(k))
     return None
 
@@ -201,49 +201,119 @@ def validate_inverse(table) -> np.ndarray:
     if bad is not None:
         raise NotAssociative(bad)
     star = np.empty(n, dtype=int)
+    every = np.arange(n)
     for t in range(n):
-        cands = [
-            u
-            for u in range(n)
-            if table[table[t, u], t] == t and table[table[u, t], u] == u
-        ]
-        if not cands:
+        cands = np.flatnonzero(
+            (table[table[t], t] == t) & (table[table[:, t], every] == every)
+        )
+        if not cands.size:
             raise NoGeneralizedInverse(t)
-        if len(cands) > 1:
-            raise NonUniqueInverse(t, cands)
+        if cands.size > 1:
+            raise NonUniqueInverse(t, cands.tolist())
         star[t] = cands[0]
-    idem = [i for i in range(n) if table[i, i] == i]
-    for e, f in itertools.combinations(idem, 2):
-        if table[e, f] != table[f, e]:
-            raise IdempotentsDoNotCommute((e, f))
+    idem = np.flatnonzero(table[every, every] == every)
+    sub = table[np.ix_(idem, idem)]
+    clash = np.argwhere(np.triu(sub != sub.T, 1))
+    if clash.size:
+        i, j = clash[0]
+        raise IdempotentsDoNotCommute((int(idem[i]), int(idem[j])))
     return star
 
 
 def natural_order(sg: InvSemigroup) -> frozenset:
     """Pairs (s, t) with s <= t, i.e. s = t (s* s); asserted to be a partial order."""
     n = len(sg)
-    pairs = set()
+    every = np.arange(n)
+    leq = sg.table[:, sg.table[sg.star, every]].T == every[:, None]  # [s, t]
+    assert leq[every, every].all(), "natural order is not reflexive"
+    assert not (leq & leq.T)[~np.eye(n, dtype=bool)].any(), (
+        "natural order is not antisymmetric"
+    )
     for s in range(n):
-        ss = sg.mul(sg.inv(s), s)
-        for t in range(n):
-            if sg.mul(t, ss) == s:
-                pairs.add((s, t))
-    for s in range(n):
-        assert (s, s) in pairs, "natural order is not reflexive"
-    below = {t: [s for s, t2 in pairs if t2 == t] for t in range(n)}
-    for s, t in pairs:
-        if (t, s) in pairs:
-            assert s == t, "natural order is not antisymmetric"
-        for r in below[s]:
-            assert (r, t) in pairs, "natural order is not transitive"
-    return frozenset(pairs)
+        below, above = np.flatnonzero(leq[:, s]), np.flatnonzero(leq[s])
+        assert leq[np.ix_(below, above)].all(), "natural order is not transitive"
+    s, t = np.nonzero(leq)
+    return frozenset(zip(s.tolist(), t.tolist()))
+
+
+# ----- partial bijections as int rows over the sorted carrier: row[i] is the
+# position of the image of carrier[i], or -1 where the map is undefined
+
+
+def pbij_rows(carrier: tuple, pbijs) -> np.ndarray:
+    """One row per partial bijection on ``carrier`` (already sorted)."""
+    pos = {x: i for i, x in enumerate(carrier)}
+    rows = np.full((len(pbijs), len(carrier)), -1, dtype=np.intp)
+    for r, p in enumerate(pbijs):
+        for x, y in p.pairs:
+            rows[r, pos[x]] = pos[y]
+    return rows
+
+
+def _to_pbij(carrier: tuple, row: np.ndarray) -> PartialBijection:
+    return PartialBijection(
+        carrier, tuple((carrier[i], carrier[j]) for i, j in enumerate(row.tolist()) if j >= 0)
+    )
+
+
+def _undefined_column(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with a trailing -1, so that ``ext[:, y]`` composes with y even where y is -1."""
+    return np.hstack([rows, np.full((rows.shape[0], 1), -1, dtype=rows.dtype)])
+
+
+def inverse_rows(rows: np.ndarray) -> np.ndarray:
+    out = np.full_like(rows, -1)
+    r, x = np.nonzero(rows >= 0)
+    out[r, rows[r, x]] = x
+    return out
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row: its value in base m + 1 when that fits in
+    an int64, else its bytes."""
+    m = rows.shape[1]
+    if (m + 1) ** m < 2**63:
+        return (rows + 1) @ ((m + 1) ** np.arange(m, dtype=np.int64))
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * m))).ravel()
+
+
+class _RowIndex:
+    """Distinct rows in discovery order, looked up in batches by key."""
+
+    def __init__(self, rows: np.ndarray, cap: int):
+        self.cap = cap
+        self.rows = rows[:0]
+        self.keys = _keys(self.rows)
+        self.register(rows)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Position of the row with each key, or -1 where there is none."""
+        if not self.keys.size:
+            return np.full(keys.shape, -1)
+        pos = np.searchsorted(self.sorted, keys).clip(max=self.keys.size - 1)
+        return np.where(self.sorted[pos] == keys, self.order[pos], -1)
+
+    def register(self, rows: np.ndarray) -> None:
+        """Append the rows not seen yet, once each, in order of first occurrence."""
+        keys = _keys(rows)
+        fresh = self.find(keys) < 0
+        first = np.sort(np.unique(keys[fresh], return_index=True)[1])
+        if self.keys.size + first.size > self.cap:
+            raise SizeCapExceeded(self.cap)
+        self.rows = np.vstack([self.rows, rows[fresh][first]])
+        self.keys = np.concatenate([self.keys, keys[fresh][first]])
+        self.order = np.argsort(self.keys)
+        self.sorted = self.keys[self.order]
 
 
 def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
     """Breadth-first closure of partial bijections under composition and inverse.
 
     Elements are deduplicated by their graph and ordered by discovery, so the
-    enumeration is deterministic.  The empty map, when reached, becomes the
+    enumeration is deterministic: each round registers the inverses of the
+    frontier, then, for each frontier element x and each y known at that
+    point, x o y and y o x.  The empty map, when reached, becomes the
     semigroup zero.
     """
     gens = list(generators)
@@ -254,75 +324,62 @@ def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
         if g.carrier != carrier:
             raise CarrierMismatch("generators live on different carriers")
 
-    elems: list[PartialBijection] = []
-    index: dict[tuple, int] = {}
-
-    def register(p: PartialBijection) -> bool:
-        if p.pairs in index:
-            return False
-        if len(elems) >= cap:
-            raise SizeCapExceeded(cap)
-        index[p.pairs] = len(elems)
-        elems.append(p)
-        return True
-
-    for g in gens:
-        register(g)
-    frontier = list(elems)
-    while frontier:
-        new: list[PartialBijection] = []
-
-        def visit(p):
-            if register(p):
-                new.append(p)
-
+    index = _RowIndex(pbij_rows(carrier, gens), cap)
+    start = 0
+    while start < len(index.rows):
+        frontier = index.rows[start:]
+        start = len(index.rows)
+        index.register(inverse_rows(frontier))
+        known = index.rows
+        known_ext = _undefined_column(known)
         for x in frontier:
-            visit(x.invert())
-        known = list(elems)
-        for x in frontier:
-            for y in known:
-                visit(x.compose(y))
-                visit(y.compose(x))
-        frontier = new
+            # x o y and y o x interleaved, for y in known order
+            pair = np.stack([np.append(x, -1)[known], known_ext[:, x]], axis=1)
+            index.register(pair.reshape(-1, len(carrier)))
 
+    elems = index.rows
     n = len(elems)
+    ext = _undefined_column(elems)
     table = np.empty((n, n), dtype=int)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            table[i, j] = index[x.compose(y).pairs]
-    star = np.array([index[x.invert().pairs] for x in elems], dtype=int)
-    idem = tuple(i for i in range(n) if table[i, i] == i)
-    labels = tuple(x.label for x in elems)
+    for i in range(n):
+        table[i] = index.find(_keys(ext[i][elems]))
+    star = index.find(_keys(inverse_rows(elems)))
+    idem = tuple(np.flatnonzero(table.diagonal() == np.arange(n)).tolist())
+    pbijs = tuple(_to_pbij(carrier, row) for row in elems)
+    labels = tuple(x.label for x in pbijs)
     # by convention only the empty map is registered as the semigroup zero
-    zero = index.get((), None)
-    sg = InvSemigroup(labels, table, star, idem, frozenset(), zero, tuple(elems))
+    empty = np.flatnonzero((elems < 0).all(axis=1))
+    zero = int(empty[0]) if empty.size else None
+    sg = InvSemigroup(labels, table, star, idem, frozenset(), zero, pbijs)
     sg.order = natural_order(sg)
     return sg
+
+
+def check_homomorphism(sg: InvSemigroup, rows: np.ndarray) -> None:
+    """Raise NotAHomomorphism at the first (s, t) with rows[s] o rows[t] != rows[st]."""
+    for s, r in enumerate(_undefined_column(rows)):
+        bad = (r[rows] != rows[sg.table[s]]).any(axis=1)
+        if bad.any():
+            raise NotAHomomorphism(sg.labels[s], sg.labels[int(np.argmax(bad))])
 
 
 def wagner_preston_embed(sg: InvSemigroup) -> list[PartialBijection]:
     """Regular embedding t -> (x -> t x) on the carrier of element labels.
 
     The image of t has domain {x : t* t x = x}; the resulting map is an
-    injective star-compatible homomorphism (asserted).
+    injective star-compatible homomorphism (checked).
     """
-    carrier = tuple(sg.labels)
-    maps = []
-    for t in range(len(sg)):
-        tt = sg.mul(sg.inv(t), t)
-        pairs = tuple(
-            (sg.labels[x], sg.labels[sg.mul(t, x)])
-            for x in range(len(sg))
-            if sg.mul(tt, x) == x
-        )
-        maps.append(PartialBijection(carrier, pairs))
-    assert len({m.pairs for m in maps}) == len(maps), "embedding is not injective"
-    for s in range(len(sg)):
-        for t in range(len(sg)):
-            assert maps[s].compose(maps[t]).pairs == maps[sg.mul(s, t)].pairs, (
-                "embedding is not a homomorphism"
-            )
-        assert maps[sg.inv(s)].pairs == maps[s].invert().pairs, (
-            "embedding does not commute with star"
-        )
-    return maps
+    carrier = tuple(sorted(set(sg.labels)))
+    n = len(sg)
+    every = np.arange(n)
+    rank = {lab: i for i, lab in enumerate(carrier)}
+    pos = np.array([rank[lab] for lab in sg.labels], dtype=np.intp)
+    domain = sg.table[sg.table[sg.star, every][:, None], every] == every  # [t, x]
+    rows = np.full((n, n), -1, dtype=np.intp)
+    rows[:, pos] = np.where(domain, pos[sg.table], -1)
+    assert np.unique(_keys(rows)).size == n, "embedding is not injective"
+    check_homomorphism(sg, rows)
+    assert np.array_equal(rows[sg.star], inverse_rows(rows)), (
+        "embedding does not commute with star"
+    )
+    return [_to_pbij(carrier, row) for row in rows]

@@ -11,6 +11,8 @@
   dim l1 = 63) acting tautologically.
 * ``escaping_flip``: ``flip`` with alpha at (1>2) replaced by the identity
   of C delta_1, so it leaves I_(1>2) = C delta_2; never validated.
+* ``generator_lists``: a hypothesis strategy for one to three random
+  partial bijections on a carrier {1..n}, n <= 4.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from semicross.actions import Action, PartialSetAction, induce_action
 from semicross.algebras import PartialAut
@@ -81,6 +84,18 @@ def escaping_flip() -> Action:
     pauts = list(act.pauts)
     pauts[t] = PartialAut(good.source, good.target, np.array(good.source.basis))
     return Action(act.semigroup, act.algebra, tuple(pauts))
+
+
+@st.composite
+def partial_bijections_on(draw, n: int) -> PartialBijection:
+    image = draw(st.permutations(range(1, n + 1)))
+    domain = draw(st.sets(st.sampled_from(range(1, n + 1))))
+    return PartialBijection(tuple(range(1, n + 1)), tuple((x, image[x - 1]) for x in domain))
+
+
+generator_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(partial_bijections_on(n), min_size=1, max_size=3)
+)
 
 
 ALL = {"flip": flip, "semi": semi, "sim2": sim2, "z2": z2}

@@ -4,6 +4,12 @@
 replaced with one contraction of the structure tensor: an exact double sum
 over the support pairs, with every summand checked to land in the ideal of
 the product element.
+
+``reference_generate_semigroup`` is the breadth-first closure that composes
+``PartialBijection`` pairs one at a time, for the closure and again for the
+Cayley table, with the pairwise natural order; ``generate_semigroup``
+replaced it with a closure over int rows that registers elements in the same
+order.  ``reference_wagner_preston`` builds the regular embedding map by map.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import numpy as np
 
 from semicross._linalg import DEFAULT_TOL
 from semicross.ell1 import Ell1Element, monomials
-from semicross.errors import ActionMismatch
+from semicross.errors import ActionMismatch, CarrierMismatch, SizeCapExceeded
+from semicross.semigroups import DEFAULT_CAP, InvSemigroup, PartialBijection
 
 
 def reference_convolve(
@@ -58,3 +65,69 @@ def reference_monomial_products(action, basis, tol: float = DEFAULT_TOL) -> np.n
             rows.append(reference_convolve(m, x, tol).to_dense()[None, :])
             rows.append(reference_convolve(x, m, tol).to_dense()[None, :])
     return np.vstack(rows)
+
+
+def reference_natural_order(sg: InvSemigroup) -> frozenset:
+    """Pairs (s, t) with t (s* s) = s, one product at a time."""
+    pairs = set()
+    for s in range(len(sg)):
+        ss = sg.mul(sg.inv(s), s)
+        for t in range(len(sg)):
+            if sg.mul(t, ss) == s:
+                pairs.add((s, t))
+    return frozenset(pairs)
+
+
+def reference_generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
+    """Per-pair closure: inverses of the frontier, then x o y and y o x for
+    each frontier x and each y known when the round's products start."""
+    gens = list(generators)
+    carrier = gens[0].carrier
+    if any(g.carrier != carrier for g in gens):
+        raise CarrierMismatch("generators live on different carriers")
+    elems: list[PartialBijection] = []
+    index: dict[tuple, int] = {}
+
+    def register(p: PartialBijection) -> bool:
+        if p.pairs in index:
+            return False
+        if len(elems) >= cap:
+            raise SizeCapExceeded(cap)
+        index[p.pairs] = len(elems)
+        elems.append(p)
+        return True
+
+    for g in gens:
+        register(g)
+    frontier = list(elems)
+    while frontier:
+        new = [y for x in frontier if register(y := x.invert())]
+        known = list(elems)
+        for x in frontier:
+            for y in known:
+                new.extend(p for p in (x.compose(y), y.compose(x)) if register(p))
+        frontier = new
+    n = len(elems)
+    table = np.array(
+        [[index[x.compose(y).pairs] for y in elems] for x in elems], dtype=int
+    ).reshape(n, n)
+    star = np.array([index[x.invert().pairs] for x in elems], dtype=int)
+    idem = tuple(i for i in range(n) if table[i, i] == i)
+    labels = tuple(x.label for x in elems)
+    sg = InvSemigroup(labels, table, star, idem, frozenset(), index.get(()), tuple(elems))
+    sg.order = reference_natural_order(sg)
+    return sg
+
+
+def reference_wagner_preston(sg: InvSemigroup) -> list[PartialBijection]:
+    """t -> (x -> t x) on {x : t* t x = x}, over the element labels."""
+    maps = []
+    for t in range(len(sg)):
+        tt = sg.mul(sg.inv(t), t)
+        pairs = tuple(
+            (sg.labels[x], sg.labels[sg.mul(t, x)])
+            for x in range(len(sg))
+            if sg.mul(tt, x) == x
+        )
+        maps.append(PartialBijection(tuple(sg.labels), pairs))
+    return maps

@@ -1,7 +1,15 @@
 """Action axioms, the derived identities, induced actions and mutations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+import fixtures
 
 from semicross.actions import (
     Action,
@@ -11,8 +19,29 @@ from semicross.actions import (
     validate_action,
 )
 from semicross.algebras import Ideal, PartialAut
-from semicross.errors import NonzeroIdealAtZero, PA1Violation, PA2SpanDeficit
-from semicross.semigroups import PartialBijection, generate_semigroup
+from semicross.errors import (
+    CarrierMismatch,
+    NonzeroIdealAtZero,
+    NotAHomomorphism,
+    PA1Violation,
+    PA2SpanDeficit,
+)
+from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# flip's theta with the identity in place of the shift (1>2): not a homomorphism
+BROKEN_FLIP = """
+from semicross import PartialBijection, PartialSetAction, generate_semigroup, induce_action
+from semicross.errors import CheckError
+sg = generate_semigroup([PartialBijection.from_dict(("1", "2"), {"1": "2"})])
+maps = list(sg.pbijs)
+maps[sg.index("(1>2)")] = PartialBijection.identity(("1", "2"))
+try:
+    induce_action(PartialSetAction(sg, ("1", "2"), tuple(maps)))
+except CheckError as err:
+    print(err.code, *err.pair)
+"""
 
 
 def replace_paut(action, t, paut):
@@ -153,5 +182,66 @@ class TestInduce:
         t = sg.index("(1>2)")
         maps[t] = PartialBijection.identity(("1", "2"))
         broken = PartialSetAction(sg, ("1", "2"), tuple(maps))
-        with pytest.raises(AssertionError):
+        with pytest.raises(NotAHomomorphism) as err:
             broken.validate()
+        assert err.value.pair == ("(1>2)", "(1>2)")
+        with pytest.raises(NotAHomomorphism):
+            induce_action(broken)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_non_homomorphism_is_named_in_a_subprocess(self, flags):
+        # python -O strips assert statements; the check must not rely on them
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", BROKEN_FLIP],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["NotAHomomorphism", "(1>2)", "(1>2)"]
+
+    def test_map_off_the_carrier(self, flip):
+        maps = list(flip.theta.maps)
+        maps[0] = PartialBijection.identity(("1", "2", "3"))
+        with pytest.raises(CarrierMismatch):
+            PartialSetAction(flip.semigroup, ("1", "2"), tuple(maps)).validate()
+
+    def test_uncovered_point_is_a_span_deficit(self):
+        carrier = ("1", "2", "3")
+        sg = generate_semigroup([PartialBijection.identity(carrier, ("1",))])
+        with pytest.raises(PA2SpanDeficit) as err:
+            induce_action(PartialSetAction.tautological(sg))
+        assert err.value.gap == 2
+
+    def test_zero_acting_nontrivially(self, flip):
+        # the identity everywhere is a homomorphism, but the zero then has I_0 = C(X)
+        ident = PartialBijection.identity(("1", "2"))
+        theta = PartialSetAction(flip.semigroup, ("1", "2"), (ident,) * len(flip.semigroup))
+        with pytest.raises(NonzeroIdealAtZero) as err:
+            induce_action(theta)
+        assert err.value.dim == 2
+
+    def test_star_that_is_not_the_inverse(self, flip):
+        sg = flip.semigroup
+        t = sg.index("(1>2)")
+        bogus = InvSemigroup(
+            sg.labels, sg.table, np.arange(len(sg)), sg.idempotents, sg.order, sg.zero, sg.pbijs
+        )
+        with pytest.raises(PA1Violation) as err:
+            induce_action(PartialSetAction.tautological(bogus))
+        assert err.value.pair == (sg.labels[t], sg.labels[t])
+
+    @settings(max_examples=25, deadline=None)
+    @given(fixtures.generator_lists)
+    def test_numeric_oracle_passes_on_random_induced_actions(self, gens):
+        # the exact certificate of induce_action against the numeric PA1 check
+        sg = generate_semigroup(gens, cap=200)
+        theta = PartialSetAction.tautological(sg)
+        try:
+            action = induce_action(theta)
+        except PA2SpanDeficit as err:
+            covered = set().union(*(sg.pbijs[e].image for e in sg.idempotents))
+            assert err.gap == len(gens[0].carrier) - len(covered) > 0
+            return
+        assert validate_action(action).passed

@@ -1,7 +1,11 @@
 """Structure-constant algebras, their norms, ideals and partial automorphisms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from semicross._linalg import operator_norm
 
 from semicross.algebras import (
     Ideal,
@@ -89,6 +93,22 @@ class TestNorm:
         x[0] = 1.0  # block 0 entry (0,0)
         x[4] = 3.0  # the 1x1 block
         assert a.norm(x) == pytest.approx(3.0)
+
+
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    @pytest.mark.parametrize(
+        "algebra",
+        [function_algebra(range(8)), matrix_algebra([2, 1, 3, 2], 2), matrix_algebra([1, 1], 2)],
+        ids=["C(8 points)", "M2+M1+M3+M2", "M1+M1"],
+    )
+    def test_batched_norm_matches_per_block_loop(self, algebra, p):
+        # one numpy call per block shape against one operator_norm call per block
+        algebra = dataclasses.replace(algebra, p=p)
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            x = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+            want = max(operator_norm(x[idx], p) for idx in algebra.blocks)
+            assert abs(algebra.norm(x) - want) <= 1e-12
 
 
 class TestIdeal:

@@ -265,3 +265,35 @@ class TestConsoleScript:
         )
         assert result.returncode == 1
         assert json.loads(result.stdout)["error"]["code"] == "NotMultiplicative"
+
+
+LAZY_SCIPY = """
+import contextlib, io, sys
+import semicross
+from semicross.cli import main
+print("scipy.optimize" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["validate", sys.argv[1]])
+print("scipy.optimize" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["eval", sys.argv[2], "qnorm(a)"])
+print(out.getvalue().strip())
+"""
+
+
+class TestLazyScipy:
+    def test_only_the_quotient_norm_imports_scipy_optimize(self):
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, "-c", LAZY_SCIPY,
+             str(INSTANCES / "flip.json"), str(INSTANCES / "semi.json")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 0, result.stderr
+        after_import, after_validate, qnorm = result.stdout.split()
+        assert (after_import, after_validate) == ("False", "False")
+        # the value recorded for semi in perfbench/cli_expected.json
+        assert float(qnorm) == pytest.approx(0.9999999999999969, abs=1e-9)

@@ -2,22 +2,35 @@
 natural order, and the regular embedding."""
 
 import itertools
+from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+import fixtures
+
+from reference import (
+    reference_generate_semigroup,
+    reference_natural_order,
+    reference_wagner_preston,
+)
 
 from semicross.errors import (
     CarrierMismatch,
     NoGeneralizedInverse,
     NonUniqueInverse,
+    NotAHomomorphism,
     NotAssociative,
     SizeCapExceeded,
 )
 from semicross.semigroups import (
     InvSemigroup,
     PartialBijection,
+    check_homomorphism,
     generate_semigroup,
     natural_order,
+    pbij_rows,
     validate_inverse,
     wagner_preston_embed,
 )
@@ -27,6 +40,48 @@ T = PartialBijection.from_dict(X, {"1": "2"})
 TAU = PartialBijection.from_dict(X, {"1": "2", "2": "1"})
 E1 = PartialBijection.identity(X, ("1",))
 IDX = PartialBijection.identity(X)
+
+
+def _on(n: int, mapping: dict) -> PartialBijection:
+    return PartialBijection(tuple(range(1, n + 1)), tuple(mapping.items()))
+
+
+def sim_generators(n: int) -> list:
+    """A transposition, an n-cycle and the identity off one point."""
+    return [
+        _on(n, {1: 2, 2: 1, **{i: i for i in range(3, n + 1)}}),
+        _on(n, {i: i % n + 1 for i in range(1, n + 1)}),
+        _on(n, {i: i for i in range(2, n + 1)}),
+    ]
+
+
+def chain_generators(n: int) -> list:
+    return [_on(n, {i: i + 1 for i in range(1, n)})]
+
+
+def cycle_point_generators(n: int) -> list:
+    return [_on(n, {i: i % n + 1 for i in range(1, n + 1)}), _on(n, {1: 1})]
+
+
+CLOSURES = {
+    "tau_e1": [TAU, E1],
+    "sim3": sim_generators(3),
+    "sim4": sim_generators(4),
+    "chain6": chain_generators(6),
+    "chain8": chain_generators(8),
+    "cyc7_e": cycle_point_generators(7),
+}
+
+
+def assert_same_semigroup(got: InvSemigroup, want: InvSemigroup) -> None:
+    assert got.labels == want.labels
+    assert np.array_equal(got.table, want.table)
+    assert np.array_equal(got.star, want.star)
+    assert got.idempotents == want.idempotents
+    assert got.zero == want.zero
+    assert got.order == want.order
+    assert [p.pairs for p in got.pbijs] == [p.pairs for p in want.pbijs]
+    assert all(p.carrier == q.carrier for p, q in zip(got.pbijs, want.pbijs))
 
 
 def brute_closure(gens):
@@ -140,6 +195,53 @@ class TestGenerateSemigroup:
         assert np.array_equal(a.table, b.table)
 
 
+class TestClosureAgainstReference:
+    """The int-row closure against the per-pair closure in tests/reference.py."""
+
+    @pytest.mark.parametrize("name", list(CLOSURES))
+    def test_identical_to_reference(self, name):
+        gens = CLOSURES[name]
+        assert_same_semigroup(generate_semigroup(gens), reference_generate_semigroup(gens))
+
+    @settings(max_examples=30, deadline=None)
+    @given(fixtures.generator_lists)
+    def test_random_generators_match_reference(self, gens):
+        assert_same_semigroup(
+            generate_semigroup(gens, cap=500), reference_generate_semigroup(gens, cap=500)
+        )
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_symmetric_inverse_monoid_count(self, n):
+        # |sim_n| = sum over k of C(n,k)^2 k!: choose domain, image, bijection
+        want = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+        assert want == {3: 34, 4: 209}[n]
+        assert len(generate_semigroup(sim_generators(n))) == want
+
+    def test_wide_carrier_matches_reference(self):
+        # 34 points: the row keys no longer fit one int64 and fall back to bytes
+        image = wagner_preston_embed(generate_semigroup(sim_generators(3)))
+        assert len(image[0].carrier) == 34
+        assert_same_semigroup(generate_semigroup(image), reference_generate_semigroup(image))
+
+    def test_cap_is_the_same(self):
+        gens = sim_generators(4)
+        for closure in (generate_semigroup, reference_generate_semigroup):
+            with pytest.raises(SizeCapExceeded) as err:
+                closure(gens, cap=208)
+            assert err.value.cap == 208
+            assert len(closure(gens, cap=209)) == 209
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(CarrierMismatch):
+            generate_semigroup([T, _on(3, {1: 2})])
+
+    def test_natural_order_matches_reference(self):
+        sg = generate_semigroup(sim_generators(4))
+        assert natural_order(sg) == reference_natural_order(sg)
+        rebuilt = InvSemigroup.from_table(sg.table)
+        assert rebuilt.order == reference_natural_order(rebuilt)
+
+
 class TestValidateInverse:
     def test_flip_table_star(self):
         sg = generate_semigroup([T])
@@ -154,12 +256,16 @@ class TestValidateInverse:
         assert list(star) == [0, 1]
 
     def test_left_zero_semigroup_not_inverse(self):
-        with pytest.raises(NonUniqueInverse):
+        with pytest.raises(NonUniqueInverse) as err:
             validate_inverse([[0, 0], [1, 1]])  # xy = x
+        assert err.value.element == 0
+        assert err.value.candidates == [0, 1]
+        assert all(type(u) is int for u in err.value.candidates)
 
     def test_constant_semigroup_has_no_inverse_for_some_element(self):
-        with pytest.raises(NoGeneralizedInverse):
+        with pytest.raises(NoGeneralizedInverse) as err:
             validate_inverse([[1, 1], [1, 1]])  # xy = b, a has no inverse
+        assert err.value.element == 0
 
     def test_not_associative(self):
         with pytest.raises(NotAssociative):
@@ -259,3 +365,32 @@ class TestWagnerPreston:
         assert maps[one].pairs == tuple((x, x) for x in sorted(sg.labels))
         assert maps[e].domain == frozenset({sg.labels[e]})
         assert maps[e](sg.labels[e]) == sg.labels[e]
+
+    @pytest.mark.parametrize("name", ["tau_e1", "sim3", "chain6"])
+    def test_matches_reference(self, name):
+        sg = generate_semigroup(CLOSURES[name])
+        got = wagner_preston_embed(sg)
+        want = reference_wagner_preston(sg)
+        assert [(m.carrier, m.pairs) for m in got] == [(m.carrier, m.pairs) for m in want]
+
+
+class TestHomomorphismCheck:
+    def test_generated_rows_are_a_homomorphism(self):
+        sg = generate_semigroup(sim_generators(3))
+        check_homomorphism(sg, pbij_rows(sg.pbijs[0].carrier, sg.pbijs))
+
+    def test_first_failing_pair_is_named(self):
+        sg = generate_semigroup([T])
+        rows = pbij_rows(X, sg.pbijs)
+        t = sg.index("(1>2)")
+        rows[t] = [0, 1]  # the identity in place of the shift
+        with pytest.raises(NotAHomomorphism) as err:
+            check_homomorphism(sg, rows)
+        # the first pair in row-major order where the rows fail to compose
+        want = next(
+            (s, u)
+            for s in range(len(sg))
+            for u in range(len(sg))
+            if not np.array_equal(np.append(rows[s], -1)[rows[u]], rows[sg.mul(s, u)])
+        )
+        assert err.value.pair == (sg.labels[want[0]], sg.labels[want[1]])

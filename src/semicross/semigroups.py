@@ -335,7 +335,7 @@ def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
         for x in frontier:
             # x o y and y o x interleaved, for y in known order
             pair = np.stack([np.append(x, -1)[known], known_ext[:, x]], axis=1)
-            index.register(pair.reshape(-1, len(carrier)))
+            index.register(pair.reshape(2 * len(known), len(carrier)))
 
     elems = index.rows
     n = len(elems)

@@ -70,6 +70,7 @@ CLOSURES = {
     "chain6": chain_generators(6),
     "chain8": chain_generators(8),
     "cyc7_e": cycle_point_generators(7),
+    "empty_carrier": [PartialBijection.empty(())],
 }
 
 

@@ -88,14 +88,17 @@ def solve_coords(basis: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> 
 
 
 def operator_norm(m: np.ndarray, p) -> float:
-    """Operator norm of a matrix acting on l^p, p in {1, 2, inf}."""
+    """Operator norm of a matrix acting on l^p, p in {1, 2, inf}; for a stack
+    (..., n, n) of matrices, the largest of their norms."""
     m = np.atleast_2d(as_complex(m))
     if m.size == 0:
         return 0.0
     if p == 1:
-        return float(np.max(np.sum(np.abs(m), axis=0)))
+        return float(np.max(np.sum(np.abs(m), axis=-2)))
     if p == 2:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+        if m.shape[-2:] == (1, 1):
+            return float(np.max(np.abs(m)))
+        return float(np.max(np.linalg.svd(m, compute_uv=False)[..., 0]))
     if p in (np.inf, "inf"):
-        return float(np.max(np.sum(np.abs(m), axis=1)))
+        return float(np.max(np.sum(np.abs(m), axis=-1)))
     raise ValueError(f"unsupported p: {p!r}")

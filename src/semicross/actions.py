@@ -25,7 +25,7 @@ from .algebras import (
 )
 from .errors import CarrierMismatch, NonzeroIdealAtZero, PA1Violation, PA2SpanDeficit
 from .reporting import CheckReport
-from .semigroups import InvSemigroup, check_homomorphism, inverse_rows, pbij_rows
+from .semigroups import InvSemigroup, check_homomorphism
 
 
 @dataclass(eq=False)
@@ -93,20 +93,13 @@ class PartialSetAction:
         assert sg.pbijs is not None, "semigroup was not generated from partial maps"
         return cls(sg, sg.pbijs[0].carrier, sg.pbijs)
 
-    @property
-    def rows(self) -> np.ndarray:
-        """theta_t as int rows over the sorted carrier (-1 where undefined); cached."""
-        if not hasattr(self, "_rows"):
-            self._rows = pbij_rows(tuple(sorted(set(self.carrier))), self.maps)
-        return self._rows
-
     def validate(self) -> None:
         """Every theta_t lives on the carrier and theta_s theta_t = theta_st."""
         carrier = tuple(sorted(set(self.carrier)))
         for t, m in enumerate(self.maps):
             if m.carrier != carrier:
                 raise CarrierMismatch(f"theta at {t} lives on {m.carrier}, not {carrier}")
-        check_homomorphism(self.semigroup, self.rows)
+        check_homomorphism(self.semigroup, self.maps)
 
 
 def induce_action(theta: PartialSetAction) -> Action:
@@ -120,26 +113,25 @@ def induce_action(theta: PartialSetAction) -> Action:
     """
     theta.validate()
     sg = theta.semigroup
-    rows = theta.rows
-    if sg.zero is not None and (rows[sg.zero] >= 0).any():
-        raise NonzeroIdealAtZero(int((rows[sg.zero] >= 0).sum()))
-    images = rows[list(sg.idempotents)]
-    gap = rows.shape[1] - np.unique(images[images >= 0]).size
+    maps = theta.maps
+    if sg.zero is not None and maps[sg.zero].pairs:
+        raise NonzeroIdealAtZero(len(maps[sg.zero].pairs))
+    covered = frozenset().union(*(maps[e].image for e in sg.idempotents))
+    gap = len(set(theta.carrier)) - len(covered)
     if gap:
-        raise PA2SpanDeficit(int(gap))
-    bad = np.flatnonzero((rows[sg.star] != inverse_rows(rows)).any(axis=1))
-    if bad.size:
-        t = int(bad[0])
-        raise PA1Violation(sg.labels[t], sg.labels[sg.inv(t)], "theta_t* is not theta_t^-1")
-    algebra = function_algebra(theta.maps[0].carrier)
+        raise PA2SpanDeficit(gap)
+    for t, m in enumerate(maps):
+        if maps[sg.inv(t)].pairs != m.invert().pairs:
+            raise PA1Violation(sg.labels[t], sg.labels[sg.inv(t)], "theta_t* is not theta_t^-1")
+    algebra = function_algebra(maps[0].carrier)
     eye = np.eye(algebra.dim, dtype=complex)
+    pos = {x: i for i, x in enumerate(algebra.points)}
     pauts = []
-    for r in rows:
-        dom = np.flatnonzero(r >= 0)
-        src = Ideal.from_support(algebra, [algebra.points[i] for i in dom])
-        tgt = Ideal.from_support(algebra, [algebra.points[i] for i in r[dom]])
-        # delta_x o theta_{t*} = delta_{theta_t(x)}
-        pauts.append(PartialAut(src, tgt, eye[r[dom]]))
+    for m in maps:
+        src = Ideal.from_support(algebra, m.domain)
+        tgt = Ideal.from_support(algebra, m.image)
+        # delta_x o theta_{t*} = delta_{theta_t(x)}, rows in the order of the domain
+        pauts.append(PartialAut(src, tgt, eye[[pos[y] for _, y in m.pairs]]))
     return Action(sg, algebra, tuple(pauts))
 
 

@@ -20,6 +20,7 @@ from ._linalg import (
     intersect_rows,
     null_rows,
     off_rows,
+    operator_norm,
     orth_rows,
     rows_equal,
     solve_coords,
@@ -72,7 +73,7 @@ class FinAlgebra:
             self._stacks = [
                 np.stack([idx for idx in self.blocks if idx.shape[0] == n]) for n in sizes
             ]
-        return max(_max_operator_norm(x[idx], self.p) for idx in self._stacks)
+        return max(operator_norm(x[idx], self.p) for idx in self._stacks)
 
     def star(self, x) -> np.ndarray:
         from .errors import NoStarOnAlgebra
@@ -90,14 +91,6 @@ class FinAlgebra:
 
     def __repr__(self):
         return f"FinAlgebra<{self.kind}, dim {self.dim}>"
-
-
-def _max_operator_norm(m: np.ndarray, p) -> float:
-    """Largest l^p operator norm in a stack (k, n, n) of matrices."""
-    if p == 2 and m.shape[-1] > 1:
-        return float(np.linalg.svd(m, compute_uv=False)[:, 0].max())
-    # column sums for p = 1, row sums for p = inf; for 1x1 blocks either is |x|
-    return float(np.abs(m).sum(axis=1 if p == 1 else 2).max())
 
 
 def function_algebra(points) -> FinAlgebra:

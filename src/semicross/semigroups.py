@@ -240,7 +240,7 @@ def natural_order(sg: InvSemigroup) -> frozenset:
 # position of the image of carrier[i], or -1 where the map is undefined
 
 
-def pbij_rows(carrier: tuple, pbijs) -> np.ndarray:
+def _pbij_rows(carrier: tuple, pbijs) -> np.ndarray:
     """One row per partial bijection on ``carrier`` (already sorted)."""
     pos = {x: i for i, x in enumerate(carrier)}
     rows = np.full((len(pbijs), len(carrier)), -1, dtype=np.intp)
@@ -261,7 +261,7 @@ def _undefined_column(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows, np.full((rows.shape[0], 1), -1, dtype=rows.dtype)])
 
 
-def inverse_rows(rows: np.ndarray) -> np.ndarray:
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     out = np.full_like(rows, -1)
     r, x = np.nonzero(rows >= 0)
     out[r, rows[r, x]] = x
@@ -269,13 +269,12 @@ def inverse_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per row: its value in base m + 1 when that fits in
-    an int64, else its bytes."""
-    m = rows.shape[1]
-    if (m + 1) ** m < 2**63:
-        return (rows + 1) @ ((m + 1) ** np.arange(m, dtype=np.int64))
+    """One sortable key per row: its bytes."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * m))).ravel()
+    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    if not key.itemsize:  # no points: every row is the empty map
+        return np.zeros(len(rows), dtype=key)
+    return rows.view(key).ravel()
 
 
 class _RowIndex:
@@ -324,12 +323,12 @@ def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
         if g.carrier != carrier:
             raise CarrierMismatch("generators live on different carriers")
 
-    index = _RowIndex(pbij_rows(carrier, gens), cap)
+    index = _RowIndex(_pbij_rows(carrier, gens), cap)
     start = 0
     while start < len(index.rows):
         frontier = index.rows[start:]
         start = len(index.rows)
-        index.register(inverse_rows(frontier))
+        index.register(_inverse_rows(frontier))
         known = index.rows
         known_ext = _undefined_column(known)
         for x in frontier:
@@ -343,7 +342,7 @@ def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
     table = np.empty((n, n), dtype=int)
     for i in range(n):
         table[i] = index.find(_keys(ext[i][elems]))
-    star = index.find(_keys(inverse_rows(elems)))
+    star = index.find(_keys(_inverse_rows(elems)))
     idem = tuple(np.flatnonzero(table.diagonal() == np.arange(n)).tolist())
     pbijs = tuple(_to_pbij(carrier, row) for row in elems)
     labels = tuple(x.label for x in pbijs)
@@ -355,8 +354,13 @@ def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
     return sg
 
 
-def check_homomorphism(sg: InvSemigroup, rows: np.ndarray) -> None:
-    """Raise NotAHomomorphism at the first (s, t) with rows[s] o rows[t] != rows[st]."""
+def check_homomorphism(sg: InvSemigroup, maps) -> None:
+    """Raise NotAHomomorphism at the first (s, t), in row-major order, with
+    maps[s] o maps[t] != maps[st]; all maps live on one carrier."""
+    _check_rows(sg, _pbij_rows(maps[0].carrier, maps))
+
+
+def _check_rows(sg: InvSemigroup, rows: np.ndarray) -> None:
     for s, r in enumerate(_undefined_column(rows)):
         bad = (r[rows] != rows[sg.table[s]]).any(axis=1)
         if bad.any():
@@ -378,8 +382,8 @@ def wagner_preston_embed(sg: InvSemigroup) -> list[PartialBijection]:
     rows = np.full((n, n), -1, dtype=np.intp)
     rows[:, pos] = np.where(domain, pos[sg.table], -1)
     assert np.unique(_keys(rows)).size == n, "embedding is not injective"
-    check_homomorphism(sg, rows)
-    assert np.array_equal(rows[sg.star], inverse_rows(rows)), (
+    _check_rows(sg, rows)
+    assert np.array_equal(rows[sg.star], _inverse_rows(rows)), (
         "embedding does not commute with star"
     )
     return [_to_pbij(carrier, row) for row in rows]

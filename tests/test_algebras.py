@@ -98,8 +98,13 @@ class TestNorm:
     @pytest.mark.parametrize("p", [1, 2, np.inf])
     @pytest.mark.parametrize(
         "algebra",
-        [function_algebra(range(8)), matrix_algebra([2, 1, 3, 2], 2), matrix_algebra([1, 1], 2)],
-        ids=["C(8 points)", "M2+M1+M3+M2", "M1+M1"],
+        [
+            function_algebra(range(8)),
+            matrix_algebra([2, 1, 3, 2], 2),
+            matrix_algebra([1, 1], 2),
+            matrix_algebra([0, 2], 2),
+        ],
+        ids=["C(8 points)", "M2+M1+M3+M2", "M1+M1", "M0+M2"],
     )
     def test_batched_norm_matches_per_block_loop(self, algebra, p):
         # one numpy call per block shape against one operator_norm call per block

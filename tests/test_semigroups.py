@@ -30,7 +30,6 @@ from semicross.semigroups import (
     check_homomorphism,
     generate_semigroup,
     natural_order,
-    pbij_rows,
     validate_inverse,
     wagner_preston_embed,
 )
@@ -219,7 +218,7 @@ class TestClosureAgainstReference:
         assert len(generate_semigroup(sim_generators(n))) == want
 
     def test_wide_carrier_matches_reference(self):
-        # 34 points: the row keys no longer fit one int64 and fall back to bytes
+        # 34 points: the regular embedding of sim3
         image = wagner_preston_embed(generate_semigroup(sim_generators(3)))
         assert len(image[0].carrier) == 34
         assert_same_semigroup(generate_semigroup(image), reference_generate_semigroup(image))
@@ -376,22 +375,21 @@ class TestWagnerPreston:
 
 
 class TestHomomorphismCheck:
-    def test_generated_rows_are_a_homomorphism(self):
+    def test_generated_maps_are_a_homomorphism(self):
         sg = generate_semigroup(sim_generators(3))
-        check_homomorphism(sg, pbij_rows(sg.pbijs[0].carrier, sg.pbijs))
+        check_homomorphism(sg, sg.pbijs)
 
     def test_first_failing_pair_is_named(self):
         sg = generate_semigroup([T])
-        rows = pbij_rows(X, sg.pbijs)
-        t = sg.index("(1>2)")
-        rows[t] = [0, 1]  # the identity in place of the shift
+        maps = list(sg.pbijs)
+        maps[sg.index("(1>2)")] = PartialBijection.identity(X)  # in place of the shift
         with pytest.raises(NotAHomomorphism) as err:
-            check_homomorphism(sg, rows)
-        # the first pair in row-major order where the rows fail to compose
+            check_homomorphism(sg, maps)
+        # the first pair in row-major order where the maps fail to compose
         want = next(
             (s, u)
             for s in range(len(sg))
             for u in range(len(sg))
-            if not np.array_equal(np.append(rows[s], -1)[rows[u]], rows[sg.mul(s, u)])
+            if (maps[s] * maps[u]).pairs != maps[sg.mul(s, u)].pairs
         )
         assert err.value.pair == (sg.labels[want[0]], sg.labels[want[1]])

@@ -45,10 +45,22 @@ def off_rows(resid: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     return (abs(resid) ** 2).sum(-1) > tol**2 * np.maximum(1.0, (abs(v) ** 2).sum(-1))
 
 
+def first_far(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> tuple | None:
+    """Index of the first row (over all but the last axis) where a and b
+    differ by more than tol in some entry, or None when all are close."""
+    far = ~np.all(np.abs(a - b) <= tol, axis=-1)
+    return tuple(int(i) for i in np.argwhere(far)[0]) if far.any() else None
+
+
 def in_rowspace(basis: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when ``v`` (each row of a 2-d ``v``) lies in the span of orthonormal rows."""
+    return not off_rowspace(basis, v, tol).any()
+
+
+def off_rowspace(basis: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per row of ``v``, whether it lies off the span of orthonormal rows."""
     v = as_complex(v)
-    return not off_rows(v - (v @ basis.conj().T) @ basis, v, tol).any()
+    return off_rows(v - (v @ basis.conj().T) @ basis, v, tol)
 
 
 def rows_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -73,32 +85,32 @@ def intersect_rows(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np
 
 
 def solve_coords(basis: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Coefficients c with c @ basis = v; raises if v is not in the row space."""
+    """Coefficients c with c @ basis = v (each row of a 2-d v); raises if v
+    is not in the row space."""
     basis = np.atleast_2d(as_complex(basis))
     v = as_complex(v)
     if basis.shape[0] == 0:
-        if float(np.linalg.norm(v)) > tol:
-            raise np.linalg.LinAlgError("vector not in the zero subspace")
-        return np.zeros(0, dtype=complex)
-    c, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
-    resid = v - c @ basis
-    if float(np.linalg.norm(resid)) > tol * max(1.0, float(np.linalg.norm(v))):
+        c = np.zeros(v.shape[:-1] + (0,), dtype=complex)
+    else:
+        c = np.linalg.lstsq(basis.T, v.T, rcond=None)[0].T
+    if off_rows(v - c @ basis, v, tol).any():
         raise np.linalg.LinAlgError("vector not in the subspace")
     return c
 
 
-def operator_norm(m: np.ndarray, p) -> float:
-    """Operator norm of a matrix acting on l^p, p in {1, 2, inf}; for a stack
-    (..., n, n) of matrices, the largest of their norms."""
+def operator_norm(m: np.ndarray, p):
+    """Operator norm on l^p, p in {1, 2, inf}: a float for one matrix, an
+    array of norms for a stack (..., n, n) of matrices."""
     m = np.atleast_2d(as_complex(m))
-    if m.size == 0:
-        return 0.0
-    if p == 1:
-        return float(np.max(np.sum(np.abs(m), axis=-2)))
-    if p == 2:
-        if m.shape[-2:] == (1, 1):
-            return float(np.max(np.abs(m)))
-        return float(np.max(np.linalg.svd(m, compute_uv=False)[..., 0]))
-    if p in (np.inf, "inf"):
-        return float(np.max(np.sum(np.abs(m), axis=-1)))
-    raise ValueError(f"unsupported p: {p!r}")
+    if 0 in m.shape[-2:]:
+        out = np.zeros(m.shape[:-2])
+    elif p == 1:
+        out = np.abs(m).sum(-2).max(-1)
+    elif p == 2:
+        two = m.shape[-2:] != (1, 1)
+        out = np.linalg.svd(m, compute_uv=False)[..., 0] if two else np.abs(m[..., 0, 0])
+    elif p in (np.inf, "inf"):
+        out = np.abs(m).sum(-1).max(-1)
+    else:
+        raise ValueError(f"unsupported p: {p!r}")
+    return float(out) if m.ndim == 2 else out

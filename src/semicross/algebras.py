@@ -16,10 +16,12 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOL,
     as_complex,
+    first_far,
     in_rowspace,
     intersect_rows,
     null_rows,
     off_rows,
+    off_rowspace,
     operator_norm,
     orth_rows,
     rows_equal,
@@ -28,11 +30,15 @@ from ._linalg import (
 from .errors import (
     DimensionMismatch,
     IntersectionNotUnital,
-    NoUnit,
+    NoStarOnAlgebra,
     NotAnIdeal,
+    NotAnInvolution,
+    NotAssociative,
     NotBijective,
     NotIsometric,
     NotMultiplicative,
+    NotSubmultiplicative,
+    NoUnit,
 )
 
 
@@ -59,28 +65,30 @@ class FinAlgebra:
         return len(self.labels)
 
     def mul(self, x, y) -> np.ndarray:
+        """x y, or the products of broadcast stacks (..., dim) row by row."""
         x, y = as_complex(x), as_complex(y)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected vectors of length {self.dim}")
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
 
-    def norm(self, x) -> float:
+    def norm(self, x):
+        """The norm of a vector, or an array of the norms of a stack (..., dim)."""
         x = as_complex(x)
-        if x.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected a vector of length {self.dim}")
         if not hasattr(self, "_stacks"):
             sizes = sorted({idx.shape[0] for idx in self.blocks})
             self._stacks = [
                 np.stack([idx for idx in self.blocks if idx.shape[0] == n]) for n in sizes
             ]
-        return max(operator_norm(x[idx], self.p) for idx in self._stacks)
+        out = np.max([operator_norm(x[..., idx], self.p).max(-1) for idx in self._stacks], axis=0)
+        return float(out) if x.ndim == 1 else out
 
     def star(self, x) -> np.ndarray:
-        from .errors import NoStarOnAlgebra
-
+        """x*, or the star of each row of a 2-d x."""
         if self.star_mat is None:
             raise NoStarOnAlgebra("algebra carries no involution")
-        return self.star_mat @ np.conj(as_complex(x))
+        return (self.star_mat @ np.conj(as_complex(x)).T).T
 
     def one(self) -> np.ndarray:
         """Coefficients of the global unit (indicator / sum of E_ii)."""
@@ -146,35 +154,25 @@ def validate_algebra(
 ) -> None:
     """Associativity on all basis triples, sampled submultiplicativity,
     and the involution laws when a star is present."""
-    s = algebra.structure
+    s, d = algebra.structure, algebra.dim
     lhs = np.einsum("ijm,mkl->ijkl", s, s)
     rhs = np.einsum("jkm,iml->ijkl", s, s)
-    assert np.allclose(lhs, rhs, atol=tol, rtol=0.0), (
-        "structure constants are not associative"
-    )
-    rng = np.random.default_rng(seed)
-    d = algebra.dim
-    for _ in range(samples):
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        assert (
-            algebra.norm(algebra.mul(x, y)) <= algebra.norm(x) * algebra.norm(y) + tol
-        ), "norm is not submultiplicative on a sampled pair"
+    if bad := first_far(lhs, rhs, tol):
+        raise NotAssociative(bad)
+    draws = np.random.default_rng(seed).standard_normal((samples, 4, d))
+    x, y = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    grow = ~(algebra.norm(algebra.mul(x, y)) <= algebra.norm(x) * algebra.norm(y) + tol)
+    if grow.any():
+        raise NotSubmultiplicative(int(np.argmax(grow)))
     if algebra.star_mat is not None:
         st = algebra.star_mat
-        assert np.allclose(st @ np.conj(st), np.eye(d), atol=tol, rtol=0.0), (
-            "star is not involutive"
-        )
-        eye = np.eye(d, dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                ab = algebra.mul(eye[i], eye[j])
-                assert np.allclose(
-                    algebra.star(ab),
-                    algebra.mul(algebra.star(eye[j]), algebra.star(eye[i])),
-                    atol=tol,
-                    rtol=0.0,
-                ), f"(ab)* != b*a* at basis pair {(i, j)}"
+        if not np.allclose(st @ np.conj(st), np.eye(d), atol=tol, rtol=0.0):
+            raise NotAnInvolution("star is not involutive")
+        # (e_i e_j)* against e_j* e_i*, for every basis pair (i, j)
+        stars = algebra.star(np.eye(d, dtype=complex))
+        lhs = algebra.star(s.reshape(d * d, d)).reshape(s.shape)
+        if bad := first_far(lhs, algebra.mul(stars[None, :], stars[:, None]), tol):
+            raise NotAnInvolution(bad)
 
 
 @dataclass(eq=False)
@@ -248,21 +246,21 @@ class Ideal:
 
 def ideal_validate(ideal: Ideal, tol: float = DEFAULT_TOL) -> None:
     """Check the two-sided ideal property and that the unit works."""
-    A = ideal.parent
-    eye = np.eye(A.dim, dtype=complex)
-    for r, x in enumerate(ideal.basis):
-        for b in range(A.dim):
-            if not ideal.contains(A.mul(x, eye[b]), tol):
-                raise NotAnIdeal((r, A.labels[b], "right"))
-            if not ideal.contains(A.mul(eye[b], x), tol):
-                raise NotAnIdeal((r, A.labels[b], "left"))
+    A, B = ideal.parent, ideal.basis
+    # [r, b, side]: basis row r times basis vector b on the right, then on the left
+    prods = np.stack(
+        [np.einsum("ri,ibk->rbk", B, A.structure), np.einsum("rj,bjk->rbk", B, A.structure)],
+        axis=2,
+    )
+    off = off_rowspace(ideal._orth, prods, tol)
+    if off.any():
+        r, b, side = np.argwhere(off)[0]
+        raise NotAnIdeal((int(r), A.labels[b], ("right", "left")[side]))
     if ideal.dim and not ideal.contains(ideal.unit, tol):
         raise NoUnit("unit lies outside the subspace")
-    for r, x in enumerate(ideal.basis):
-        if not np.allclose(A.mul(ideal.unit, x), x, atol=tol, rtol=0.0):
-            raise NoUnit(("left", r))
-        if not np.allclose(A.mul(x, ideal.unit), x, atol=tol, rtol=0.0):
-            raise NoUnit(("right", r))
+    units = np.stack([A.mul(ideal.unit, B), A.mul(B, ideal.unit)], axis=1)
+    if bad := first_far(units, B[:, None], tol):
+        raise NoUnit((("left", "right")[bad[1]], bad[0]))
 
 
 @dataclass(eq=False)
@@ -292,11 +290,7 @@ class PartialAut:
         return self.source.coords(x, tol) @ self.matrix
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "PartialAut":
-        rows = [
-            solve_coords(self.matrix, t, tol) @ self.source.basis
-            for t in self.target.basis
-        ]
-        mat = np.array(rows).reshape(self.target.dim, self.parent.dim)
+        mat = solve_coords(self.matrix, self.target.basis, tol) @ self.source.basis
         return PartialAut(self.target, self.source, mat)
 
     @classmethod
@@ -311,23 +305,18 @@ def pauts_equal(a: PartialAut, b: PartialAut, tol: float = DEFAULT_TOL) -> bool:
     """Equality as partial maps: same source subspace and same values on it."""
     if not rows_equal(a.source.basis, b.source.basis, tol):
         return False
-    return all(
-        np.allclose(a.apply(x, tol), b.apply(x, tol), atol=tol, rtol=0.0)
-        for x in a.source.basis
-    )
+    x = a.source.basis
+    return np.allclose(a.apply(x, tol), b.apply(x, tol), atol=tol, rtol=0.0)
 
 
 def _is_delta_permutation(phi: PartialAut, tol: float) -> bool:
     """Exact isometry witness for function algebras: every minimal idempotent
     of the source maps to a single minimal idempotent with coefficient 1."""
     A = phi.parent
-    src = phi.source.support
-    for x in src:
-        img = phi.apply(np.eye(A.dim, dtype=complex)[A.points.index(x)], tol)
-        hot = np.abs(img) > tol
-        if hot.sum() != 1 or not np.isclose(img[hot][0], 1.0, atol=tol):
-            return False
-    return True
+    pts = [A.points.index(x) for x in phi.source.support]
+    img = phi.apply(np.eye(A.dim, dtype=complex)[pts], tol)
+    hot = np.abs(img) > tol
+    return bool(np.all(hot.sum(-1) == 1) and np.allclose(img[hot], 1.0, atol=tol))
 
 
 def _is_block_permutation(phi: PartialAut, tol: float) -> bool:
@@ -336,8 +325,7 @@ def _is_block_permutation(phi: PartialAut, tol: float) -> bool:
     A = phi.parent
     eye = np.eye(A.dim, dtype=complex)
     src_blocks = [
-        idx for idx in A.blocks if phi.source.contains(eye[idx[0, 0]], tol)
-        and all(phi.source.contains(eye[i], tol) for i in idx.flat)
+        idx for idx in A.blocks if idx.size and phi.source.contains(eye[idx.ravel()], tol)
     ]
     if sum(idx.size for idx in src_blocks) != phi.source.dim:
         return False
@@ -377,20 +365,17 @@ def paut_validate(
     A = phi.parent
     if phi.source.dim != phi.target.dim:
         raise NotBijective("source and target dimensions differ")
-    for row in phi.matrix:
-        if not phi.target.contains(row, tol):
-            raise NotBijective("image escapes the target subspace")
+    if not phi.target.contains(phi.matrix, tol):
+        raise NotBijective("image escapes the target subspace")
     if phi.source.dim:
         s = np.linalg.svd(phi.matrix, compute_uv=False)
         if s[-1] <= tol:
             raise NotBijective("map matrix is rank deficient")
     cert = _certify_isometry(phi, tol, seed, samples)
-    for i, x in enumerate(phi.source.basis):
-        for j, y in enumerate(phi.source.basis):
-            lhs = phi.apply(A.mul(x, y), tol)
-            rhs = A.mul(phi.apply(x, tol), phi.apply(y, tol))
-            if not np.allclose(lhs, rhs, atol=tol, rtol=0.0):
-                raise NotMultiplicative((i, j))
+    # [i, j]: phi(x_i x_j) against phi(x_i) phi(x_j) over the source basis
+    B, img = phi.source.basis, phi.apply(phi.source.basis, tol)
+    if bad := first_far(phi.apply(A.mul(B[:, None], B), tol), A.mul(img[:, None], img), tol):
+        raise NotMultiplicative(bad)
     # forced: the homomorphic image of the unit is the (unique) target unit
     assert np.allclose(
         phi.apply(phi.source.unit, tol), phi.target.unit, atol=tol, rtol=0.0
@@ -408,17 +393,15 @@ def _certify_isometry(phi: PartialAut, tol, seed, samples) -> PautCertificate:
         return PautCertificate("exact")
     if A.kind == "matrix" and _is_block_permutation(phi, tol):
         return PautCertificate("exact")
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        c = rng.standard_normal(phi.source.dim) + 1j * rng.standard_normal(phi.source.dim)
-        x = phi.source.to_parent(c)
-        nx = A.norm(x)
-        if nx < tol:
-            continue
-        x = x / nx
-        ny = A.norm(phi.apply(x, tol))
-        if ny > 1.0 + tol or ny < 1.0 - tol:
-            raise NotIsometric(np.round(x, 6))
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, phi.source.dim))
+    x = phi.source.to_parent(draws[:, 0] + 1j * draws[:, 1])
+    nx = A.norm(x)
+    keep = ~(nx < tol)  # points too close to 0 to normalize are skipped
+    x = x[keep] / nx[keep, None]
+    ny = A.norm(phi.apply(x, tol))
+    moved = (ny > 1.0 + tol) | (ny < 1.0 - tol)
+    if moved.any():
+        raise NotIsometric(np.round(x[np.argmax(moved)], 6))
     return PautCertificate("sampled")
 
 
@@ -439,11 +422,10 @@ def compose_paut(phi: PartialAut, psi: PartialAut, tol: float = DEFAULT_TOL) -> 
         return PartialAut(src, Ideal.zero(A), np.zeros((0, A.dim)))
     if not in_rowspace(inter, u_inter, tol):
         raise IntersectionNotUnital("product of units escapes the intersection")
-    for row in inter:
-        if not np.allclose(A.mul(u_inter, row), row, atol=tol, rtol=0.0) or not np.allclose(
-            A.mul(row, u_inter), row, atol=tol, rtol=0.0
-        ):
-            raise IntersectionNotUnital("product of units is not an identity there")
+    if not np.allclose(A.mul(u_inter, inter), inter, atol=tol, rtol=0.0) or not np.allclose(
+        A.mul(inter, u_inter), inter, atol=tol, rtol=0.0
+    ):
+        raise IntersectionNotUnital("product of units is not an identity there")
     # coefficients c (over source(psi)) with psi(c) inside span(source(phi))
     sphi = orth_rows(phi.source.basis, tol)
     resid = psi.matrix - (psi.matrix @ sphi.conj().T) @ sphi
@@ -453,6 +435,6 @@ def compose_paut(phi: PartialAut, psi: PartialAut, tol: float = DEFAULT_TOL) -> 
     assert rows_equal(psi_of_src, inter, tol), "preimage does not hit the intersection"
     u_src = solve_coords(psi_of_src, u_inter, tol) @ src_basis
     src = Ideal(A, src_basis, u_src)
-    img_rows = np.array([phi.apply(r, tol) for r in psi_of_src]).reshape(-1, A.dim)
+    img_rows = phi.apply(psi_of_src, tol)
     tgt = Ideal(A, img_rows, phi.apply(u_inter, tol))
     return PartialAut(src, tgt, img_rows)

@@ -172,7 +172,21 @@ def convolve(f: Ell1Element, g: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1El
 
 
 def ell1_norm(f: Ell1Element) -> float:
-    return sum(f.action.algebra.norm(f.value(t)) for t in f.support)
+    return float(ell1_norms(f.action, f.to_dense())) if f.coeffs else 0
+
+
+def ell1_norms(action: Action, dense):
+    """The section norm of a dense section, or of each row of a stack
+    (..., total_dim): one algebra norm call, the ideal norms then added in
+    element order."""
+    dense = as_complex(dense)
+    values = [
+        dense[..., o : o + action.ideal(t).dim] @ action.ideal(t).basis
+        for t, o in action.offsets.items()
+    ]
+    if not values:
+        return np.zeros(dense.shape[:-1])
+    return sum(np.moveaxis(action.algebra.norm(np.stack(values, axis=-2)), -1, 0))
 
 
 def involution(f: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1Element:
@@ -358,71 +372,65 @@ def quotient_ell1_norm(
                 "quotient norm over operator-2-norm blocks is not LP-representable"
             )
 
-    elements = act.nonzero_elements
-    n_m = len(elements)
-    theta = 2.0 * np.pi * np.arange(N_FACETS) / N_FACETS
-    phase = np.exp(-1j * theta)
-
-    # parent-coordinate affine data per element: base_t + z . dirs_t
-    null_elems = [Ell1Element.from_dense(act, row) for row in null_basis]
-    base = {t: f.value(t) for t in elements}
-    dirs = {t: np.array([n.value(t) for n in null_elems]) for t in elements}
-
-    rows, rhs = [], []
-    n_aux = 0
-
-    # variable layout: [zr(k), zi(k), m(n_m), u(...)]
-    var_m0 = 2 * k
-    u_index = {}
-    for ti, t in enumerate(elements):
-        for idx in A.blocks:
-            if idx.size == 1:
-                continue
-            for pos in idx.flat:
-                u_index[(ti, int(pos))] = var_m0 + n_m + n_aux
-                n_aux += 1
-    n_vars = var_m0 + n_m + n_aux
-
-    def facet_rows(t, coord, bound_col):
-        """|affine coordinate| <= variable at bound_col, one row per facet."""
-        b, w = base[t][coord], dirs[t][:, coord]  # the coset's coordinate, affine in z
-        for ph in phase:
-            row = np.zeros(n_vars)
-            row[0:k] = np.real(w * ph)
-            row[k : 2 * k] = -np.imag(w * ph)
-            row[bound_col] = -1.0
-            rows.append(row)
-            rhs.append(-np.real(b * ph))
-
-    for ti, t in enumerate(elements):
-        m_col = var_m0 + ti
-        for idx in A.blocks:
-            if idx.size == 1:
-                facet_rows(t, int(idx[0, 0]), m_col)
-                continue
-            for pos in idx.flat:
-                facet_rows(t, int(pos), u_index[(ti, int(pos))])
-            n = idx.shape[0]
-            lines = idx.T if A.p == 1 else idx  # columns for p=1, rows for p=inf
-            for line in lines:
-                row = np.zeros(n_vars)
-                for pos in line:
-                    row[u_index[(ti, int(pos))]] = 1.0
-                row[m_col] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-
-    objective = np.zeros(n_vars)
-    objective[var_m0 : var_m0 + n_m] = 1.0
-    bounds = [(None, None)] * var_m0 + [(0, None)] * (n_m + n_aux)
+    objective, a_ub, b_ub, bounds = _quotient_lp(f, null_basis)
     from scipy.optimize import linprog  # imported here: it is most of the package's import time
 
-    res = linprog(
-        c=objective,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=bounds,
-        method="highs",
-    )
+    res = linprog(c=objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0, f"quotient norm LP failed: {res.message}"
     return float(res.fun)
+
+
+def _quotient_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
+    """Objective, A_ub, b_ub and bounds of the quotient-norm LP over the
+    orthonormal rows ``null_basis`` (k of them).
+
+    Variables: [Re z (k), Im z (k), m (one per nonzero element), u (per
+    element, one per coordinate of each block larger than 1x1)].  Per
+    element, block by block, each coordinate c of the coset value
+    f(t) + z . N(t) gets one row per facet, Re(e^{-i theta} c) <= its bound
+    (m for a 1x1 block, else its u); a larger block then gets its line rows
+    (columns for p = 1, rows for p = inf), sum of u over the line <= m.
+    """
+    act, A = f.action, f.action.algebra
+    elements, k, d = act.nonzero_elements, null_basis.shape[0], A.dim
+    n_m, n_f = len(elements), N_FACETS
+    null_elems = [Ell1Element.from_dense(act, row) for row in null_basis]
+    base = np.array([f.value(t) for t in elements]).reshape(n_m, d)
+    dirs = np.array([[n.value(t) for n in null_elems] for t in elements]).reshape(n_m, k, d)
+    big = [idx for idx in A.blocks if idx.size > 1]
+    upos = np.concatenate([np.zeros(0, dtype=int)] + [idx.ravel() for idx in big])
+    n_u, uloc = upos.size, np.full(d, -1)
+    uloc[upos] = np.arange(n_u)
+    m0, u0 = 2 * k, 2 * k + n_m
+    n_vars = u0 + n_m * n_u
+    el = np.arange(n_m)[:, None]
+    bound = np.where(uloc >= 0, u0 + el * n_u + uloc, m0 + el)  # (element, coordinate)
+
+    phase = np.exp(-1j * (2.0 * np.pi * np.arange(n_f) / n_f))
+    wph = np.swapaxes(dirs, 1, 2)[:, :, None, :] * phase[:, None]  # (element, coord, facet, k)
+    facet = np.zeros((n_m, d, n_f, n_vars))
+    facet[..., :k], facet[..., k:m0] = wph.real, -wph.imag
+    facet[el[:, :, None], np.arange(d)[:, None], np.arange(n_f), bound[:, :, None]] = -1.0
+    # Re(b e^{-i theta}) spelled out: the same roundoff as one product of two scalars
+    facet_rhs = -(base.real[..., None] * phase.real - base.imag[..., None] * phase.imag)
+
+    lines = [line for idx in big for line in (idx.T if A.p == 1 else idx)]
+    line_rows = np.zeros((n_m, len(lines), n_vars))
+    line_rows[el, :, m0 + el] = -1.0
+    for i, line in enumerate(lines):
+        line_rows[el, i, u0 + el * n_u + uloc[line]] = 1.0
+
+    # per element: each block's facet rows, coordinate by coordinate, then its line rows
+    order, at = [], d * n_f
+    for idx in A.blocks:
+        order.append((idx.ravel()[:, None] * n_f + np.arange(n_f)).ravel())
+        if idx.size > 1:
+            order.append(at + np.arange(idx.shape[0]))
+            at += idx.shape[0]
+    order = np.concatenate(order)
+    a_ub = np.concatenate([facet.reshape(n_m, d * n_f, n_vars), line_rows], axis=1)
+    b_ub = np.concatenate([facet_rhs.reshape(n_m, -1), np.zeros((n_m, len(lines)))], axis=1)
+    objective = np.zeros(n_vars)
+    objective[m0:u0] = 1.0
+    bounds = [(None, None)] * m0 + [(0, None)] * (n_vars - m0)
+    return objective, a_ub[:, order].reshape(-1, n_vars), b_ub[:, order].ravel(), bounds

@@ -95,6 +95,18 @@ class NotMultiplicative(CheckError):
         super().__init__(f"map is not multiplicative; witness basis pair {witness}")
 
 
+class NotSubmultiplicative(CheckError):
+    def __init__(self, sample: int):
+        self.sample = sample
+        super().__init__(f"norm is not submultiplicative on sampled pair {sample}")
+
+
+class NotAnInvolution(CheckError):
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"star is not an involution; witness {witness}")
+
+
 class NotIsometric(CheckError):
     def __init__(self, witness):
         self.witness = witness

@@ -18,6 +18,7 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOL,
     as_complex,
+    first_far,
     null_rows,
     operator_norm,
     orth_rows,
@@ -27,7 +28,7 @@ from ._linalg import (
 from .actions import Action, PartialSetAction
 from .ell1 import (
     Ell1Element,
-    ell1_norm,
+    ell1_norms,
     monomial_products,
     null_ideal,
     structure_tensor,
@@ -71,9 +72,11 @@ class CovariantRep:
         self.v = as_complex(self.v).reshape(S, n, n)
 
     def pi_of(self, a) -> np.ndarray:
-        return np.einsum("i,ijk->jk", as_complex(a), self.pi)
+        """pi(a), or the stack of pi over a stack (..., dim A)."""
+        return np.einsum("...i,ijk->...jk", as_complex(a), self.pi)
 
-    def opnorm(self, m) -> float:
+    def opnorm(self, m):
+        """Operator norm of a matrix, or an array of them for a stack."""
         return operator_norm(m, self.space.p)
 
     def is_nondegenerate(self, tol: float = DEFAULT_TOL) -> bool:
@@ -99,28 +102,24 @@ def certify_contractive(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int =
     the real sign patterns thrown in for function algebras of dimension
     <= 16 since they are the extreme points of the real unit ball.
     """
-    A = rep.action.algebra
-    diagonal = all(
-        np.allclose(m, np.diag(np.diag(m)), atol=tol, rtol=0.0) for m in rep.pi
-    )
+    A, d, n = rep.action.algebra, rep.action.algebra.dim, rep.space.dim
+    diagonal = np.allclose(rep.pi * (1 - np.eye(n)), 0.0, atol=tol, rtol=0.0)
     if A.kind == "function" and diagonal:
-        rowsums = np.sum(np.abs([np.diag(m) for m in rep.pi]), axis=0)
+        rowsums = np.abs(np.diagonal(rep.pi, axis1=1, axis2=2)).sum(0)
         if np.any(rowsums > 1.0 + tol):
             raise NotContractive("pi", "a diagonal row sum exceeds 1")
         return "exact"
-    trials = []
-    if A.kind == "function" and A.dim <= 16:
-        for bits in range(2 ** A.dim):
-            signs = np.array([1.0 if bits >> i & 1 else -1.0 for i in range(A.dim)])
-            trials.append(signs.astype(complex))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        a = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
-        na = A.norm(a)
-        if na > tol:
-            trials.append(a / na)
-    for a in trials:
-        if rep.opnorm(rep.pi_of(a)) > A.norm(a) + tol:
+    signs = np.zeros((0, d))
+    if A.kind == "function" and d <= 16:  # bit i of the pattern's index sets sign i
+        signs = 2.0 * (np.arange(2**d)[:, None] >> np.arange(d) & 1) - 1.0
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, d))
+    a = draws[:, 0] + 1j * draws[:, 1]
+    na = A.norm(a)
+    trials = np.vstack([signs, a[na > tol] / na[na > tol, None]])
+    step = max(1, 2**20 // max(1, n * n))  # bounds the stack pi(trials) to 2^20 entries
+    for lo in range(0, len(trials), step):
+        chunk = trials[lo : lo + step]
+        if np.any(rep.opnorm(rep.pi_of(chunk)) > A.norm(chunk) + tol):
             raise NotContractive("pi", "it expands a sampled element")
     return "sampled"
 
@@ -128,21 +127,19 @@ def certify_contractive(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int =
 def validate_rep(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int = 0) -> CheckReport:
     """Homomorphism property of pi, contractivity, and contractive v."""
     report = CheckReport("representation basics")
-    A = rep.action.algebra
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            want = rep.pi_of(A.mul(eye[i], eye[j]))
-            got = rep.pi[i] @ rep.pi[j]
-            if not np.allclose(got, want, atol=tol, rtol=0.0):
-                raise NotMultiplicative((i, j))
+    d, n = rep.action.algebra.dim, rep.space.dim
+    # [i, j]: pi(e_i) pi(e_j) against pi(e_i e_j), flattened
+    got = np.einsum("iab,jbc->ijac", rep.pi, rep.pi).reshape(d, d, n * n)
+    want = np.einsum("ijk,kac->ijac", rep.action.algebra.structure, rep.pi)
+    if bad := first_far(got, want.reshape(d, d, n * n), tol):
+        raise NotMultiplicative(bad)
     report.add("pi", "algebra homomorphism", True)
     level = certify_contractive(rep, tol, seed)
     report.add("pi", "contractive", True, f"certification: {level}")
-    for t, m in enumerate(rep.v):
-        if rep.opnorm(m) > 1.0 + tol:
-            raise NotContractive(f"v at {rep.action.semigroup.labels[t]}", "norm exceeds 1")
+    grown = rep.opnorm(rep.v) > 1.0 + tol
+    if grown.any():
+        label = rep.action.semigroup.labels[np.argmax(grown)]
+        raise NotContractive(f"v at {label}", "norm exceeds 1")
     report.add("v", "contractive", True)
     report.note(f"nondegenerate (span pi(A)E = E): {rep.is_nondegenerate(tol)}")
     return report
@@ -375,16 +372,12 @@ def integrate(
             "integration is not multiplicative on monomials"
         )
         draws = np.random.default_rng(seed).standard_normal((samples, 2, act.total_dim))
-        for re, im in draws:
-            f = Ell1Element.from_dense(act, re + 1j * im)
-            assert rep.opnorm(out.apply(f)) <= ell1_norm(f) + tol, (
-                "integration is not contractive on a sampled section"
-            )
-        for row in null_ideal(act, tol).basis:
-            img = out.apply(Ell1Element.from_dense(act, row))
-            assert rep.opnorm(img) <= tol, (
-                "integration does not kill the order differences"
-            )
+        f = draws[:, 0] + 1j * draws[:, 1]
+        assert np.all(
+            rep.opnorm((f @ matrix.T).reshape(-1, n, n)) <= ell1_norms(act, f) + tol
+        ), "integration is not contractive on a sampled section"
+        kills = rep.opnorm((null_ideal(act, tol).basis @ matrix.T).reshape(-1, n, n))
+        assert np.all(kills <= tol), "integration does not kill the order differences"
     return out
 
 

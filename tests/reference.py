@@ -10,6 +10,17 @@ the product element.
 Cayley table, with the pairwise natural order; ``generate_semigroup``
 replaced it with a closure over int rows that registers elements in the same
 order.  ``reference_wagner_preston`` builds the regular embedding map by map.
+
+The sampled and per-pair certificates (``reference_paut_validate``,
+``reference_ideal_validate``, ``reference_certify_contractive``,
+``reference_validate_algebra``, ``reference_integrate_contractive``) are the
+loops the batched checks replaced: one draw, one norm and one comparison per
+sample or pair, raising at the first failure.  They draw the same random
+numbers in the same order, so they certify the same points.  The algebra
+laws raise the named errors that replaced their ``assert`` statements.
+
+``reference_quotient_lp`` fills the quotient-norm LP one 64-facet row at a
+time, as ``quotient_ell1_norm`` did before ``ell1._quotient_lp``.
 """
 
 from __future__ import annotations
@@ -17,8 +28,26 @@ from __future__ import annotations
 import numpy as np
 
 from semicross._linalg import DEFAULT_TOL
-from semicross.ell1 import Ell1Element, monomials
-from semicross.errors import ActionMismatch, CarrierMismatch, SizeCapExceeded
+from semicross.algebras import (
+    PautCertificate,
+    _is_block_permutation,
+    _is_delta_permutation,
+)
+from semicross.ell1 import N_FACETS, Ell1Element, ell1_norm, monomials
+from semicross.errors import (
+    ActionMismatch,
+    CarrierMismatch,
+    NotAnIdeal,
+    NotAnInvolution,
+    NotAssociative,
+    NotBijective,
+    NotContractive,
+    NotIsometric,
+    NotMultiplicative,
+    NotSubmultiplicative,
+    NoUnit,
+    SizeCapExceeded,
+)
 from semicross.semigroups import DEFAULT_CAP, InvSemigroup, PartialBijection
 
 
@@ -131,3 +160,194 @@ def reference_wagner_preston(sg: InvSemigroup) -> list[PartialBijection]:
         )
         maps.append(PartialBijection(tuple(sg.labels), pairs))
     return maps
+
+
+def reference_ideal_validate(ideal, tol: float = DEFAULT_TOL) -> None:
+    A = ideal.parent
+    eye = np.eye(A.dim, dtype=complex)
+    for r, x in enumerate(ideal.basis):
+        for b in range(A.dim):
+            if not ideal.contains(A.mul(x, eye[b]), tol):
+                raise NotAnIdeal((r, A.labels[b], "right"))
+            if not ideal.contains(A.mul(eye[b], x), tol):
+                raise NotAnIdeal((r, A.labels[b], "left"))
+    if ideal.dim and not ideal.contains(ideal.unit, tol):
+        raise NoUnit("unit lies outside the subspace")
+    for r, x in enumerate(ideal.basis):
+        if not np.allclose(A.mul(ideal.unit, x), x, atol=tol, rtol=0.0):
+            raise NoUnit(("left", r))
+        if not np.allclose(A.mul(x, ideal.unit), x, atol=tol, rtol=0.0):
+            raise NoUnit(("right", r))
+
+
+def reference_certify_isometry(phi, tol=DEFAULT_TOL, seed=0, samples=2000):
+    A = phi.parent
+    if phi.source.dim == 0:
+        return PautCertificate("exact")
+    if A.kind == "function" and _is_delta_permutation(phi, tol):
+        return PautCertificate("exact")
+    if A.kind == "matrix" and _is_block_permutation(phi, tol):
+        return PautCertificate("exact")
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        c = rng.standard_normal(phi.source.dim) + 1j * rng.standard_normal(phi.source.dim)
+        x = phi.source.to_parent(c)
+        nx = A.norm(x)
+        if nx < tol:
+            continue
+        x = x / nx
+        ny = A.norm(phi.apply(x, tol))
+        if ny > 1.0 + tol or ny < 1.0 - tol:
+            raise NotIsometric(np.round(x, 6))
+    return PautCertificate("sampled")
+
+
+def reference_paut_validate(phi, tol=DEFAULT_TOL, seed=0, samples=2000):
+    reference_ideal_validate(phi.source, tol)
+    reference_ideal_validate(phi.target, tol)
+    A = phi.parent
+    if phi.source.dim != phi.target.dim:
+        raise NotBijective("source and target dimensions differ")
+    for row in phi.matrix:
+        if not phi.target.contains(row, tol):
+            raise NotBijective("image escapes the target subspace")
+    if phi.source.dim:
+        s = np.linalg.svd(phi.matrix, compute_uv=False)
+        if s[-1] <= tol:
+            raise NotBijective("map matrix is rank deficient")
+    cert = reference_certify_isometry(phi, tol, seed, samples)
+    for i, x in enumerate(phi.source.basis):
+        for j, y in enumerate(phi.source.basis):
+            lhs = phi.apply(A.mul(x, y), tol)
+            rhs = A.mul(phi.apply(x, tol), phi.apply(y, tol))
+            if not np.allclose(lhs, rhs, atol=tol, rtol=0.0):
+                raise NotMultiplicative((i, j))
+    return cert
+
+
+def reference_certify_contractive(rep, tol=DEFAULT_TOL, seed=0, samples=2000) -> str:
+    A = rep.action.algebra
+    diagonal = all(
+        np.allclose(m, np.diag(np.diag(m)), atol=tol, rtol=0.0) for m in rep.pi
+    )
+    if A.kind == "function" and diagonal:
+        rowsums = np.sum(np.abs([np.diag(m) for m in rep.pi]), axis=0)
+        if np.any(rowsums > 1.0 + tol):
+            raise NotContractive("pi", "a diagonal row sum exceeds 1")
+        return "exact"
+    trials = []
+    if A.kind == "function" and A.dim <= 16:
+        for bits in range(2 ** A.dim):
+            signs = np.array([1.0 if bits >> i & 1 else -1.0 for i in range(A.dim)])
+            trials.append(signs.astype(complex))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        a = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+        na = A.norm(a)
+        if na > tol:
+            trials.append(a / na)
+    for a in trials:
+        if rep.opnorm(rep.pi_of(a)) > A.norm(a) + tol:
+            raise NotContractive("pi", "it expands a sampled element")
+    return "sampled"
+
+
+def reference_validate_algebra(algebra, seed=0, tol=DEFAULT_TOL, samples=1000) -> None:
+    s = algebra.structure
+    lhs = np.einsum("ijm,mkl->ijkl", s, s)
+    rhs = np.einsum("jkm,iml->ijkl", s, s)
+    for triple in np.ndindex(lhs.shape[:3]):
+        if not np.allclose(lhs[triple], rhs[triple], atol=tol, rtol=0.0):
+            raise NotAssociative(triple)
+    rng = np.random.default_rng(seed)
+    d = algebra.dim
+    for n in range(samples):
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        if not algebra.norm(algebra.mul(x, y)) <= algebra.norm(x) * algebra.norm(y) + tol:
+            raise NotSubmultiplicative(n)
+    if algebra.star_mat is not None:
+        st = algebra.star_mat
+        if not np.allclose(st @ np.conj(st), np.eye(d), atol=tol, rtol=0.0):
+            raise NotAnInvolution("star is not involutive")
+        eye = np.eye(d, dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                ab = algebra.mul(eye[i], eye[j])
+                if not np.allclose(
+                    algebra.star(ab),
+                    algebra.mul(algebra.star(eye[j]), algebra.star(eye[i])),
+                    atol=tol,
+                    rtol=0.0,
+                ):
+                    raise NotAnInvolution((i, j))
+
+
+def reference_integrate_contractive(integrated, tol=DEFAULT_TOL, seed=0, samples=200) -> None:
+    """The sampled contractivity check of ``integrate(check=True)``."""
+    rep = integrated.rep
+    act = rep.action
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, act.total_dim))
+    for re, im in draws:
+        f = Ell1Element.from_dense(act, re + 1j * im)
+        assert rep.opnorm(integrated.apply(f)) <= ell1_norm(f) + tol, (
+            "integration is not contractive on a sampled section"
+        )
+
+
+def reference_quotient_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
+    """Objective, A_ub, b_ub and bounds over orthonormal rows ``null_basis``."""
+    act = f.action
+    k = null_basis.shape[0]
+    A = act.algebra
+    elements = act.nonzero_elements
+    n_m = len(elements)
+    theta = 2.0 * np.pi * np.arange(N_FACETS) / N_FACETS
+    phase = np.exp(-1j * theta)
+    null_elems = [Ell1Element.from_dense(act, row) for row in null_basis]
+    base = {t: f.value(t) for t in elements}
+    dirs = {t: np.array([n.value(t) for n in null_elems]) for t in elements}
+    rows, rhs = [], []
+    n_aux = 0
+    var_m0 = 2 * k
+    u_index = {}
+    for ti, t in enumerate(elements):
+        for idx in A.blocks:
+            if idx.size == 1:
+                continue
+            for pos in idx.flat:
+                u_index[(ti, int(pos))] = var_m0 + n_m + n_aux
+                n_aux += 1
+    n_vars = var_m0 + n_m + n_aux
+
+    def facet_rows(t, coord, bound_col):
+        b, w = base[t][coord], dirs[t][:, coord]
+        for ph in phase:
+            row = np.zeros(n_vars)
+            row[0:k] = np.real(w * ph)
+            row[k : 2 * k] = -np.imag(w * ph)
+            row[bound_col] = -1.0
+            rows.append(row)
+            rhs.append(-np.real(b * ph))
+
+    for ti, t in enumerate(elements):
+        m_col = var_m0 + ti
+        for idx in A.blocks:
+            if idx.size == 1:
+                facet_rows(t, int(idx[0, 0]), m_col)
+                continue
+            for pos in idx.flat:
+                facet_rows(t, int(pos), u_index[(ti, int(pos))])
+            lines = idx.T if A.p == 1 else idx
+            for line in lines:
+                row = np.zeros(n_vars)
+                for pos in line:
+                    row[u_index[(ti, int(pos))]] = 1.0
+                row[m_col] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+
+    objective = np.zeros(n_vars)
+    objective[var_m0 : var_m0 + n_m] = 1.0
+    bounds = [(None, None)] * var_m0 + [(0, None)] * (n_m + n_aux)
+    return objective, np.array(rows).reshape(-1, n_vars), np.array(rhs), bounds

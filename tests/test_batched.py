@@ -132,7 +132,7 @@ class TestSameCertificates:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_paut_levels(self, actions, seed):
         levels = set()
-        for name, act in actions.items():
+        for act in actions.values():
             for phi in act.pauts:
                 got = same(paut_validate, reference.reference_paut_validate, phi,
                            seed=seed, samples=400)

@@ -172,6 +172,7 @@ def convolve(f: Ell1Element, g: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1El
 
 
 def ell1_norm(f: Ell1Element) -> float:
+    # the zero section keeps the int 0 of an empty sum, which the CLI prints as "0"
     return float(ell1_norms(f.action, f.to_dense())) if f.coeffs else 0
 
 

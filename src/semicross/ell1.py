@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, in_rowspace, orth_rows, rows_leq
+from ._linalg import DEFAULT_TOL, as_complex, first_far, in_rowspace, null_rows, orth_rows
 from .actions import Action
 from .errors import (
     ActionMismatch,
     ConvolutionEscapesIdeal,
     NotAnIdeal,
     OrderDifferenceNotProduct,
+    QuotientNormLPFailed,
 )
 
 N_FACETS = 64  # polygonal model of |z| <= m; relative error <= 1 - cos(pi/64)
@@ -209,20 +210,23 @@ def monomials(action: Action) -> list:
     return [Ell1Element.from_dense(action, e) for e in np.eye(action.total_dim)]
 
 
-def monomial_products(
-    action: Action, basis: np.ndarray, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Rows m * x and x * m for every row x of ``basis`` and every spanning
-    monomial m; a subspace is a two-sided ideal iff these stay inside it."""
+def _ideal_witness(action: Action, basis: np.ndarray, comp: np.ndarray, tol: float):
+    """None when the row space of the orthonormal ``basis`` is a two-sided
+    ideal, else a spanning monomial m_i it fails for: (element label, index
+    in its ideal, side).  ``comp`` holds orthonormal rows z with z @ x = 0
+    on that space; it is an ideal iff comp @ (m_i * x) = 0 = comp @ (x * m_i)
+    for every row x and every m_i, one (q, rows) product per m_i and side."""
     I, J, K, C = structure_tensor(action, tol)
-    D = action.total_dim
-    x = np.atleast_2d(as_complex(basis)).reshape(-1, D)
-    rows = np.arange(x.shape[0])[:, None]
-    # m_i * x adds C x[J] to row (i, x) at column K, x * m_j adds C x[I] to (j, x)
-    left, right = np.zeros((2, D, x.shape[0], D), dtype=complex)
-    np.add.at(left, (I, rows, K), x[:, J] * C)
-    np.add.at(right, (J, rows, K), x[:, I] * C)
-    return np.vstack([left.reshape(-1, D), right.reshape(-1, D)])
+    rows = np.ascontiguousarray(basis.T)
+    for side, outer, inner in (("left", I, J), ("right", J, I)):
+        ends = np.cumsum(np.bincount(outer, minlength=action.total_dim))[:-1]
+        for i, e in enumerate(np.split(np.argsort(outer, kind="stable"), ends)):  # by m_i
+            # column x: comp @ (m_i * x) on the left, comp @ (x * m_i) on the right
+            off = (comp[:, K[e]] * C[e]) @ rows[inner[e]]
+            if np.any(np.linalg.norm(off, axis=0) > tol):
+                t = [t for t, o in action.offsets.items() if o <= i][-1]
+                return action.semigroup.labels[t], i - action.offsets[t], side
+    return None
 
 
 @dataclass
@@ -241,61 +245,64 @@ class NullIdeal:
         return self.basis.shape[0]
 
 
-def _order_differences(action: Action, tol: float) -> list:
-    """The seeds d = a delta_s - a delta_t, each checked to equal u * d * v
-    (see ``null_ideal``)."""
-    sg = action.semigroup
+def _order_differences(action: Action, tol: float) -> np.ndarray:
+    """The seeds d = a delta_s - a delta_t as dense rows, a over the basis
+    of I_s, each checked to equal u * d * v (see ``null_ideal``); the first
+    failing (s, t) in the natural order raises."""
+    sg, offs, D = action.semigroup, action.offsets, action.total_dim
+    I, J, K, C = structure_tensor(action, tol)
+    entries = {}  # (e, side) -> the tensor entries that u = 1_e delta_e takes part in
 
-    def mono(e, a):
-        return Ell1Element.monomial(action, e, a, tol)
+    def by_unit(x, e, outer, inner):  # u * x for (I, J), x * u for (J, I)
+        if (e, outer is I) not in entries:
+            ideal, u = action.ideal(e), np.zeros(D, dtype=complex)
+            u[offs.get(e, 0) : offs.get(e, 0) + ideal.dim] = ideal.coords(ideal.unit, tol)
+            on = np.flatnonzero(u[outer])
+            entries[e, outer is I] = inner[on], K[on], C[on] * u[outer[on]]
+        at, k, c = entries[e, outer is I]
+        out = np.zeros((D, len(x)), dtype=complex)
+        np.add.at(out, k, (x[:, at] * c).T)
+        return out.T
 
-    diffs = []
+    seeds = [np.zeros((0, D), dtype=complex)]
     for s, t in sorted(sg.order):
-        if s == t or action.ideal(s).dim == 0:
+        a = action.ideal(s).basis
+        if s == t or not len(a):
             continue
-        tt, t_t = sg.mul(t, sg.inv(t)), sg.mul(sg.inv(t), t)
+        d = np.zeros((len(a), D), dtype=complex)
         try:
-            u, v = mono(tt, action.ideal(tt).unit), mono(t_t, action.ideal(t_t).unit)
-        except np.linalg.LinAlgError:  # a unit outside its own ideal
+            d[:, offs[s] : offs[s] + len(a)] = action.ideal(s).coords(a, tol)
+            d[:, offs[t] : offs[t] + action.ideal(t).dim] = -action.ideal(t).coords(a, tol)
+            fixed = by_unit(by_unit(d, sg.mul(t, sg.inv(t)), I, J), sg.mul(sg.inv(t), t), J, I)
+        except np.linalg.LinAlgError:  # a unit outside its ideal, or I_s outside I_t
             raise OrderDifferenceNotProduct(sg.labels[s], sg.labels[t]) from None
-        for a in action.ideal(s).basis:
-            d = mono(s, a) - mono(t, a)
-            if not convolve(convolve(u, d, tol), v, tol).allclose(d, tol):
-                raise OrderDifferenceNotProduct(sg.labels[s], sg.labels[t])
-            diffs.append(d)
-    return diffs
-
-
-def _saturate(action: Action, seed_rows: np.ndarray, tol: float) -> np.ndarray:
-    """Smallest subspace containing the rows and closed under convolution by
-    the spanning monomials on either side."""
-    basis = orth_rows(seed_rows, tol)
-    while True:
-        grown = orth_rows(
-            np.vstack([basis, monomial_products(action, basis, tol)]), tol
-        )
-        if grown.shape[0] == basis.shape[0]:
-            return grown
-        basis = grown
+        if first_far(fixed, d, tol):
+            raise OrderDifferenceNotProduct(sg.labels[s], sg.labels[t])
+        seeds.append(d)
+    return np.vstack(seeds)
 
 
 def null_ideal(action: Action, tol: float = DEFAULT_TOL) -> NullIdeal:
-    """Saturate the order differences into a two-sided ideal, once per
-    (action, tol).
+    """The span of the order differences, once per (action, tol).
 
-    Each generator d = a delta_s - a delta_t (s <= t, a in I_s) equals the
-    two-sided product u * d * v with u = 1_{tt*} delta_{tt*} and
-    v = 1_{t*t} delta_{t*t}, since tt*s = s = st*t, I_s lies in I_t and
-    alpha_e is the identity on I_e.  So the span of two-sided products around
-    the differences is already the whole ideal.  Actions reach here
-    unvalidated, so u * d * v = d is checked on every seed.
+    For an action the span of the seeds d = a delta_s - a delta_t (s <= t,
+    a in I_s) is already an ideal.  On the left, (b delta_r) * d =
+    c delta_rs - c delta_rt with c = alpha_r(alpha_{r*}(b) a), and rs <= rt.
+    On the right, d * (b delta_r) = c delta_sr - c delta_tr with one
+    c = alpha_s(alpha_{s*}(a) b), as alpha_s and alpha_{s*} restrict alpha_t
+    and alpha_{t*} (PA1), and sr <= tr.  Actions reach here unvalidated, so
+    every seed is checked to equal u * d * v, u = 1_{tt*} delta_{tt*} and
+    v = 1_{t*t} delta_{t*t} (else ``OrderDifferenceNotProduct``), and the
+    span to be closed under the monomials (else ``NotAnIdeal``, as when PA1
+    fails).
     """
     if not hasattr(action, "_null"):
         action._null = {}
     if tol not in action._null:
-        diffs = _order_differences(action, tol)
-        seed = np.array([d.to_dense() for d in diffs]).reshape(-1, action.total_dim)
-        action._null[tol] = NullIdeal(action, _saturate(action, seed, tol))
+        basis = orth_rows(_order_differences(action, tol), tol)
+        if witness := _ideal_witness(action, basis, null_rows(basis, tol), tol):
+            raise NotAnIdeal(witness)
+        action._null[tol] = NullIdeal(action, basis)
     return action._null[tol]
 
 
@@ -326,27 +333,25 @@ def quotient_algebra(
     action: Action, null_basis: np.ndarray, tol: float = DEFAULT_TOL
 ) -> QuotientAlgebra:
     """Verify the subspace is a convolution ideal, then quotient by it."""
-    D = action.total_dim
     null_basis = orth_rows(null_basis, tol)
-    if not rows_leq(monomial_products(action, null_basis, tol), null_basis, tol):
-        raise NotAnIdeal("subspace is not convolution invariant")
-    eye = np.eye(D, dtype=complex)
-    chosen, cur = [], null_basis
-    for j in range(D):
-        if not in_rowspace(cur, eye[j], tol):
+    comp = null_rows(null_basis, tol)
+    if witness := _ideal_witness(action, null_basis, comp, tol):
+        raise NotAnIdeal(witness)
+    # e_j is off N + span(chosen) iff comp e_j is off span(comp chosen), and
+    # the two distances are equal, so the greedy pivots run in the q columns
+    chosen, cur = [], np.zeros((0, len(comp)), dtype=complex)
+    for j, col in enumerate(comp.T):
+        if not in_rowspace(cur, col, tol):
             chosen.append(j)
-            cur = orth_rows(np.vstack([cur, eye[j]]), tol)
+            cur = orth_rows(np.vstack([cur, col]), tol)
     q = len(chosen)
-    comp = eye[chosen]
-    full = np.vstack([comp, null_basis])
-    proj = np.linalg.inv(full.T)[:q, :] if D else np.zeros((0, 0), dtype=complex)
+    proj = np.linalg.solve(comp[:, chosen], comp)  # x - proj(x) . e_chosen lies in N
     I, J, K, C = structure_tensor(action, tol)
-    pos = np.full(D, -1)
+    pos = np.full(action.total_dim, -1)
     pos[chosen] = np.arange(q)
-    keep = (pos[I] >= 0) & (pos[J] >= 0)
-    sliced = np.zeros((q, q, D), dtype=complex)  # products of the chosen monomials
-    np.add.at(sliced, (pos[I[keep]], pos[J[keep]], K[keep]), C[keep])
-    structure = sliced @ proj.T
+    keep = (pos[I] >= 0) & (pos[J] >= 0)  # products of the chosen monomials
+    structure = np.zeros((q, q, q), dtype=complex)
+    np.add.at(structure, (pos[I[keep]], pos[J[keep]]), C[keep, None] * proj[:, K[keep]].T)
     return QuotientAlgebra(action, null_basis, tuple(chosen), structure, proj)
 
 
@@ -361,23 +366,17 @@ def quotient_ell1_norm(
     max-of-absolute-sums (all 1x1 blocks, and larger blocks with p in
     {1, inf}); operator-2-norm blocks of size > 1 have no LP model.
     """
-    act = f.action
-    null_basis = orth_rows(null_basis, tol)
-    k = null_basis.shape[0]
-    if k == 0:
+    null_basis, A = orth_rows(null_basis, tol), f.action.algebra
+    if null_basis.shape[0] == 0:
         return ell1_norm(f)
-    A = act.algebra
-    for idx in A.blocks:
-        if idx.size > 1 and A.p == 2:
-            raise ValueError(
-                "quotient norm over operator-2-norm blocks is not LP-representable"
-            )
-
+    if A.p == 2 and any(idx.size > 1 for idx in A.blocks):
+        raise ValueError("quotient norm over operator-2-norm blocks is not LP-representable")
     objective, a_ub, b_ub, bounds = _quotient_lp(f, null_basis)
     from scipy.optimize import linprog  # imported here: it is most of the package's import time
 
     res = linprog(c=objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    assert res.status == 0, f"quotient norm LP failed: {res.message}"
+    if res.status != 0:
+        raise QuotientNormLPFailed(res.status, res.message)
     return float(res.fun)
 
 

@@ -161,6 +161,12 @@ class OrderDifferenceNotProduct(CheckError):
         super().__init__(f"ideal units do not fix the order difference at ({s}, {t})")
 
 
+class QuotientNormLPFailed(CheckError):
+    def __init__(self, status: int, message: str):
+        self.status = status
+        super().__init__(f"quotient norm LP failed with status {status}: {message}")
+
+
 # ----------------------------------------------------------- representations
 
 

@@ -11,6 +11,11 @@
   dim l1 = 63) acting tautologically.
 * ``escaping_flip``: ``flip`` with alpha at (1>2) replaced by the identity
   of C delta_1, so it leaves I_(1>2) = C delta_2; never validated.
+* ``twisted_sim2``: sim2 moving the blocks of M_2 + M_2 (p = inf), with
+  alpha at (1>2) followed by Ad(W) and alpha at (2>1) preceded by Ad(W*),
+  W the swap on the block of point 2.  Each alpha_t is still a partial
+  automorphism with alpha_{t*} its inverse, but alpha at (1>2) is no longer
+  the restriction of alpha at (1>2,2>1), so PA1 fails; never validated.
 * ``generator_lists``: a hypothesis strategy for one to three random
   partial bijections on a carrier {1..n}, n <= 4.
 """
@@ -23,7 +28,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from semicross.actions import Action, PartialSetAction, induce_action
-from semicross.algebras import PartialAut
+from semicross.algebras import Ideal, PartialAut, matrix_algebra
 from semicross.reps import CovariantRep, regular_rep
 from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
 
@@ -84,6 +89,32 @@ def escaping_flip() -> Action:
     pauts = list(act.pauts)
     pauts[t] = PartialAut(good.source, good.target, np.array(good.source.basis))
     return Action(act.semigroup, act.algebra, tuple(pauts))
+
+
+def twisted_sim2() -> Action:
+    sg = sim2().semigroup
+    A = matrix_algebra([2, 2], np.inf)
+    block = dict(zip(POINTS, A.blocks))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    twisted = {sg.index("(1>2)"), sg.index("(2>1)")}
+
+    def ideal(points):
+        idx = [i for y in sorted(points) for i in block[y].flat]
+        diag = [i for y in points for i in np.diag(block[y])]
+        return Ideal(A, np.eye(A.dim)[idx], np.eye(A.dim)[diag].sum(0))
+
+    pauts = []
+    for t, m in enumerate(sg.pbijs):
+        w = swap if t in twisted else np.eye(2)
+        rows = []
+        for x in sorted(m.domain):
+            for e in np.eye(4).reshape(4, 2, 2):  # the matrix units of block x
+                row = np.zeros(A.dim)
+                row[block[m(x)]] = w @ e @ w.T
+                rows.append(row)
+        matrix = np.array(rows).reshape(-1, A.dim)
+        pauts.append(PartialAut(ideal(m.domain), ideal(m.image), matrix))
+    return Action(sg, A, tuple(pauts))
 
 
 @st.composite

@@ -21,19 +21,23 @@ laws raise the named errors that replaced their ``assert`` statements.
 
 ``reference_quotient_lp`` fills the quotient-norm LP one 64-facet row at a
 time, as ``quotient_ell1_norm`` did before ``ell1._quotient_lp``.
+
+``reference_saturate`` grows the span of ``reference_order_differences``
+by rounds of products with the spanning monomials until it stops growing,
+as ``null_ideal`` did before it checked once that the span is closed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from semicross._linalg import DEFAULT_TOL
+from semicross._linalg import DEFAULT_TOL, orth_rows
 from semicross.algebras import (
     PautCertificate,
     _is_block_permutation,
     _is_delta_permutation,
 )
-from semicross.ell1 import N_FACETS, Ell1Element, ell1_norm, monomials
+from semicross.ell1 import N_FACETS, Ell1Element, convolve, ell1_norm, monomials
 from semicross.errors import (
     ActionMismatch,
     CarrierMismatch,
@@ -94,6 +98,34 @@ def reference_monomial_products(action, basis, tol: float = DEFAULT_TOL) -> np.n
             rows.append(reference_convolve(m, x, tol).to_dense()[None, :])
             rows.append(reference_convolve(x, m, tol).to_dense()[None, :])
     return np.vstack(rows)
+
+
+def reference_order_differences(action, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Dense rows a delta_s - a delta_t, s < t, a over the basis of I_s."""
+    rows = [np.zeros((0, action.total_dim), dtype=complex)]
+    for s, t in sorted(action.semigroup.order):
+        if s != t:
+            for a in action.ideal(s).basis:
+                d = Ell1Element.monomial(action, s, a, tol) - Ell1Element.monomial(
+                    action, t, a, tol
+                )
+                rows.append(d.to_dense()[None, :])
+    return np.vstack(rows)
+
+
+def reference_saturate(action, seed_rows, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows of the smallest subspace containing ``seed_rows`` and
+    closed under convolution by the spanning monomials on either side."""
+    mono = monomials(action)
+    basis = orth_rows(seed_rows, tol)
+    while True:
+        xs = [Ell1Element.from_dense(action, row) for row in basis]
+        products = [convolve(m, x, tol).to_dense() for x in xs for m in mono]
+        products += [convolve(x, m, tol).to_dense() for x in xs for m in mono]
+        grown = orth_rows(np.vstack([basis, *products]), tol)
+        if grown.shape[0] == basis.shape[0]:
+            return grown
+        basis = grown
 
 
 def reference_natural_order(sg: InvSemigroup) -> frozenset:

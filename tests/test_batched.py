@@ -305,9 +305,15 @@ class TestQuotientLP:
         assert n_cases == 6  # sim2 and swap_e3 on M_2 blocks carry order differences
 
     def test_semi_qnorm_digits(self, samples):
+        # the per-facet program gives the same digits on the same null basis
+        from scipy.optimize import linprog
+
         inst = samples["semi"]
+        N = orth_rows(null_ideal(inst.action).basis)
+        c, a_ub, b_ub, bounds = reference.reference_quotient_lp(inst.elements["a"], N)
+        want = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs").fun
         value = quotient_ell1_norm(inst.elements["a"], null_ideal(inst.action).basis)
-        assert value == 0.9999999999999969
+        assert value == want == 0.9999999999999967
 
 
 class TestNoPerSampleLoops:

@@ -4,22 +4,29 @@ order-difference ideal and quotients."""
 import os
 import subprocess
 import sys
+import time
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fixtures
-from reference import reference_convolve, reference_monomial_products
-from semicross._linalg import in_rowspace, orth_rows, rows_equal
-from semicross.actions import Action, PartialSetAction, induce_action
+from reference import (
+    reference_convolve,
+    reference_monomial_products,
+    reference_order_differences,
+    reference_saturate,
+)
+from semicross._linalg import in_rowspace, null_rows, orth_rows, rows_equal, rows_leq
+from semicross.actions import Action, PartialSetAction, induce_action, validate_action
 from semicross.algebras import Ideal, PartialAut
 from semicross.ell1 import (
     Ell1Element,
+    _ideal_witness,
     convolve,
     ell1_norm,
     involution,
-    monomial_products,
     monomials,
     null_ideal,
     quotient_algebra,
@@ -31,6 +38,7 @@ from semicross.errors import (
     ConvolutionEscapesIdeal,
     NotAnIdeal,
     OrderDifferenceNotProduct,
+    PA1Violation,
 )
 from semicross.io_json import load_instance
 from semicross.reps import seminorm_kernel
@@ -41,6 +49,30 @@ SAMPLES = ("flip", "semi", "semi_table", "sim2", "z2", "m2", "m2_swap")
 
 D1 = np.array([1, 0], dtype=complex)
 D2 = np.array([0, 1], dtype=complex)
+
+
+def run_python(flags, code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``flags``, importing from
+    src/ and tests/."""
+    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+
+
+PYTHON_FLAGS = pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+
+
+def chain_action() -> tuple:
+    """The chain id{1} <= id{1,2} <= id{1,2,3} acting on C({1,2,3})."""
+    points = ("1", "2", "3")
+    chain = generate_semigroup(
+        [PartialBijection.identity(points, p) for p in (points, ("1", "2"), ("1",))]
+    )
+    return chain, induce_action(PartialSetAction.tautological(chain))
 
 
 def mono(inst, label, vec):
@@ -155,19 +187,22 @@ class TestStructureTensor:
                 rtol=0.0,
             )
 
-    def test_monomial_products_match_the_reference(self, sim2, m2_swap):
-        bases = [
-            (sim2.action, null_ideal(sim2.action).basis),
-            (m2_swap.action, null_ideal(m2_swap.action).basis),
+    def test_ideal_check_matches_the_reference(self, sim2, semi, m2_swap):
+        twisted = fixtures.twisted_sim2()
+        cases = [
+            (sim2.action, null_ideal(sim2.action).basis, None),
+            (m2_swap.action, null_ideal(m2_swap.action).basis, None),
             # the null ideal of m2_swap is zero; its one-representation kernel is not
-            (m2_swap.action, seminorm_kernel(list(m2_swap.representations.values()))),
+            (m2_swap.action, seminorm_kernel(list(m2_swap.representations.values())), None),
+            (semi.action, mono(semi, "id{1,2}", D1).to_dense(), ("id{1}", 0, "left")),
+            (twisted, reference_order_differences(twisted), ("(1>2,2>1)", 0, "right")),
         ]
-        for act, basis in bases:
-            got = monomial_products(act, basis)
-            want = reference_monomial_products(act, basis)
-            assert got.shape == want.shape == (2 * act.total_dim * len(basis), act.total_dim)
-            assert rows_equal(got, want, 1e-9)
-        assert len(bases[0][1]) == 4 and len(bases[2][1]) == 4
+        for act, rows, witness in cases:
+            basis = orth_rows(rows)
+            closed = rows_leq(reference_monomial_products(act, basis), basis, 1e-9)
+            assert closed == (witness is None)
+            assert _ideal_witness(act, basis, null_rows(basis), 1e-9) == witness
+        assert [len(orth_rows(rows)) for _, rows, _ in cases] == [4, 0, 4, 1, 16]
 
     def test_sim3_tensor_is_the_induced_partial_action(self, sim3):
         # m_(s,x) * m_(t,y) = m_(st,x) exactly when y = theta_{s*}(x), from the
@@ -213,7 +248,7 @@ class TestStructureTensor:
         with pytest.raises(ConvolutionEscapesIdeal):
             null_ideal(fixtures.escaping_flip())
 
-    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @PYTHON_FLAGS
     def test_escaping_summand_is_named_under_python_flags(self, flags):
         # python -O strips assert statements; the tensor build must not rely on them
         code = (
@@ -225,13 +260,7 @@ class TestStructureTensor:
             "except CheckError as err:\n"
             "    print(err.code, *err.pair)\n"
         )
-        path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
-        result = subprocess.run(
-            [sys.executable, *flags, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        )
+        result = run_python(flags, code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["ConvolutionEscapesIdeal", "(1>2)", "(2>1)"]
 
@@ -321,13 +350,8 @@ class TestNullIdeal:
         "unit", [[2, 2, 0], [0, 0, 1]], ids=["doubled", "outside-the-ideal"]
     )
     def test_broken_unit_is_a_named_error(self, unit):
-        # the chain id{1} <= id{1,2} <= id{1,2,3} on C({1,2,3}), left
-        # unvalidated after I_{1,2} is given a wrong unit
-        points = ("1", "2", "3")
-        chain = generate_semigroup(
-            [PartialBijection.identity(points, p) for p in (points, ("1", "2"), ("1",))]
-        )
-        act = induce_action(PartialSetAction.tautological(chain))
+        # the chain, left unvalidated after I_{1,2} is given a wrong unit
+        chain, act = chain_action()
         t = chain.index("id{1,2}")
         good = act.paut(t)
         bad = Ideal(act.algebra, good.target.basis, np.array(unit, dtype=complex))
@@ -337,6 +361,86 @@ class TestNullIdeal:
         with pytest.raises(OrderDifferenceNotProduct) as err:
             null_ideal(broken)
         assert err.value.pair == ("id{1}", "id{1,2}")
+
+    def test_smaller_ideal_outside_the_larger_is_a_named_error(self):
+        # the chain with I_{1} = C delta_3, which is not inside I_{1,2}
+        chain, act = chain_action()
+        e3 = np.array([[0, 0, 1]], dtype=complex)
+        ideal = Ideal(act.algebra, e3, e3[0])
+        pauts = list(act.pauts)
+        pauts[chain.index("id{1}")] = PartialAut(ideal, ideal, e3)
+        broken = Action(chain, act.algebra, tuple(pauts))
+        structure_tensor(broken)  # every summand stays in its ideal
+        with pytest.raises(OrderDifferenceNotProduct) as err:
+            null_ideal(broken)
+        assert err.value.pair == ("id{1}", "id{1,2}")
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_seed_span_is_the_saturated_reference(self, name):
+        act = load_instance(ROOT / "instances" / f"{name}.json").action
+        want = reference_saturate(act, reference_order_differences(act))
+        assert null_ideal(act).dim == len(want)
+        assert rows_equal(null_ideal(act).basis, want)
+
+    def test_sim3_seed_span_is_the_saturated_reference(self, sim3):
+        want = reference_saturate(sim3.action, reference_order_differences(sim3.action))
+        assert null_ideal(sim3.action).dim == len(want) == 54
+        assert rows_equal(null_ideal(sim3.action).basis, want)
+
+    def test_twisted_non_action_is_not_an_ideal(self):
+        # before the closure check this saturated silently to the whole space
+        act = fixtures.twisted_sim2()
+        seeds = reference_order_differences(act)
+        assert len(orth_rows(seeds)) == 16
+        assert len(reference_saturate(act, seeds)) == act.total_dim == 32
+        structure_tensor(act)  # every summand stays in its ideal
+        with pytest.raises(PA1Violation):
+            validate_action(act)
+        with pytest.raises(NotAnIdeal) as err:
+            null_ideal(act)
+        assert err.value.witness == ("(1>2,2>1)", 0, "right")
+
+    @PYTHON_FLAGS
+    def test_twisted_non_action_is_named_under_python_flags(self, flags):
+        code = (
+            "import fixtures\n"
+            "from semicross.ell1 import null_ideal\n"
+            "from semicross.errors import CheckError\n"
+            "try:\n"
+            "    null_ideal(fixtures.twisted_sim2())\n"
+            "except CheckError as err:\n"
+            "    print(err.code, *err.witness)\n"
+        )
+        result = run_python(flags, code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["NotAnIdeal", "(1>2,2>1)", "0", "right"]
+
+    def test_sim4_null_and_quotient_in_bounded_time_and_memory(self):
+        # sim_4 acting on C({1..4}): D = sum over k of C(4,k)^2 k! k coordinates,
+        # and the quotient has one coordinate per germ, n^2 = 16 of them
+        code = (
+            "import resource\n"
+            "from semicross import PartialBijection as P, PartialSetAction, generate_semigroup\n"
+            "from semicross import induce_action, null_ideal, quotient_algebra\n"
+            "x = (1, 2, 3, 4)\n"
+            "gens = [P.from_dict(x, {1: 2, 2: 1, 3: 3, 4: 4}),\n"
+            "        P.from_dict(x, {1: 2, 2: 3, 3: 4, 4: 1}), P.identity(x, (2, 3, 4))]\n"
+            "sg = generate_semigroup(gens)\n"
+            "act = induce_action(PartialSetAction.tautological(sg))\n"
+            "null = null_ideal(act)\n"
+            "quot = quotient_algebra(act, null.basis)\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(len(sg), act.total_dim, null.dim, quot.dim, rss)\n"
+        )
+        start = time.perf_counter()
+        result = run_python([], code)
+        wall = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        size, dim, null, quot, rss_kib = map(int, result.stdout.split())
+        D = sum(comb(4, k) ** 2 * factorial(k) * k for k in range(5))
+        assert (size, dim, null, quot) == (209, D, D - 16, 16)
+        assert rss_kib < 1024**2, f"peak RSS {rss_kib / 1024:.0f} MiB"
+        assert wall < 30.0, f"{wall:.1f} s"
 
     def test_null_is_convolution_invariant(self, semi, sim2):
         for inst in (semi, sim2):
@@ -416,6 +520,25 @@ class TestQuotientNorm:
         null = null_ideal(flip.action)
         f = mono(flip, "(1>2)", D2) + mono(flip, "id{1}", 2 * D1)
         assert quotient_ell1_norm(f, null.basis) == pytest.approx(ell1_norm(f))
+
+    @PYTHON_FLAGS
+    def test_failed_lp_is_a_named_error(self, flags):
+        code = (
+            "import types, numpy, scipy.optimize, fixtures\n"
+            "from semicross.ell1 import Ell1Element, null_ideal, quotient_ell1_norm\n"
+            "from semicross.errors import CheckError\n"
+            "scipy.optimize.linprog = lambda *args, **kwargs: types.SimpleNamespace(\n"
+            "    status=2, message='infeasible', fun=0.0)\n"
+            "act = fixtures.semi().action\n"
+            "f = Ell1Element.from_dense(act, numpy.ones(act.total_dim))\n"
+            "try:\n"
+            "    quotient_ell1_norm(f, null_ideal(act).basis)\n"
+            "except CheckError as err:\n"
+            "    print(err.code, err.status)\n"
+        )
+        result = run_python(flags, code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["QuotientNormLPFailed", "2"]
 
     def test_never_exceeds_the_norm(self, sim2):
         null = null_ideal(sim2.action)

@@ -1,12 +1,16 @@
 """Law-level properties driven by hypothesis: partial bijection algebra,
-closure invariants, and the section-algebra axioms under random coefficients."""
+closure invariants, the section-algebra axioms under random coefficients,
+and the null ideal of random induced actions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures
-from semicross.ell1 import Ell1Element, convolve, ell1_norm, involution
+from reference import reference_order_differences, reference_saturate
+from semicross._linalg import rows_equal
+from semicross.actions import PartialSetAction, induce_action
+from semicross.ell1 import Ell1Element, convolve, ell1_norm, involution, null_ideal
 from semicross.semigroups import PartialBijection, generate_semigroup
 
 CARRIER = ("1", "2", "3")
@@ -127,3 +131,15 @@ class TestSectionAlgebraLaws:
         lhs = convolve(f + g, h)
         rhs = convolve(f, h) + convolve(g, h)
         assert lhs.allclose(rhs, tol=1e-9)
+
+
+class TestNullIdealLaws:
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(partial_bijections(), min_size=1, max_size=2))
+    def test_seed_span_is_the_saturated_ideal(self, gens):
+        # the identity puts every point in an idempotent's domain, so PA2 holds
+        sg = generate_semigroup([PartialBijection.identity(CARRIER), *gens])
+        act = induce_action(PartialSetAction.tautological(sg))
+        want = reference_saturate(act, reference_order_differences(act))
+        assert null_ideal(act).dim == len(want)
+        assert rows_equal(null_ideal(act).basis, want)

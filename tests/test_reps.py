@@ -321,15 +321,15 @@ class TestIntegrate:
         seminorm_kernel([sim2_reg], tol=1e-8)
         assert seen == [1e-8, 1e-8]
 
-    def test_one_saturation_per_action_and_tolerance(self, monkeypatch):
+    def test_one_seed_span_per_action_and_tolerance(self, monkeypatch):
         seen = []
-        real = semicross.ell1._saturate
+        real = semicross.ell1._order_differences
 
-        def spy(action, seed_rows, tol):
+        def spy(action, tol):
             seen.append(tol)
-            return real(action, seed_rows, tol)
+            return real(action, tol)
 
-        monkeypatch.setattr(semicross.ell1, "_saturate", spy)
+        monkeypatch.setattr(semicross.ell1, "_order_differences", spy)
         inst = fixtures.sim2()  # a fresh action, nothing memoized yet
         rep = inst.regular(2)
         null_ideal(inst.action)

@@ -217,12 +217,12 @@ def _ideal_witness(action: Action, basis: np.ndarray, comp: np.ndarray, tol: flo
     on that space; it is an ideal iff comp @ (m_i * x) = 0 = comp @ (x * m_i)
     for every row x and every m_i, one (q, rows) product per m_i and side."""
     I, J, K, C = structure_tensor(action, tol)
-    rows = np.ascontiguousarray(basis.T)
+    basis_t = np.ascontiguousarray(basis.T)
     for side, outer, inner in (("left", I, J), ("right", J, I)):
         ends = np.cumsum(np.bincount(outer, minlength=action.total_dim))[:-1]
         for i, e in enumerate(np.split(np.argsort(outer, kind="stable"), ends)):  # by m_i
             # column x: comp @ (m_i * x) on the left, comp @ (x * m_i) on the right
-            off = (comp[:, K[e]] * C[e]) @ rows[inner[e]]
+            off = (comp[:, K[e]] * C[e]) @ basis_t[inner[e]]
             if np.any(np.linalg.norm(off, axis=0) > tol):
                 t = [t for t, o in action.offsets.items() if o <= i][-1]
                 return action.semigroup.labels[t], i - action.offsets[t], side

@@ -23,7 +23,13 @@ from .algebras import (
     ideal_validate,
     pauts_equal,
 )
-from .errors import CarrierMismatch, NonzeroIdealAtZero, PA1Violation, PA2SpanDeficit
+from .errors import (
+    CarrierMismatch,
+    NonzeroIdealAtZero,
+    NotGeneratedByMaps,
+    PA1Violation,
+    PA2SpanDeficit,
+)
 from .reporting import CheckReport
 from .semigroups import InvSemigroup, check_homomorphism
 
@@ -90,7 +96,8 @@ class PartialSetAction:
     @classmethod
     def tautological(cls, sg: InvSemigroup) -> "PartialSetAction":
         """A generated semigroup acting on its own carrier by its elements."""
-        assert sg.pbijs is not None, "semigroup was not generated from partial maps"
+        if sg.pbijs is None:
+            raise NotGeneratedByMaps("semigroup was not generated from partial maps")
         return cls(sg, sg.pbijs[0].carrier, sg.pbijs)
 
     def validate(self) -> None:

@@ -116,8 +116,7 @@ def _run_validate(args, inst: ParsedInstance, out: dict) -> None:
         _say(args, f"note: {note}")
     out["notes"] = list(inst.notes)
     components = CheckReport("action components")
-    star = validate_inverse(inst.semigroup.table)
-    assert np.array_equal(star, inst.semigroup.star), "stored star map is wrong"
+    validate_inverse(inst.semigroup.table)
     components.add("semigroup", "table is an inverse semigroup", True)
     validate_algebra(inst.algebra, seed=args.seed, tol=args.tol)
     components.add("algebra", "associative, submultiplicative, star laws", True)

@@ -60,6 +60,10 @@ class IdempotentsDoNotCommute(CheckError):
         super().__init__(f"idempotents {pair} do not commute")
 
 
+class NotGeneratedByMaps(CheckError):
+    pass
+
+
 class NotAHomomorphism(CheckError):
     def __init__(self, s, t):
         self.pair = (s, t)
@@ -223,6 +227,50 @@ class DegenerateRepresentation(CheckError):
     def __init__(self, which):
         self.which = which
         super().__init__(f"representation {which} is degenerate (span pi(A)E != E)")
+
+
+class NullNotKilled(CheckError):
+    def __init__(self, row: int):
+        self.row = row
+        super().__init__(f"integrated map does not kill null ideal basis row {row}")
+
+
+class NotHilbertSpace(CheckError):
+    pass
+
+
+class NotNormalized(CheckError):
+    pass
+
+
+class StarNotPreserved(CheckError):
+    def __init__(self, basis_index: int):
+        self.basis_index = basis_index
+        super().__init__(f"pi does not preserve the involution at basis vector {basis_index}")
+
+
+class AdjointFormulaViolation(CheckError):
+    def __init__(self, t):
+        self.element = t
+        super().__init__(f"adjoint formula fails at element {t}")
+
+
+class GradingNotSaturated(CheckError):
+    def __init__(self, t):
+        self.element = t
+        super().__init__(f"grading is not saturated at element {t}")
+
+
+class NotInvertibleIsometry(CheckError):
+    def __init__(self, g):
+        self.element = g
+        super().__init__(f"v at {g} is not an invertible isometry")
+
+
+class GroupConvolutionMismatch(CheckError):
+    def __init__(self, s, t):
+        self.pair = (s, t)
+        super().__init__(f"group and semigroup convolutions disagree at ({s}, {t})")
 
 
 class NotAGroup(CheckError):

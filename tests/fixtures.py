@@ -16,6 +16,9 @@
   W the swap on the block of point 2.  Each alpha_t is still a partial
   automorphism with alpha_{t*} its inverse, but alpha at (1>2) is no longer
   the restriction of alpha at (1>2,2>1), so PA1 fails; never validated.
+* ``with_v_at``, ``padded`` and ``cr_perturbations``: a pair with one
+  v_t replaced, with dead coordinates appended, and with random junk added
+  off the essential blocks of v.
 * ``generator_lists``: a hypothesis strategy for one to three random
   partial bijections on a carrier {1..n}, n <= 4.
 """
@@ -29,7 +32,8 @@ from hypothesis import strategies as st
 
 from semicross.actions import Action, PartialSetAction, induce_action
 from semicross.algebras import Ideal, PartialAut, matrix_algebra
-from semicross.reps import CovariantRep, regular_rep
+from semicross.errors import CheckError
+from semicross.reps import CovariantRep, ReprSpace, check_algebraic, regular_rep
 from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
 
 POINTS = ("1", "2")
@@ -115,6 +119,59 @@ def twisted_sim2() -> Action:
         matrix = np.array(rows).reshape(-1, A.dim)
         pauts.append(PartialAut(ideal(m.domain), ideal(m.image), matrix))
     return Action(sg, A, tuple(pauts))
+
+
+def with_v_at(rep, label, matrix):
+    v = rep.v.copy()
+    v[rep.action.semigroup.index(label)] = matrix
+    return rep.with_v(v)
+
+
+def padded(rep, extra=1):
+    """The same pair on a space with ``extra`` dead coordinates appended.
+
+    Nondegenerate pairs (the group case) leave no room for covariant junk,
+    so perturbation tests act on this degenerate extension instead.
+    """
+    n = rep.space.dim
+    m = n + extra
+    pi = np.zeros((rep.pi.shape[0], m, m), dtype=complex)
+    pi[:, :n, :n] = rep.pi
+    v = np.zeros((rep.v.shape[0], m, m), dtype=complex)
+    v[:, :n, :n] = rep.v
+    return CovariantRep(rep.action, ReprSpace(m, rep.space.p), pi, v)
+
+
+def cr_perturbations(rep, count, seed, scale=0.5):
+    """Random junk added off the essential blocks of v, filtered to retain
+    the algebraic axioms; normalization must erase all of it."""
+    sg = rep.action.semigroup
+    act = rep.action
+    n = rep.space.dim
+    eye = np.eye(n, dtype=complex)
+    rng = np.random.default_rng(seed)
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 100 * count:
+        attempts += 1
+        t = int(rng.integers(len(sg)))
+        left = eye - rep.pi_of(act.ideal(t).unit)
+        right = eye - rep.pi_of(act.ideal(sg.inv(t)).unit)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        junk = left @ raw @ right
+        norm = rep.opnorm(junk)
+        if norm < 1e-12:
+            continue
+        v = rep.v.copy()
+        v[t] = v[t] + (scale / norm) * junk
+        cand = rep.with_v(v)
+        try:
+            check_algebraic(cand)
+        except CheckError:
+            continue
+        out.append(cand)
+    assert len(out) == count, "could not build enough covariant perturbations"
+    return out
 
 
 @st.composite

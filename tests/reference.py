@@ -25,32 +25,64 @@ time, as ``quotient_ell1_norm`` did before ``ell1._quotient_lp``.
 ``reference_saturate`` grows the span of ``reference_order_differences``
 by rounds of products with the spanning monomials until it stops growing,
 as ``null_ideal`` did before it checked once that the span is closed.
+
+``reference_check_spatial``, ``reference_check_algebraic``,
+``reference_is_normalized``, ``reference_normalize``,
+``reference_grading_space``, ``reference_integrate_matrix``,
+``reference_adjoint_check`` and ``reference_group_isometries`` are the
+per-pair and per-basis-vector loops behind the covariant-pair checks, which
+now contract stacks of pi-images and essential products.  The
+``*_consequences`` functions assert the facts that the checks of a pair, an
+inverse semigroup or a partial automorphism force, which ``semicross`` no
+longer re-proves on every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from semicross._linalg import DEFAULT_TOL, orth_rows
+from semicross._linalg import DEFAULT_TOL, orth_rows, rows_equal, rows_leq
 from semicross.algebras import (
     PautCertificate,
     _is_block_permutation,
     _is_delta_permutation,
 )
-from semicross.ell1 import N_FACETS, Ell1Element, convolve, ell1_norm, monomials
+from semicross.ell1 import (
+    N_FACETS,
+    Ell1Element,
+    convolve,
+    ell1_norm,
+    monomials,
+    null_ideal,
+    structure_tensor,
+)
 from semicross.errors import (
     ActionMismatch,
+    AdjointFormulaViolation,
     CarrierMismatch,
+    CR1Violation,
+    CR2Violation,
+    CR3Violation,
+    DegenerateRepresentation,
+    GradingNotSaturated,
+    NoStarOnAlgebra,
     NotAnIdeal,
     NotAnInvolution,
     NotAssociative,
     NotBijective,
     NotContractive,
+    NotHilbertSpace,
+    NotInvertibleIsometry,
     NotIsometric,
     NotMultiplicative,
+    NotNormalized,
+    NotSemigroupHom,
     NotSubmultiplicative,
     NoUnit,
+    SCR1Violation,
+    SCR2RangeMismatch,
     SizeCapExceeded,
+    StarNotPreserved,
 )
 from semicross.semigroups import DEFAULT_CAP, InvSemigroup, PartialBijection
 
@@ -320,11 +352,10 @@ def reference_integrate_contractive(integrated, tol=DEFAULT_TOL, seed=0, samples
     rep = integrated.rep
     act = rep.action
     draws = np.random.default_rng(seed).standard_normal((samples, 2, act.total_dim))
-    for re, im in draws:
+    for k, (re, im) in enumerate(draws):
         f = Ell1Element.from_dense(act, re + 1j * im)
-        assert rep.opnorm(integrated.apply(f)) <= ell1_norm(f) + tol, (
-            "integration is not contractive on a sampled section"
-        )
+        if not rep.opnorm(integrated.apply(f)) <= ell1_norm(f) + tol:
+            raise NotContractive("integrated map", f"it expands sampled section {k}")
 
 
 def reference_quotient_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
@@ -383,3 +414,257 @@ def reference_quotient_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
     objective[var_m0 : var_m0 + n_m] = 1.0
     bounds = [(None, None)] * var_m0 + [(0, None)] * (n_m + n_aux)
     return objective, np.array(rows).reshape(-1, n_vars), np.array(rhs), bounds
+
+
+# ----------------------------------------------------------- covariant pairs
+#
+# The per-pair, per-basis-vector loops that the stacked checks in
+# ``semicross.reps`` replaced, raising the same classes with the same
+# first-failure payloads, and below them the facts that ``reps`` no longer
+# re-proves at run time because they follow from the checks that passed.
+
+
+def reference_check_intertwining(rep, tol, errcls) -> None:
+    sg = rep.action.semigroup
+    for t in range(len(sg)):
+        src = rep.action.paut(t).source
+        for i, a in enumerate(src.basis):
+            lhs = rep.v[t] @ rep.pi_of(a)
+            rhs = rep.pi_of(rep.action.apply(t, a, tol)) @ rep.v[t]
+            if not np.allclose(lhs, rhs, atol=tol, rtol=0.0):
+                raise errcls(sg.labels[t], i)
+
+
+def reference_essential_space(rep, t, tol=DEFAULT_TOL) -> np.ndarray:
+    """Row-space description of span(pi(I_t) E)."""
+    basis = rep.action.ideal(t).basis
+    if basis.shape[0] == 0:
+        return np.zeros((0, rep.space.dim), dtype=complex)
+    cols = np.hstack([rep.pi_of(a) for a in basis])
+    return orth_rows(cols.T, tol)
+
+
+def reference_check_spatial(rep, tol=DEFAULT_TOL) -> None:
+    sg = rep.action.semigroup
+    reference_check_intertwining(rep, tol, SCR1Violation)
+    for t in range(len(sg)):
+        vrange = orth_rows(rep.v[t].T, tol)
+        if not rows_equal(vrange, reference_essential_space(rep, t, tol), tol):
+            raise SCR2RangeMismatch(sg.labels[t])
+    for s in range(len(sg)):
+        for t in range(len(sg)):
+            if not np.allclose(rep.v[s] @ rep.v[t], rep.v[sg.mul(s, t)], atol=tol, rtol=0.0):
+                raise NotSemigroupHom(sg.labels[s], sg.labels[t])
+
+
+def reference_check_algebraic(rep, tol=DEFAULT_TOL) -> None:
+    sg, act = rep.action.semigroup, rep.action
+    reference_check_intertwining(rep, tol, CR1Violation)
+    for s in range(len(sg)):
+        for t in range(len(sg)):
+            st = sg.mul(s, t)
+            for a in act.ideal(st).basis:
+                pa = rep.pi_of(a)
+                if not np.allclose(pa @ rep.v[s] @ rep.v[t], pa @ rep.v[st], atol=tol, rtol=0.0):
+                    raise CR2Violation(sg.labels[s], sg.labels[t])
+    for e in sg.idempotents:
+        for a in act.ideal(e).basis:
+            pa = rep.pi_of(a)
+            if not np.allclose(pa @ rep.v[e], pa, atol=tol, rtol=0.0):
+                raise CR3Violation(sg.labels[e])
+
+
+def reference_is_normalized(rep, tol=DEFAULT_TOL) -> bool:
+    sg = rep.action.semigroup
+    for t in range(len(sg)):
+        unit = rep.action.ideal(t).unit
+        if not np.allclose(rep.pi_of(unit) @ rep.v[t], rep.v[t], atol=tol, rtol=0.0):
+            return False
+        unit_star = rep.action.ideal(sg.inv(t)).unit
+        if not np.allclose(rep.v[t] @ rep.pi_of(unit_star), rep.v[t], atol=tol, rtol=0.0):
+            return False
+    return True
+
+
+def reference_normalize(rep, tol=DEFAULT_TOL):
+    reference_check_algebraic(rep, tol)
+    act = rep.action
+    return rep.with_v(
+        np.array([rep.pi_of(act.ideal(t).unit) @ rep.v[t] for t in range(len(act.semigroup))])
+    )
+
+
+def reference_grading_space(rep, t, tol=DEFAULT_TOL) -> np.ndarray:
+    """Flattened span of {pi(a) v_t : a in I_t}."""
+    basis = rep.action.ideal(t).basis
+    if basis.shape[0] == 0:
+        return np.zeros((0, rep.space.dim ** 2), dtype=complex)
+    return orth_rows(np.array([(rep.pi_of(a) @ rep.v[t]).ravel() for a in basis]), tol)
+
+
+def reference_range_space(rep, tol=DEFAULT_TOL) -> np.ndarray:
+    """Flattened span of all the grading subspaces."""
+    sg = rep.action.semigroup
+    rows = np.vstack([reference_grading_space(rep, t, tol) for t in range(len(sg))])
+    return orth_rows(rows, tol)
+
+
+def reference_integrate_matrix(rep) -> np.ndarray:
+    """Columns pi(a) v_t, t over the nonzero elements and a over the basis of I_t."""
+    act, n = rep.action, rep.space.dim
+    cols = []
+    for t in act.nonzero_elements:
+        for a in act.ideal(t).basis:
+            cols.append((rep.pi_of(a) @ rep.v[t]).ravel())
+    return np.array(cols).T.reshape(n * n, act.total_dim)
+
+
+def reference_adjoint_check(rep, tol=DEFAULT_TOL) -> None:
+    act = rep.action
+    sg, A, n = act.semigroup, act.algebra, rep.space.dim
+    if rep.space.p != 2:
+        raise NotHilbertSpace(f"adjoints need the 2-norm, not p = {rep.space.p}")
+    if A.star_mat is None:
+        raise NoStarOnAlgebra("adjoints need an involution")
+    if not reference_is_normalized(rep, tol):
+        raise NotNormalized("the adjoint formula is stated for normalized pairs")
+    eye = np.eye(A.dim, dtype=complex)
+    for i in range(A.dim):
+        if not np.allclose(rep.pi_of(A.star(eye[i])), rep.pi[i].conj().T, atol=tol, rtol=0.0):
+            raise StarNotPreserved(i)
+    for t in range(len(sg)):
+        ts = sg.inv(t)
+        for a in act.ideal(t).basis:
+            lhs = (rep.pi_of(a) @ rep.v[t]).conj().T
+            rhs = rep.pi_of(act.apply(ts, A.star(a), tol)) @ rep.v[ts]
+            if not np.allclose(lhs, rhs, atol=tol, rtol=0.0):
+                raise AdjointFormulaViolation(sg.labels[t])
+        lhs_space = reference_grading_space(rep, t, tol).conj()
+        lhs_space = lhs_space.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
+        if not rows_equal(lhs_space, reference_grading_space(rep, ts, tol), tol):
+            raise GradingNotSaturated(sg.labels[t])
+
+
+def reference_group_isometries(rep, tol=DEFAULT_TOL) -> None:
+    """The pair checks of ``group_case_check(action, rep)``."""
+    sg = rep.action.semigroup
+    if not rep.is_nondegenerate(tol):
+        raise DegenerateRepresentation("given to the group check")
+    if not reference_is_normalized(rep, tol):
+        raise NotNormalized("the group check is stated for normalized pairs")
+    for g in range(len(sg)):
+        m = rep.v[g]
+        try:
+            inverse_norm = rep.opnorm(np.linalg.inv(m))
+        except np.linalg.LinAlgError:
+            inverse_norm = np.inf
+        if not (rep.opnorm(m) <= 1.0 + tol and inverse_norm <= 1.0 + tol):
+            raise NotInvertibleIsometry(sg.labels[g])
+
+
+def spatial_consequences(rep, tol=DEFAULT_TOL) -> None:
+    """Forced for a pair that passed ``check_spatial``: v_t v_t* v_t = v_t,
+    from the homomorphism check since t t* t = t."""
+    sg = rep.action.semigroup
+    for t in range(len(sg)):
+        ts = sg.inv(t)
+        assert np.allclose(
+            rep.v[t] @ rep.v[ts] @ rep.v[t], rep.v[t], atol=tol, rtol=0.0
+        ), f"partial isometry identity fails at {t}"
+
+
+def algebraic_consequences(rep, tol=DEFAULT_TOL) -> None:
+    """Forced for a pair that passed ``check_algebraic``, by CR1-CR3 with
+    I_t = I_tt* and alpha_e = id: alternate covariance, and the co-unit and
+    left-unit laws."""
+    sg, act = rep.action.semigroup, rep.action
+    for t in range(len(sg)):
+        ts = sg.inv(t)
+        for a in act.paut(t).source.basis:
+            lhs = rep.v[t] @ rep.pi_of(a) @ rep.v[ts]
+            rhs = rep.pi_of(act.apply(t, a, tol))
+            assert np.allclose(lhs, rhs, atol=tol, rtol=0.0), f"alternate covariance fails at {t}"
+        for a in act.ideal(t).basis:
+            pa = rep.pi_of(a)
+            assert np.allclose(pa @ rep.v[t] @ rep.v[ts], pa, atol=tol, rtol=0.0), (
+                f"co-unit law fails at {t}"
+            )
+    for e in sg.idempotents:
+        for a in act.ideal(e).basis:
+            pa = rep.pi_of(a)
+            assert np.allclose(rep.v[e] @ pa, pa, atol=tol, rtol=0.0), (
+                f"left unit law fails at {e}"
+            )
+
+
+def normalization_consequences(rep, out, tol=DEFAULT_TOL) -> None:
+    """Forced for ``out = normalize(rep)`` of an algebraic pair: out.v is a
+    homomorphism with out.v_e = pi(1_e), the essential products and the range
+    are unchanged, the right unit law holds, and normalizing is idempotent."""
+    sg, act = rep.action.semigroup, rep.action
+    for s in range(len(sg)):
+        for t in range(len(sg)):
+            assert np.allclose(
+                out.v[s] @ out.v[t], out.v[sg.mul(s, t)], atol=tol, rtol=0.0
+            ), "normalized v is not a semigroup homomorphism"
+    for e in sg.idempotents:
+        assert np.allclose(
+            out.v[e], rep.pi_of(act.ideal(e).unit), atol=tol, rtol=0.0
+        ), "normalized v_e differs from pi(1_e)"
+    for t in range(len(sg)):
+        for a in act.ideal(t).basis:
+            pa = rep.pi_of(a)
+            assert np.allclose(pa @ rep.v[t], pa @ out.v[t], atol=tol, rtol=0.0), (
+                "normalization changed an essential product"
+            )
+        unit_star = act.ideal(sg.inv(t)).unit
+        assert np.allclose(
+            out.v[t] @ rep.pi_of(unit_star), out.v[t], atol=tol, rtol=0.0
+        ), "right unit law fails after normalization"
+    assert rows_equal(reference_range_space(rep, tol), reference_range_space(out, tol), tol), (
+        "normalization changed the range"
+    )
+    again = np.array([out.pi_of(act.ideal(t).unit) @ out.v[t] for t in range(len(sg))])
+    assert np.allclose(again, out.v, atol=tol, rtol=0.0), "normalization is not idempotent"
+
+
+def kernel_consequences(family, kernel, tol=DEFAULT_TOL) -> None:
+    """Forced for the kernel of a family of algebraic pairs: every order
+    difference a delta_s - a delta_t dies, since CR1-CR3 give
+    pi(a) v_t = pi(a) v_t v_{s*s} = pi(a) v_s for s <= t and a in I_s."""
+    null = null_ideal(family[0].action, tol).basis
+    assert rows_leq(null, kernel, tol), "kernel does not contain the order differences"
+
+
+def tensor_consequences(action, tol=DEFAULT_TOL) -> None:
+    """Forced by the way ``structure_tensor`` is built: the product of
+    monomials at s and t lands in the block of st."""
+    I, J, K, _ = structure_tensor(action, tol)
+    owner = np.repeat(list(action.offsets), [action.ideal(t).dim for t in action.offsets])
+    assert np.all(action.semigroup.table[owner[I], owner[J]] == owner[K]), "a product lands off st"
+
+
+def order_consequences(sg) -> None:
+    """Forced for an inverse semigroup: the natural order is a partial order."""
+    leq = np.zeros((len(sg), len(sg)), dtype=bool)
+    for s, t in sg.order:
+        leq[s, t] = True
+    assert leq.diagonal().all(), "natural order is not reflexive"
+    assert not (leq & leq.T)[~np.eye(len(sg), dtype=bool)].any(), "not antisymmetric"
+    assert not (((leq.astype(int) @ leq.astype(int)) > 0) & ~leq).any(), "not transitive"
+
+
+def embedding_consequences(sg, maps) -> None:
+    """Forced by Wagner-Preston for the regular embedding of an inverse
+    semigroup: it is injective and commutes with the star."""
+    assert len({m.pairs for m in maps}) == len(sg), "embedding is not injective"
+    for t, m in enumerate(maps):
+        assert maps[sg.inv(t)].pairs == m.invert().pairs, "embedding does not commute with star"
+
+
+def paut_consequences(phi, tol=DEFAULT_TOL) -> None:
+    """Forced for a partial automorphism that passed ``paut_validate``: a
+    multiplicative bijection sends the unit to the (unique) target unit."""
+    assert np.allclose(phi.apply(phi.source.unit, tol), phi.target.unit, atol=tol, rtol=0.0), (
+        "unit does not map to the target unit"
+    )

@@ -267,6 +267,40 @@ class TestConsoleScript:
         assert json.loads(result.stdout)["error"]["code"] == "NotMultiplicative"
 
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_seminorm_kernel_that_is_not_an_ideal(self, tmp_path, flags):
+        # pi = 1 at both points passes the algebraic checks, which do not ask
+        # pi to be multiplicative; its kernel is spanned by d_x - d_y
+        doc = {
+            "semigroup": {"carrier": ["x", "y"], "generators": [{"x": "x", "y": "y"}]},
+            "algebra": {"kind": "function", "points": ["x", "y"]},
+            "action": {"induced": True},
+            "representations": [{
+                "name": "r",
+                "space": {"dim": 1, "p": 2},
+                "pi": {"x": [[[1, 0]]], "y": [[[1, 0]]]},
+                "v": {"id{x,y}": [[[1, 0]]]},
+            }],
+        }
+        bad = tmp_path / "one_point.json"
+        bad.write_text(json.dumps(doc))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        cmd = [sys.executable, *flags, "-m", "semicross.cli"]
+        result = subprocess.run(
+            [*cmd, "--json", "build", str(bad), "--seminorm", "r"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1
+        doc = json.loads(result.stdout)
+        assert doc["error"]["code"] == "NotAnIdeal" and "build" not in doc
+        result = subprocess.run(
+            [*cmd, "build", str(bad), "--seminorm", "r"], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error[NotAnIdeal]: ")
+
+
 LAZY_SCIPY = """
 import contextlib, io, sys
 import semicross

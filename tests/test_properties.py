@@ -1,19 +1,40 @@
 """Law-level properties driven by hypothesis: partial bijection algebra,
 closure invariants, the section-algebra axioms under random coefficients,
-and the null ideal of random induced actions."""
+the null ideal of random induced actions, and the covariant-pair checks
+against their reference loops, with the facts those checks force."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures
+import reference
 from reference import reference_order_differences, reference_saturate
 from semicross._linalg import rows_equal
 from semicross.actions import PartialSetAction, induce_action
+from semicross.algebras import paut_validate
 from semicross.ell1 import Ell1Element, convolve, ell1_norm, involution, null_ideal
-from semicross.semigroups import PartialBijection, generate_semigroup
+from semicross.errors import CheckError
+from semicross.io_json import load_instance
+from semicross.reps import (
+    adjoint_check,
+    check_algebraic,
+    check_spatial,
+    grading_space,
+    group_case_check,
+    integrate,
+    is_normalized,
+    normalize,
+    regular_rep,
+    seminorm_kernel,
+)
+from semicross.semigroups import PartialBijection, generate_semigroup, wagner_preston_embed
 
 CARRIER = ("1", "2", "3")
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+SAMPLES = ["flip", "m2", "m2_swap", "semi", "semi_table", "sim2", "z2"]
 
 
 @st.composite
@@ -93,6 +114,24 @@ class TestClosureLaws:
                 assert sg.leq(s, t) == sg.pbijs[s].restricts(sg.pbijs[t])
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(partial_bijections(), min_size=1, max_size=2))
+    def test_order_and_embedding_consequences(self, gens):
+        sg = generate_semigroup(gens, cap=500)
+        reference.order_consequences(sg)
+        reference.embedding_consequences(sg, wagner_preston_embed(sg))
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_sample_semigroups_and_partial_automorphisms(name):
+    inst = load_instance(INSTANCES / f"{name}.json")
+    reference.order_consequences(inst.semigroup)
+    reference.embedding_consequences(inst.semigroup, wagner_preston_embed(inst.semigroup))
+    for phi in inst.action.pauts:
+        paut_validate(phi)
+        reference.paut_consequences(phi)
+
+
 class TestSectionAlgebraLaws:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -143,3 +182,85 @@ class TestNullIdealLaws:
         want = reference_saturate(act, reference_order_differences(act))
         assert null_ideal(act).dim == len(want)
         assert rows_equal(null_ideal(act).basis, want)
+
+
+# ------------------------------------------------ covariant pairs, forced facts
+
+
+def _loops_agree_and_forced_facts_hold(rep) -> None:
+    """The stacked checks against the loops of tests/reference.py (pass or
+    fail, class and message; the integrated and normalized matrices at
+    1e-12), then every fact that ``reps`` stopped re-proving at run time."""
+    act = rep.action
+
+    def outcome(check):
+        try:
+            check(rep)
+        except CheckError as err:
+            return type(err).__name__, str(err)
+        return None
+
+    for new, old in (
+        (check_spatial, reference.reference_check_spatial),
+        (check_algebraic, reference.reference_check_algebraic),
+        (adjoint_check, reference.reference_adjoint_check),
+    ):
+        assert outcome(new) == outcome(old), new.__name__
+    assert is_normalized(rep) == reference.reference_is_normalized(rep)
+    assert np.allclose(integrate(rep, check=False).matrix,
+                       reference.reference_integrate_matrix(rep), atol=1e-12, rtol=0.0)
+    for t in range(len(act.semigroup)):
+        assert rows_equal(grading_space(rep, t), reference.reference_grading_space(rep, t))
+    if act.semigroup.is_group:
+        got = outcome(lambda r: group_case_check(act, r))
+        assert got == outcome(reference.reference_group_isometries)
+    reference.tensor_consequences(act)
+    if outcome(check_spatial) is None:
+        reference.spatial_consequences(rep)
+    if outcome(check_algebraic) is None:
+        out = normalize(rep)
+        assert np.allclose(out.v, reference.reference_normalize(rep).v, atol=1e-12, rtol=0.0)
+        reference.algebraic_consequences(rep)
+        reference.normalization_consequences(rep, out)
+        reference.kernel_consequences([rep], seminorm_kernel([rep], require_nondegenerate=False))
+
+
+def _pairs(source: str) -> list:
+    """The pairs of one input: a sample file's representations, sim3's
+    regular pair, or covariant perturbations of a fixture's regular pair."""
+    kind, name = source.split(" ")
+    if kind == "sample":
+        return list(load_instance(INSTANCES / f"{name}.json").representations.values())
+    if kind == "regular":
+        return [fixtures.sim3().regular(2)]
+    return fixtures.cr_perturbations(fixtures.ALL[name]().regular(2), 3, seed=53)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [f"sample {name}" for name in SAMPLES]
+    + ["regular sim3"]
+    + [f"perturbed {name}" for name in ("flip", "semi", "sim2")],
+)
+def test_covariant_checks_and_their_consequences(source):
+    for rep in _pairs(source):
+        _loops_agree_and_forced_facts_hold(rep)
+
+
+class TestCovariantPairLaws:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(partial_bijections(), min_size=1, max_size=2), st.data())
+    def test_random_induced_actions(self, gens, data):
+        # the regular pair, a junk perturbation of its padded copy, and a
+        # pair with one v_t replaced at random, which most checks reject
+        sg = generate_semigroup([PartialBijection.identity(CARRIER), *gens])
+        theta = PartialSetAction.tautological(sg)
+        reg = regular_rep(theta, 2, action=induce_action(theta))
+        seed = data.draw(st.integers(0, 2**16))
+        (junky,) = fixtures.cr_perturbations(fixtures.padded(reg), 1, seed)
+        t = data.draw(st.integers(0, len(sg) - 1))
+        rng = np.random.default_rng(seed)
+        v = reg.v.copy()
+        v[t] = rng.integers(-1, 2, v[t].shape)
+        for rep in (reg, junky, reg.with_v(v)):
+            _loops_agree_and_forced_facts_hold(rep)

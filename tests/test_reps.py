@@ -1,10 +1,18 @@
 """Covariant representation checks, normalization, integration, seminorms,
 adjoints and the group specialization."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fixtures
+import reference
+from fixtures import cr_perturbations, padded, with_v_at
 import semicross.ell1
 import semicross.reps
 from semicross._linalg import DEFAULT_TOL, rows_equal, rows_leq
@@ -38,6 +46,9 @@ from semicross.reps import (
     seminorm_kernel,
     validate_rep,
 )
+from semicross.actions import Action, PartialSetAction, induce_action
+from semicross.algebras import PartialAut
+from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
 
 D1 = np.array([1, 0], dtype=complex)
 D2 = np.array([0, 1], dtype=complex)
@@ -47,61 +58,8 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
-def with_v_at(rep, label, matrix):
-    v = rep.v.copy()
-    v[rep.action.semigroup.index(label)] = matrix
-    return rep.with_v(v)
-
-
 def mono(inst, label, vec):
     return Ell1Element.monomial(inst.action, inst.semigroup.index(label), vec)
-
-
-def padded(rep, extra=1):
-    """The same pair on a space with ``extra`` dead coordinates appended.
-
-    Nondegenerate pairs (the group case) leave no room for covariant junk,
-    so perturbation tests act on this degenerate extension instead.
-    """
-    n = rep.space.dim
-    m = n + extra
-    pi = np.zeros((rep.pi.shape[0], m, m), dtype=complex)
-    pi[:, :n, :n] = rep.pi
-    v = np.zeros((rep.v.shape[0], m, m), dtype=complex)
-    v[:, :n, :n] = rep.v
-    return CovariantRep(rep.action, ReprSpace(m, rep.space.p), pi, v)
-
-
-def cr_perturbations(rep, count, seed, scale=0.5):
-    """Random junk added off the essential blocks of v, filtered to retain
-    the algebraic axioms; normalization must erase all of it."""
-    sg = rep.action.semigroup
-    act = rep.action
-    n = rep.space.dim
-    eye = np.eye(n, dtype=complex)
-    rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 100 * count:
-        attempts += 1
-        t = int(rng.integers(len(sg)))
-        left = eye - rep.pi_of(act.ideal(t).unit)
-        right = eye - rep.pi_of(act.ideal(sg.inv(t)).unit)
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        junk = left @ raw @ right
-        norm = rep.opnorm(junk)
-        if norm < 1e-12:
-            continue
-        v = rep.v.copy()
-        v[t] = v[t] + (scale / norm) * junk
-        cand = rep.with_v(v)
-        try:
-            check_algebraic(cand)
-        except CheckError:
-            continue
-        out.append(cand)
-    assert len(out) == count, "could not build enough covariant perturbations"
-    return out
 
 
 class TestRegularRep:
@@ -318,8 +276,8 @@ class TestIntegrate:
 
         monkeypatch.setattr(semicross.reps, "null_ideal", spy)
         integrate(sim2_reg, tol=1e-8, check=True)
-        seminorm_kernel([sim2_reg], tol=1e-8)
-        assert seen == [1e-8, 1e-8]
+        seminorm_kernel([sim2_reg], tol=1e-8)  # the kernel does not build N at all
+        assert seen == [1e-8]
 
     def test_one_seed_span_per_action_and_tolerance(self, monkeypatch):
         seen = []
@@ -596,3 +554,218 @@ class TestGroupCase:
     def test_not_a_group(self, flip):
         with pytest.raises(NotAGroup):
             group_case_check(flip.action)
+
+
+# ------------------------------------------- stacked checks against the loops
+
+
+def _star_broken():
+    """flip's regular pair conjugated by a non-unitary S: still a normalized
+    homomorphic pair, but pi(e_i) is no longer self-adjoint."""
+    reg, S = fixtures.flip().regular(2), np.array([[1.0, 1.0], [0.0, 1.0]])
+    Sinv = np.linalg.inv(S)
+    return CovariantRep(reg.action, reg.space, S @ reg.pi @ Sinv, S @ reg.v @ Sinv)
+
+
+def _saturation_broken():
+    """flip with alpha at (2>1) the zero map and v at (1>2) zero: the adjoint
+    formula holds at (1>2), yet A_(1>2)* = 0 misses A_(2>1) = C E12."""
+    reg = fixtures.flip().regular(2)
+    act, t = reg.action, reg.action.semigroup.index("(2>1)")
+    pauts = list(act.pauts)
+    pauts[t] = PartialAut(pauts[t].source, pauts[t].target, np.zeros((1, 2)))
+    rep = with_v_at(reg, "(1>2)", np.zeros((2, 2)))
+    return CovariantRep(Action(act.semigroup, act.algebra, tuple(pauts)),
+                        rep.space, rep.pi, rep.v)
+
+
+def _flip_reg():
+    return fixtures.flip().regular(2)
+
+
+def _semi_reg():
+    return fixtures.semi().regular(2)
+
+
+CRAFTED = {
+    "identity at id{1} of flip": lambda: with_v_at(_flip_reg(), "id{1}", np.eye(2)),
+    "identity at id{1} of semi": lambda: with_v_at(_semi_reg(), "id{1}", np.eye(2)),
+    "phase at (1>2)": lambda: with_v_at(_flip_reg(), "(1>2)", 1j * E21),
+    "CR1": lambda: with_v_at(_flip_reg(), "(1>2)", E21 + 0.5 * E22),
+    "CR2": lambda: with_v_at(_flip_reg(), "(1>2)", 0.5 * E21),
+    "CR3": lambda: with_v_at(_semi_reg(), "id{1}", np.zeros((2, 2))),
+    "off-block junk": lambda: with_v_at(_flip_reg(), "(1>2)", E21 + 0.5 * E12),
+    "junk at the zero": lambda: with_v_at(_flip_reg(), "0", E11 + 2 * E12),
+    "zero pair": lambda: CovariantRep(
+        _flip_reg().action, ReprSpace(2, 2), np.zeros((2, 2, 2)), np.zeros((5, 2, 2))
+    ),
+    "p = 1": lambda: fixtures.flip().regular(1),
+    "star not preserved": _star_broken,
+    "grading not saturated": _saturation_broken,
+}
+
+
+def outcome(check, *args):
+    """None when a check passes, else the class name and message it raises."""
+    try:
+        check(*args)
+    except CheckError as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_stacked_checks_raise_what_the_loops_raise(name):
+    rep = CRAFTED[name]()
+    for new, old in (
+        (check_spatial, reference.reference_check_spatial),
+        (check_algebraic, reference.reference_check_algebraic),
+        (normalize, reference.reference_normalize),
+        (adjoint_check, reference.reference_adjoint_check),
+    ):
+        assert outcome(new, rep) == outcome(old, rep), new.__name__
+    assert is_normalized(rep) == reference.reference_is_normalized(rep)
+    assert np.allclose(integrate(rep, check=False).matrix,
+                       reference.reference_integrate_matrix(rep), atol=1e-12, rtol=0.0)
+    if outcome(check_algebraic, rep) is None:
+        got, want = normalize(rep).v, reference.reference_normalize(rep).v
+        assert np.allclose(got, want, atol=1e-12, rtol=0.0)
+
+
+# ----------------------------------------- input checks raise named errors
+
+
+def _one_point_pair():
+    """C({x, y}) under the trivial action, pi = 1 at x and at y, v = 1: it
+    passes check_algebraic, but pi is not multiplicative."""
+    sg = generate_semigroup([PartialBijection.identity(("x", "y"))])
+    act = induce_action(PartialSetAction.tautological(sg))
+    return CovariantRep(act, ReprSpace(1, 2), np.ones((2, 1, 1)), np.ones((1, 1, 1)))
+
+
+def _expanding_pair():
+    """The trivial action on C({x}) sent to a non-orthogonal idempotent."""
+    sg = generate_semigroup([PartialBijection.identity(("x",))])
+    act = induce_action(PartialSetAction.tautological(sg))
+    return CovariantRep(act, ReprSpace(2, 2), np.array([[[1.0, 2.0], [0.0, 0.0]]]), np.eye(2))
+
+
+def _surviving_pair():
+    """semi onto C: f -> f(id{1,2})(1).  Multiplicative and contractive on
+    sections, but v at id{1} is 0, so delta_1 d_id{1} - delta_1 d_id{1,2}
+    survives."""
+    act = fixtures.semi().action
+    v = np.zeros((2, 1, 1))
+    v[act.semigroup.index("id{1,2}")] = 1.0
+    return CovariantRep(act, ReprSpace(1, 2), np.array([[[1.0]], [[0.0]]]), v)
+
+
+def _z2_group_check(**changes):
+    """group_case_check of z2's regular pair with pi or v replaced."""
+    reg = fixtures.z2().regular(2)
+    parts = {"pi": reg.pi, "v": reg.v, **changes}
+    rep = CovariantRep(reg.action, reg.space, parts["pi"], parts["v"])
+    return group_case_check(rep.action, rep)
+
+
+def _doubled_z2():
+    """z2 with alpha_g twice the swap: not multiplicative, so the group
+    formula a alpha_g(b) misses alpha_g(alpha_g(a) b) by a factor 2."""
+    act = fixtures.z2().action
+    g = act.semigroup.index("(1>2,2>1)")
+    pauts = list(act.pauts)
+    pauts[g] = PartialAut(pauts[g].source, pauts[g].target, 2 * pauts[g].matrix)
+    return Action(act.semigroup, act.algebra, tuple(pauts))
+
+
+def _no_star():
+    reg = _flip_reg()
+    A = dataclasses.replace(reg.action.algebra, star_mat=None)
+    act = Action(reg.action.semigroup, A, reg.action.pauts)
+    return CovariantRep(act, reg.space, reg.pi, reg.v)
+
+
+SWAP = E12 + E21
+# name -> (the call, the class it raises, the payload attribute and value)
+INPUT_CHECKS = {
+    "adjoints on p = 1": (lambda: adjoint_check(fixtures.flip().regular(1)),
+                          "NotHilbertSpace", None, None),
+    "adjoints without a star": (lambda: adjoint_check(_no_star()), "NoStarOnAlgebra", None, None),
+    "adjoints of a pair that is not normalized": (
+        lambda: adjoint_check(CRAFTED["off-block junk"]()), "NotNormalized", None, None),
+    "star not preserved": (lambda: adjoint_check(_star_broken()),
+                           "StarNotPreserved", "basis_index", 0),
+    "adjoint formula": (lambda: adjoint_check(CRAFTED["phase at (1>2)"]()),
+                        "AdjointFormulaViolation", "element", "(1>2)"),
+    "grading not saturated": (lambda: adjoint_check(_saturation_broken()),
+                              "GradingNotSaturated", "element", "(1>2)"),
+    "group check of a degenerate pair": (
+        lambda: group_case_check(fixtures.z2().action, padded(fixtures.z2().regular(2))),
+        "DegenerateRepresentation", None, None),
+    "group check of a pair that is not normalized": (
+        lambda: _z2_group_check(pi=0.5 * fixtures.z2().regular(2).pi),
+        "NotNormalized", None, None),
+    "v_g expands": (lambda: _z2_group_check(v=np.array([2 * SWAP, np.eye(2)])),
+                    "NotInvertibleIsometry", "element", "(1>2,2>1)"),
+    "v_g singular": (lambda: _z2_group_check(v=np.array([SWAP, E11 + E12])),
+                     "NotInvertibleIsometry", "element", "id{1,2}"),
+    "group convolutions disagree": (lambda: group_case_check(_doubled_z2()),
+                                    "GroupConvolutionMismatch", "pair",
+                                    ("(1>2,2>1)", "(1>2,2>1)")),
+    "integrate, not multiplicative": (lambda: integrate(_one_point_pair()),
+                                      "NotMultiplicative", "witness", (0, 1)),
+    "integrate, expanding": (lambda: integrate(_expanding_pair()),
+                             "NotContractive", "what", "integrated map"),
+    "integrate, order difference survives": (lambda: integrate(_surviving_pair()),
+                                             "NullNotKilled", "row", 0),
+    "seminorm kernel, not an ideal": (lambda: seminorm_kernel([_one_point_pair()]),
+                                      "NotAnIdeal", "witness", ("id{x,y}", 0, "left")),
+    "tautological action of a table": (
+        lambda: PartialSetAction.tautological(
+            InvSemigroup.from_table([[0]], labels=["1"])), "NotGeneratedByMaps", None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_CHECKS))
+def test_input_checks_raise_named_errors(name):
+    call, code, attr, value = INPUT_CHECKS[name]
+    with pytest.raises(CheckError) as err:
+        call()
+    assert err.value.code == code
+    if attr is not None:
+        assert getattr(err.value, attr) == value
+
+
+INPUT_CHECKS_UNDER_FLAGS = """
+import test_reps
+from semicross.errors import CheckError
+
+for name, (call, code, _, _) in test_reps.INPUT_CHECKS.items():
+    try:
+        call()
+        print(name, "passed")
+    except CheckError as err:
+        print(name, err.code)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_input_checks_survive_python_flags(flags):
+    # python -O strips assert statements; input checks must not rely on them
+    here = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", INPUT_CHECKS_UNDER_FLAGS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])},
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    want = [f"{name} {code}" for name, (_, code, _, _) in INPUT_CHECKS.items()]
+    assert run.stdout.splitlines() == want
+
+
+def test_integrate_expands_the_sample_the_loop_finds():
+    rep = _expanding_pair()
+    want = outcome(reference.reference_integrate_contractive, integrate(rep, check=False))
+    assert want is not None and outcome(integrate, rep) == want

@@ -15,14 +15,19 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def _kept(s: np.ndarray, tol: float) -> np.ndarray:
+    """The rank rule: which singular values (descending along the last axis,
+    one row per matrix of a stack) exceed tol * max(1, the largest)."""
+    return s > tol * np.maximum(1.0, s[..., :1])
+
+
 def orth_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal row basis of the row space of ``m``."""
     m = np.atleast_2d(as_complex(m))
     if m.size == 0 or m.shape[0] == 0:
         return np.zeros((0, m.shape[1] if m.ndim == 2 else 0), dtype=complex)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return vh[:rank]
+    return vh[: int(_kept(s, tol).sum())]
 
 
 def rank_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -36,8 +41,7 @@ def null_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if m.shape[0] == 0:
         return np.eye(d, dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return vh[rank:].conj()
+    return vh[int(_kept(s, tol).sum()) :].conj()
 
 
 def off_rows(resid: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -70,6 +74,21 @@ def rows_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def rows_equal(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return rows_leq(a, b, tol) and rows_leq(b, a, tol)
+
+
+def same_spans(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of two stacks (..., N, k), whether their column spans agree:
+    ``rows_equal`` of the transposes, by the same rank and residual rules."""
+    def basis(m):  # orthonormal columns up to the rank, zero columns after it
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        return u * _kept(s, tol)[..., None, :]
+
+    def inside(x, y):  # every column of x lies in the column span of y
+        resid = x - y @ (y.conj().swapaxes(-1, -2) @ x)
+        return ~off_rows(resid.swapaxes(-1, -2), x.swapaxes(-1, -2), tol).any(-1)
+
+    qa, qb = basis(a), basis(b)
+    return inside(qa, qb) & inside(qb, qa)
 
 
 def intersect_rows(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

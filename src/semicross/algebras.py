@@ -359,8 +359,7 @@ class PautCertificate:
 def paut_validate(
     phi: PartialAut, tol: float = DEFAULT_TOL, seed: int = 0, samples: int = 2000
 ) -> PautCertificate:
-    """Bijectivity, isometry and multiplicativity; a multiplicative bijection
-    then sends the unit to the (unique) target unit."""
+    """Bijectivity, isometry, multiplicativity, unit preservation."""
     ideal_validate(phi.source, tol)
     ideal_validate(phi.target, tol)
     A = phi.parent
@@ -377,6 +376,10 @@ def paut_validate(
     B, img = phi.source.basis, phi.apply(phi.source.basis, tol)
     if bad := first_far(phi.apply(A.mul(B[:, None], B), tol), A.mul(img[:, None], img), tol):
         raise NotMultiplicative(bad)
+    # forced: the homomorphic image of the unit is the (unique) target unit
+    assert np.allclose(
+        phi.apply(phi.source.unit, tol), phi.target.unit, atol=tol, rtol=0.0
+    ), "unit does not map to the target unit"
     return cert
 
 

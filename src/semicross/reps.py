@@ -17,8 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, first_far, null_rows, operator_norm, orth_rows
-from .actions import Action, PartialSetAction, induce_action
+from ._linalg import (
+    DEFAULT_TOL,
+    as_complex,
+    first_far,
+    null_rows,
+    operator_norm,
+    orth_rows,
+    same_spans,
+)
+from .actions import Action, PartialSetAction
 from .ell1 import Ell1Element, _ideal_witness, ell1_norms, null_ideal, structure_tensor
 from .errors import (
     AdjointFormulaViolation,
@@ -77,7 +85,7 @@ class CovariantRep:
         return operator_norm(m, self.space.p)
 
     def is_nondegenerate(self, tol: float = DEFAULT_TOL) -> bool:
-        cols = self.pi.transpose(1, 0, 2).reshape(self.space.dim, -1)  # the pi[i] side by side
+        cols = np.hstack([m for m in self.pi])
         return orth_rows(cols.T, tol).shape[0] == self.space.dim
 
     def with_v(self, new_v) -> "CovariantRep":
@@ -161,36 +169,6 @@ def _by_element(stack: np.ndarray, owner: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _same_spans(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Per matrix of two stacks (..., N, k), whether their column spans
-    agree; each span is cut at the rank rule of ``orth_rows``."""
-    def basis(m):
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        return u * (s > tol * np.maximum(1.0, s[..., :1]))[..., None, :]
-
-    def inside(x, y):  # every column of x (orthonormal or 0) lies in the span of y
-        resid = x - y @ (y.conj().swapaxes(-1, -2) @ x)
-        return (np.linalg.norm(resid, axis=-2) <= tol).all(-1)
-
-    qa, qb = basis(a), basis(b)
-    return inside(qa, qb) & inside(qb, qa)
-
-
-def _first_pair(rep: CovariantRep, left, right, dims, tol: float):
-    """First (s, t), s major, with left_a v_s v_t != right_a for a row a of
-    the block of st, where right_a stands for left_a v_st and element r owns
-    dims[r] rows; None if there is none.  One s at a time: the whole (s, t)
-    stack would take |S|^2 blocks."""
-    v, table, start = rep.v, rep.action.semigroup.table, np.cumsum(dims) - dims
-    for s in range(len(v)):
-        k = dims[table[s]]
-        t = np.repeat(np.arange(len(v)), k)  # rows of the block of st, t by t
-        rows = start[table[s]][t] + np.arange(len(t)) - (np.cumsum(k) - k)[t]
-        if bad := first_far(left[rows] @ (v[s] @ v)[t], right[rows], tol):
-            return s, int(t[bad[0]])
-    return None
-
-
 # ----------------------------------------------------------- axiom checkers
 
 
@@ -204,13 +182,13 @@ def check_spatial(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     owner, rows = _section_rows(act)
     # entry t: the matrices pi(a) side by side, a over the basis of I_t
     images = _by_element(rep.pi_of(rows), owner, len(sg)).transpose(0, 2, 1, 3)
-    bad = ~_same_spans(rep.v, images.reshape(len(sg), n, -1), tol)
+    bad = ~same_spans(rep.v, images.reshape(len(sg), n, -1), tol)
     if bad.any():
         raise SCR2RangeMismatch(sg.labels[np.argmax(bad)])
     report.add("SCR2", "essential range of every v_t", True)
-    eye = np.broadcast_to(np.eye(n), rep.v.shape)
-    if pair := _first_pair(rep, eye, rep.v, np.ones(len(sg), dtype=int), tol):
-        raise NotSemigroupHom(*(sg.labels[x] for x in pair))
+    for s in range(len(sg)):  # v_s v_t against v_st, t over every element
+        if bad := first_far(rep.v[s] @ rep.v, rep.v[sg.table[s]], tol):
+            raise NotSemigroupHom(sg.labels[s], sg.labels[bad[0]])
     report.add("hom", "v is a semigroup homomorphism", True)
     return report
 
@@ -239,10 +217,16 @@ def check_algebraic(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
                "membership of products in the algebra is automatic here")
     owner, rows = _section_rows(act)
     dims = np.array([act.ideal(t).dim for t in range(len(sg))])
-    images = rep.pi_of(rows)
+    start, images = np.cumsum(dims) - dims, rep.pi_of(rows)
     prods = images @ rep.v[owner]
-    if pair := _first_pair(rep, images, prods, dims, tol):
-        raise CR2Violation(*(sg.labels[x] for x in pair))
+    # pi(a) v_s v_t against pi(a) v_st, a over the basis of I_st; one s at a
+    # time, since the whole (s, t) stack would take |S|^2 blocks
+    for s in range(len(sg)):
+        k = dims[sg.table[s]]
+        t = np.repeat(np.arange(len(sg)), k)  # the rows of the block of st, t by t
+        at = start[sg.table[s]][t] + np.arange(len(t)) - (np.cumsum(k) - k)[t]
+        if bad := first_far(images[at] @ (rep.v[s] @ rep.v)[t], prods[at], tol):
+            raise CR2Violation(sg.labels[s], sg.labels[t[bad[0]]])
     report.add("CR2", "all (s, t) pairs", True, f"{len(sg) ** 2} pairs")
     at = np.isin(owner, sg.idempotents)
     if bad := first_far(prods[at], images[at], tol):
@@ -345,14 +329,19 @@ def regular_rep(theta: PartialSetAction, p, action: Action | None = None,
                 tol: float = DEFAULT_TOL) -> CovariantRep:
     """Canonical spatial pair on functions over the carrier: pi multiplies,
     v_t relocates coordinates along theta_{t*} on the image of theta_t."""
+    from .actions import induce_action
+
     act = action if action is not None else induce_action(theta)
     points = act.algebra.points
     n = len(points)
-    pi = np.einsum("ij,ik->ijk", np.eye(n), np.eye(n))  # pi(delta_i) = E_ii
+    pi = np.zeros((n, n, n), dtype=complex)
+    for i in range(n):
+        pi[i, i, i] = 1.0
     v = np.zeros((len(theta.maps), n, n), dtype=complex)
     for t, m in enumerate(theta.maps):
-        for x, y in m.pairs:  # v_t sends delta_x to delta_{theta_t(x)}
-            v[t, points.index(y), points.index(x)] = 1.0
+        inv = m.invert()
+        for x in inv.domain:  # x ranges over the image set of theta_t
+            v[t, points.index(x), points.index(inv(x))] = 1.0
     rep = CovariantRep(act, ReprSpace(n, p), pi, v)
     check_spatial(rep, tol)
     return rep
@@ -390,8 +379,9 @@ def seminorm_kernel(
 ) -> np.ndarray:
     """Common kernel of the integrated maps, checked to be a convolution
     ideal (else ``NotAnIdeal``: the family check does not ask pi to be
-    multiplicative).  It contains the order-difference ideal, since an
-    algebraic pair kills every order difference."""
+    multiplicative).  For a valid action it contains the order-difference
+    ideal, since an algebraic pair kills every order difference; the proof
+    uses the action laws, which are not checked here."""
     _require_family(family, tol, require_nondegenerate)
     act = family[0].action
     stacked = np.vstack([integrate(rep, tol, check=False).matrix for rep in family])
@@ -434,7 +424,7 @@ def adjoint_check(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     lhs_span, span = (
         _by_element(x.reshape(-1, n * n), owner, len(sg)).swapaxes(1, 2) for x in (lhs, prods)
     )
-    unsaturated = ~_same_spans(lhs_span, span[sg.star], tol)
+    unsaturated = ~same_spans(lhs_span, span[sg.star], tol)
     if unsaturated[:first].any():
         raise GradingNotSaturated(sg.labels[np.argmax(unsaturated)])
     if bad:

@@ -221,10 +221,17 @@ def validate_inverse(table) -> np.ndarray:
 
 
 def natural_order(sg: InvSemigroup) -> frozenset:
-    """Pairs (s, t) with s <= t, i.e. s = t (s* s); a partial order on an
-    inverse semigroup."""
-    every = np.arange(len(sg))
+    """Pairs (s, t) with s <= t, i.e. s = t (s* s); asserted to be a partial order."""
+    n = len(sg)
+    every = np.arange(n)
     leq = sg.table[:, sg.table[sg.star, every]].T == every[:, None]  # [s, t]
+    assert leq[every, every].all(), "natural order is not reflexive"
+    assert not (leq & leq.T)[~np.eye(n, dtype=bool)].any(), (
+        "natural order is not antisymmetric"
+    )
+    for s in range(n):
+        below, above = np.flatnonzero(leq[:, s]), np.flatnonzero(leq[s])
+        assert leq[np.ix_(below, above)].all(), "natural order is not transitive"
     s, t = np.nonzero(leq)
     return frozenset(zip(s.tolist(), t.tolist()))
 
@@ -363,8 +370,8 @@ def _check_rows(sg: InvSemigroup, rows: np.ndarray) -> None:
 def wagner_preston_embed(sg: InvSemigroup) -> list[PartialBijection]:
     """Regular embedding t -> (x -> t x) on the carrier of element labels.
 
-    The image of t has domain {x : t* t x = x}; the resulting map is a
-    homomorphism (checked), injective and star-compatible (Wagner-Preston).
+    The image of t has domain {x : t* t x = x}; the resulting map is an
+    injective star-compatible homomorphism (checked).
     """
     carrier = tuple(sorted(set(sg.labels)))
     n = len(sg)
@@ -374,5 +381,9 @@ def wagner_preston_embed(sg: InvSemigroup) -> list[PartialBijection]:
     domain = sg.table[sg.table[sg.star, every][:, None], every] == every  # [t, x]
     rows = np.full((n, n), -1, dtype=np.intp)
     rows[:, pos] = np.where(domain, pos[sg.table], -1)
+    assert np.unique(_keys(rows)).size == n, "embedding is not injective"
     _check_rows(sg, rows)
+    assert np.array_equal(rows[sg.star], _inverse_rows(rows)), (
+        "embedding does not commute with star"
+    )
     return [_to_pbij(carrier, row) for row in rows]

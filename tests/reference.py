@@ -643,28 +643,3 @@ def tensor_consequences(action, tol=DEFAULT_TOL) -> None:
     owner = np.repeat(list(action.offsets), [action.ideal(t).dim for t in action.offsets])
     assert np.all(action.semigroup.table[owner[I], owner[J]] == owner[K]), "a product lands off st"
 
-
-def order_consequences(sg) -> None:
-    """Forced for an inverse semigroup: the natural order is a partial order."""
-    leq = np.zeros((len(sg), len(sg)), dtype=bool)
-    for s, t in sg.order:
-        leq[s, t] = True
-    assert leq.diagonal().all(), "natural order is not reflexive"
-    assert not (leq & leq.T)[~np.eye(len(sg), dtype=bool)].any(), "not antisymmetric"
-    assert not (((leq.astype(int) @ leq.astype(int)) > 0) & ~leq).any(), "not transitive"
-
-
-def embedding_consequences(sg, maps) -> None:
-    """Forced by Wagner-Preston for the regular embedding of an inverse
-    semigroup: it is injective and commutes with the star."""
-    assert len({m.pairs for m in maps}) == len(sg), "embedding is not injective"
-    for t, m in enumerate(maps):
-        assert maps[sg.inv(t)].pairs == m.invert().pairs, "embedding does not commute with star"
-
-
-def paut_consequences(phi, tol=DEFAULT_TOL) -> None:
-    """Forced for a partial automorphism that passed ``paut_validate``: a
-    multiplicative bijection sends the unit to the (unique) target unit."""
-    assert np.allclose(phi.apply(phi.source.unit, tol), phi.target.unit, atol=tol, rtol=0.0), (
-        "unit does not map to the target unit"
-    )

@@ -21,12 +21,10 @@ from .algebras import (
     FinAlgebra,
     Ideal,
     PartialAut,
-    compose_paut,
     function_algebra,
     ideal_validate,
     matrix_algebra,
     paut_validate,
-    pauts_equal,
     validate_algebra,
 )
 from .ell1 import (
@@ -100,7 +98,6 @@ __all__ = [
     "check_algebraic",
     "check_derived_identities",
     "check_spatial",
-    "compose_paut",
     "convolve",
     "ell1_norm",
     "function_algebra",
@@ -120,7 +117,6 @@ __all__ = [
     "null_ideal",
     "parse_instance",
     "paut_validate",
-    "pauts_equal",
     "quotient_algebra",
     "quotient_ell1_norm",
     "regular_rep",

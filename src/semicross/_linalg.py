@@ -91,18 +91,6 @@ def same_spans(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
     return inside(qa, qb) & inside(qb, qa)
 
 
-def intersect_rows(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal row basis of rowspace(a) & rowspace(b)."""
-    a = orth_rows(a, tol)
-    b = orth_rows(b, tol)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=complex)
-    # x in both spaces iff x is orthogonal to both orthogonal complements.
-    d = a.shape[1]
-    perp = np.vstack([null_rows(a.conj(), tol), null_rows(b.conj(), tol)])
-    return null_rows(perp.conj(), tol) if perp.shape[0] else np.eye(d, dtype=complex)
-
-
 def solve_coords(basis: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Coefficients c with c @ basis = v (each row of a 2-d v); raises if v
     is not in the row space."""

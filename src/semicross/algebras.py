@@ -18,18 +18,14 @@ from ._linalg import (
     as_complex,
     first_far,
     in_rowspace,
-    intersect_rows,
-    null_rows,
     off_rows,
     off_rowspace,
     operator_norm,
     orth_rows,
-    rows_equal,
     solve_coords,
 )
 from .errors import (
     DimensionMismatch,
-    IntersectionNotUnital,
     NoStarOnAlgebra,
     NotAnIdeal,
     NotAnInvolution,
@@ -301,14 +297,6 @@ class PartialAut:
         return f"PartialAut<{self.source.dim} -> {self.target.dim}>"
 
 
-def pauts_equal(a: PartialAut, b: PartialAut, tol: float = DEFAULT_TOL) -> bool:
-    """Equality as partial maps: same source subspace and same values on it."""
-    if not rows_equal(a.source.basis, b.source.basis, tol):
-        return False
-    x = a.source.basis
-    return np.allclose(a.apply(x, tol), b.apply(x, tol), atol=tol, rtol=0.0)
-
-
 def _is_delta_permutation(phi: PartialAut, tol: float) -> bool:
     """Exact isometry witness for function algebras: every minimal idempotent
     of the source maps to a single minimal idempotent with coefficient 1."""
@@ -404,37 +392,3 @@ def _certify_isometry(phi: PartialAut, tol, seed, samples) -> PautCertificate:
         raise NotIsometric(np.round(x[np.argmax(moved)], 6))
     return PautCertificate("sampled")
 
-
-def compose_paut(phi: PartialAut, psi: PartialAut, tol: float = DEFAULT_TOL) -> PartialAut:
-    """phi after psi on psi^{-1}(source(phi) & target(psi)).
-
-    The new source is re-equipped with a unit: the product of the two units
-    is the unit of the intersection, pulled back through psi; both facts are
-    verified rather than assumed.
-    """
-    if phi.parent is not psi.parent:
-        raise DimensionMismatch("partial automorphisms of different algebras")
-    A = phi.parent
-    inter = intersect_rows(phi.source.basis, psi.target.basis, tol)
-    u_inter = A.mul(phi.source.unit, psi.target.unit)
-    if inter.shape[0] == 0:
-        src = Ideal.zero(A)
-        return PartialAut(src, Ideal.zero(A), np.zeros((0, A.dim)))
-    if not in_rowspace(inter, u_inter, tol):
-        raise IntersectionNotUnital("product of units escapes the intersection")
-    if not np.allclose(A.mul(u_inter, inter), inter, atol=tol, rtol=0.0) or not np.allclose(
-        A.mul(inter, u_inter), inter, atol=tol, rtol=0.0
-    ):
-        raise IntersectionNotUnital("product of units is not an identity there")
-    # coefficients c (over source(psi)) with psi(c) inside span(source(phi))
-    sphi = orth_rows(phi.source.basis, tol)
-    resid = psi.matrix - (psi.matrix @ sphi.conj().T) @ sphi
-    coeff = null_rows(resid.T, tol)
-    src_basis = coeff @ psi.source.basis
-    psi_of_src = coeff @ psi.matrix
-    assert rows_equal(psi_of_src, inter, tol), "preimage does not hit the intersection"
-    u_src = solve_coords(psi_of_src, u_inter, tol) @ src_basis
-    src = Ideal(A, src_basis, u_src)
-    img_rows = phi.apply(psi_of_src, tol)
-    tgt = Ideal(A, img_rows, phi.apply(u_inter, tol))
-    return PartialAut(src, tgt, img_rows)

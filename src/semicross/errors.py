@@ -117,10 +117,6 @@ class NotIsometric(CheckError):
         super().__init__(f"map is not isometric; witness vector {witness}")
 
 
-class IntersectionNotUnital(CheckError):
-    pass
-
-
 class NoStarOnAlgebra(CheckError):
     pass
 

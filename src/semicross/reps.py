@@ -129,15 +129,20 @@ def certify_contractive(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int =
     return "sampled"
 
 
-def validate_rep(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int = 0) -> CheckReport:
-    """Homomorphism property of pi, contractivity, and contractive v."""
-    report = CheckReport("representation basics")
+def _check_multiplicative(rep: CovariantRep, tol: float) -> None:
+    """pi(e_i) pi(e_j) = pi(e_i e_j) on every basis pair, else
+    ``NotMultiplicative`` names the first pair (i, j)."""
     d, n = rep.action.algebra.dim, rep.space.dim
-    # [i, j]: pi(e_i) pi(e_j) against pi(e_i e_j), flattened
     got = np.einsum("iab,jbc->ijac", rep.pi, rep.pi).reshape(d, d, n * n)
     want = np.einsum("ijk,kac->ijac", rep.action.algebra.structure, rep.pi)
     if bad := first_far(got, want.reshape(d, d, n * n), tol):
         raise NotMultiplicative(bad)
+
+
+def validate_rep(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int = 0) -> CheckReport:
+    """Homomorphism property of pi, contractivity, and contractive v."""
+    report = CheckReport("representation basics")
+    _check_multiplicative(rep, tol)
     report.add("pi", "algebra homomorphism", True)
     level = certify_contractive(rep, tol, seed)
     report.add("pi", "contractive", True, f"certification: {level}")
@@ -365,8 +370,12 @@ def seminorm_family(
     tol: float = DEFAULT_TOL,
     require_nondegenerate: bool = True,
 ) -> float:
-    """sup over the family of the operator norm of the integrated image."""
+    """sup over the family of the operator norm of the integrated image;
+    each pi must be multiplicative (else ``NotMultiplicative``), or the sup
+    is not a seminorm."""
     _require_family(family, tol, require_nondegenerate)
+    for rep in family:
+        _check_multiplicative(rep, tol)
     return max(
         rep.opnorm(integrate(rep, tol, check=False).apply(f)) for rep in family
     )

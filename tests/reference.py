@@ -26,6 +26,13 @@ time, as ``quotient_ell1_norm`` did before ``ell1._quotient_lp``.
 by rounds of products with the spanning monomials until it stops growing,
 as ``null_ideal`` did before it checked once that the span is closed.
 
+``compose_paut``, ``pauts_equal`` and ``intersect_rows`` are the partial-map
+composition, equality and subspace intersection that PA1 and the derived
+image law alpha_s(I_s* & I_t) = I_st used pair by pair.
+``reference_validate_action`` and ``reference_check_derived_identities``
+run those |S|^2 loops, which the per-s stacked checks replaced with the
+same report lines and the same first failure.
+
 ``reference_check_spatial``, ``reference_check_algebraic``,
 ``reference_is_normalized``, ``reference_normalize``,
 ``reference_grading_space``, ``reference_integrate_matrix``,
@@ -41,9 +48,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from semicross._linalg import DEFAULT_TOL, orth_rows, rows_equal, rows_leq
+from semicross._linalg import (
+    DEFAULT_TOL,
+    in_rowspace,
+    null_rows,
+    orth_rows,
+    rank_rows,
+    rows_equal,
+    rows_leq,
+    solve_coords,
+)
 from semicross.algebras import (
+    Ideal,
+    PartialAut,
     PautCertificate,
+    ideal_validate,
     _is_block_permutation,
     _is_delta_permutation,
 )
@@ -58,6 +77,7 @@ from semicross.ell1 import (
 )
 from semicross.errors import (
     ActionMismatch,
+    DimensionMismatch,
     AdjointFormulaViolation,
     CarrierMismatch,
     CR1Violation,
@@ -65,6 +85,7 @@ from semicross.errors import (
     CR3Violation,
     DegenerateRepresentation,
     GradingNotSaturated,
+    NonzeroIdealAtZero,
     NoStarOnAlgebra,
     NotAnIdeal,
     NotAnInvolution,
@@ -79,11 +100,14 @@ from semicross.errors import (
     NotSemigroupHom,
     NotSubmultiplicative,
     NoUnit,
+    PA1Violation,
+    PA2SpanDeficit,
     SCR1Violation,
     SCR2RangeMismatch,
     SizeCapExceeded,
     StarNotPreserved,
 )
+from semicross.reporting import CheckReport
 from semicross.semigroups import DEFAULT_CAP, InvSemigroup, PartialBijection
 
 
@@ -643,3 +667,127 @@ def tensor_consequences(action, tol=DEFAULT_TOL) -> None:
     owner = np.repeat(list(action.offsets), [action.ideal(t).dim for t in action.offsets])
     assert np.all(action.semigroup.table[owner[I], owner[J]] == owner[K]), "a product lands off st"
 
+
+
+def intersect_rows(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal row basis of rowspace(a) & rowspace(b)."""
+    a = orth_rows(a, tol)
+    b = orth_rows(b, tol)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.zeros((0, a.shape[1]), dtype=complex)
+    # x in both spaces iff x is orthogonal to both orthogonal complements.
+    d = a.shape[1]
+    perp = np.vstack([null_rows(a.conj(), tol), null_rows(b.conj(), tol)])
+    return null_rows(perp.conj(), tol) if perp.shape[0] else np.eye(d, dtype=complex)
+
+
+def pauts_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """Equality as partial maps: same source subspace and same values on it."""
+    if not rows_equal(a.source.basis, b.source.basis, tol):
+        return False
+    x = a.source.basis
+    return np.allclose(a.apply(x, tol), b.apply(x, tol), atol=tol, rtol=0.0)
+
+
+def compose_paut(phi, psi, tol: float = DEFAULT_TOL):
+    """phi after psi on psi^{-1}(source(phi) & target(psi)).
+
+    The new source is re-equipped with a unit: the product of the two units
+    is the unit of the intersection, pulled back through psi.  For validated
+    ideals of a function or matrix-block algebra the units are central
+    idempotents, so the unit facts are asserted, not checked.
+    """
+    if phi.parent is not psi.parent:
+        raise DimensionMismatch("partial automorphisms of different algebras")
+    A = phi.parent
+    inter = intersect_rows(phi.source.basis, psi.target.basis, tol)
+    u_inter = A.mul(phi.source.unit, psi.target.unit)
+    if inter.shape[0] == 0:
+        src = Ideal.zero(A)
+        return PartialAut(src, Ideal.zero(A), np.zeros((0, A.dim)))
+    assert in_rowspace(inter, u_inter, tol), "product of units escapes the intersection"
+    assert np.allclose(A.mul(u_inter, inter), inter, atol=tol, rtol=0.0) and np.allclose(
+        A.mul(inter, u_inter), inter, atol=tol, rtol=0.0
+    ), "product of units is not an identity there"
+    # coefficients c (over source(psi)) with psi(c) inside span(source(phi))
+    sphi = orth_rows(phi.source.basis, tol)
+    resid = psi.matrix - (psi.matrix @ sphi.conj().T) @ sphi
+    coeff = null_rows(resid.T, tol)
+    src_basis = coeff @ psi.source.basis
+    psi_of_src = coeff @ psi.matrix
+    assert rows_equal(psi_of_src, inter, tol), "preimage does not hit the intersection"
+    u_src = solve_coords(psi_of_src, u_inter, tol) @ src_basis
+    src = Ideal(A, src_basis, u_src)
+    img_rows = phi.apply(psi_of_src, tol)
+    tgt = Ideal(A, img_rows, phi.apply(u_inter, tol))
+    return PartialAut(src, tgt, img_rows)
+
+
+def reference_validate_action(action, tol: float = DEFAULT_TOL) -> CheckReport:
+    """``validate_action`` with PA1 checked pair by pair by ``compose_paut``."""
+    sg = action.semigroup
+    report = CheckReport("action axioms")
+    if sg.zero is not None:
+        if action.ideal(sg.zero).dim != 0:
+            raise NonzeroIdealAtZero(action.ideal(sg.zero).dim)
+        report.add("zero", "I_0 = {0}", True)
+    for t in range(len(sg)):
+        ideal_validate(action.ideal(t), tol)
+        report.add("units", f"I_{sg.labels[t]} unital", True)
+    idem_rows = np.vstack(
+        [action.ideal(e).basis for e in sg.idempotents] + [np.zeros((0, action.algebra.dim))]
+    )
+    span = rank_rows(idem_rows, tol)
+    if span < action.algebra.dim:
+        raise PA2SpanDeficit(action.algebra.dim - span)
+    report.add("PA2", "idempotent ideals span the algebra", True)
+    for s in range(len(sg)):
+        for t in range(len(sg)):
+            got = compose_paut(action.paut(s), action.paut(t), tol)
+            want = action.paut(sg.mul(s, t))
+            if not rows_equal(got.source.basis, want.source.basis, tol):
+                raise PA1Violation(sg.labels[s], sg.labels[t], "source subspaces differ")
+            if not pauts_equal(got, want, tol):
+                raise PA1Violation(sg.labels[s], sg.labels[t], "maps differ on the source")
+            report.add("PA1", f"({sg.labels[s]}, {sg.labels[t]})", True)
+    for t in range(len(sg)):
+        if not rows_equal(action.paut(t).source.basis, action.ideal(sg.inv(t)).basis, tol):
+            raise PA1Violation(sg.labels[t], sg.labels[sg.inv(t)], "source is not I_{t*}")
+    report.add("sources", "every alpha_t starts at I_{t*}", True)
+    return report
+
+
+def reference_check_derived_identities(action, tol: float = DEFAULT_TOL) -> CheckReport:
+    """``check_derived_identities`` with alpha_s(I_s* & I_t) = I_st checked
+    pair by pair on ``intersect_rows``."""
+    sg = action.semigroup
+    report = CheckReport("derived identities")
+    for s in range(len(sg)):
+        for t in range(len(sg)):
+            inter = intersect_rows(action.ideal(sg.inv(s)).basis, action.ideal(t).basis, tol)
+            image = action.apply(s, inter, tol)
+            ok = rows_equal(image, action.ideal(sg.mul(s, t)).basis, tol)
+            assert ok, f"alpha_s(I_s* & I_t) != I_st at ({s}, {t})"
+            report.add("alpha_s(I_s* & I_t) = I_st", f"({sg.labels[s]}, {sg.labels[t]})", ok)
+    for t in range(len(sg)):
+        tt = sg.mul(t, sg.inv(t))
+        ok = rows_equal(action.ideal(t).basis, action.ideal(tt).basis, tol)
+        ok = ok and np.allclose(action.ideal(t).unit, action.ideal(tt).unit, atol=tol, rtol=0.0)
+        assert ok, f"I_t != I_tt* at {t}"
+        report.add("I_t = I_tt*", sg.labels[t], ok)
+    for e in sg.idempotents:
+        rows = action.ideal(e).basis
+        ok = np.allclose(action.apply(e, rows, tol), rows, atol=tol, rtol=0.0)
+        assert ok, f"alpha_e is not the identity at {e}"
+        report.add("alpha_e = id", sg.labels[e], ok)
+    for t in range(len(sg)):
+        rows = action.paut(t).source.basis
+        back = action.apply(sg.inv(t), action.apply(t, rows, tol), tol)
+        ok = np.allclose(back, rows, atol=tol, rtol=0.0)
+        assert ok, f"alpha_t* is not the inverse of alpha_t at {t}"
+        report.add("alpha_t* = alpha_t^-1", sg.labels[t], ok)
+    for s, t in sorted(sg.order):
+        ok = rows_leq(action.ideal(s).basis, action.ideal(t).basis, tol)
+        assert ok, f"I_s not inside I_t for {s} <= {t}"
+        report.add("s <= t implies I_s <= I_t", f"({sg.labels[s]}, {sg.labels[t]})", ok)
+    return report

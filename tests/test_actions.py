@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
+import reference
+from test_batched import INSTANCES, MATRIX_ACTIONS, SAMPLES, matrix_action, same
 
 from semicross.actions import (
     Action,
@@ -19,6 +22,7 @@ from semicross.actions import (
     validate_action,
 )
 from semicross.algebras import Ideal, PartialAut
+from semicross.io_json import load_instance
 from semicross.errors import (
     CarrierMismatch,
     NonzeroIdealAtZero,
@@ -48,6 +52,43 @@ def replace_paut(action, t, paut):
     pauts = list(action.pauts)
     pauts[t] = paut
     return Action(action.semigroup, action.algebra, tuple(pauts))
+
+
+def with_matrix(action, label, matrix):
+    t = action.semigroup.index(label)
+    old = action.paut(t)
+    return replace_paut(action, t, PartialAut(old.source, old.target, matrix))
+
+
+def scaled_map() -> Action:
+    flip = fixtures.flip().action
+    return with_matrix(flip, "(1>2)", 2 * flip.paut(flip.semigroup.index("(1>2)")).matrix)
+
+
+def swapped_maps() -> Action:
+    """sim2 with the maps of the swap and of the identity exchanged."""
+    sim2 = fixtures.sim2().action
+    swap, ident = (sim2.paut(sim2.semigroup.index(x)).matrix for x in ("(1>2,2>1)", "id{1,2}"))
+    return with_matrix(with_matrix(sim2, "(1>2,2>1)", ident), "id{1,2}", swap)
+
+
+def map_off_its_source() -> Action:
+    """flip with alpha at (1>2) the identity of its target C delta_2, which
+    is not I_(2>1) = C delta_1."""
+    flip = fixtures.flip().action
+    t = flip.semigroup.index("(1>2)")
+    target = flip.paut(t).target
+    return replace_paut(flip, t, PartialAut(target, target, target.basis))
+
+
+@pytest.fixture(scope="module")
+def differential_actions():
+    out = {name: load_instance(INSTANCES / f"{name}.json").action for name in SAMPLES}
+    out["sim3"] = fixtures.sim3().action
+    out["twisted_sim2"] = fixtures.twisted_sim2()
+    out.update({f"matrix {name}": matrix_action(g) for name, g in MATRIX_ACTIONS.items()})
+    out["matrix sim2, p = 1"] = matrix_action(MATRIX_ACTIONS["sim2"], p=1)
+    return out
 
 
 class TestValidate:
@@ -88,6 +129,81 @@ class TestValidate:
             validate_action(mutated)
 
 
+class TestStackedAgainstReference:
+    """PA1 and alpha_s(I_s* & I_t) = I_st, checked per s over every t at once,
+    against the pair-by-pair loops: the same report, or the same class, pair
+    and reason at the first failure."""
+
+    def test_validate_action(self, differential_actions):
+        for act in differential_actions.values():
+            same(validate_action, reference.reference_validate_action, act)
+
+    def test_derived_identities(self, differential_actions):
+        for name, act in differential_actions.items():
+            if name != "twisted_sim2":
+                same(check_derived_identities, reference.reference_check_derived_identities, act)
+
+    @pytest.mark.parametrize(
+        "build, s, t, reason",
+        [
+            (scaled_map, "(1>2)", "(2>1)", "maps differ on the source"),
+            (swapped_maps, "(1>2,2>1)", "(1>2,2>1)", "maps differ on the source"),
+            (map_off_its_source, "(1>2)", "(1>2)", "source subspaces differ"),
+        ],
+    )
+    def test_crafted_failures(self, build, s, t, reason):
+        act = build()
+        got = same(validate_action, reference.reference_validate_action, act)
+        assert got[:2] == ("PA1Violation", f"composition law fails at ({s}, {t}): {reason}")
+
+    @pytest.mark.parametrize("build", [scaled_map, swapped_maps])
+    def test_derived_identities_on_crafted_failures(self, build):
+        same(check_derived_identities, reference.reference_check_derived_identities, build())
+
+    def test_map_off_its_source_fails_the_image_law(self):
+        # the reference applies alpha_s to vectors off its source and raises
+        # LinAlgError; the stacked law names the first pair it sees fail
+        with pytest.raises(AssertionError, match=r"at \(0, 1\)"):
+            check_derived_identities(map_off_its_source())
+
+    def test_map_off_its_target(self):
+        # alpha at (1>2) maps C delta_1 onto itself, not onto I_(1>2) = C delta_2,
+        # so alpha_(1>2) alpha_(1>2) is defined on C delta_1 while I_0 = 0.  The
+        # reference takes that domain from the target ideal (I_(2>1) & I_(1>2)
+        # = 0) and only fails at ((1>2), (2>1)).
+        with pytest.raises(PA1Violation, match="source subspaces differ") as err:
+            validate_action(fixtures.escaping_flip())
+        assert err.value.pair == ("(1>2)", "(1>2)")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fixtures.generator_lists,
+        st.sampled_from(["none", "scale", "mix", "permute"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_actions_with_one_perturbed_map(self, gens, kind, seed):
+        sg = generate_semigroup(gens, cap=200)
+        if len(sg) > 40:  # the reference takes about a millisecond per pair
+            return
+        try:
+            action = induce_action(PartialSetAction.tautological(sg))
+        except PA2SpanDeficit:
+            return
+        rng = np.random.default_rng(seed)
+        t = int(rng.choice(action.nonzero_elements))
+        m = action.paut(t).matrix
+        k = len(m)
+        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        matrix = {
+            "none": m,
+            "scale": complex(*rng.uniform(0.5, 1.5, 2)) * m,
+            "mix": (np.eye(k) + 0.5 * z) @ m,  # still inside the target
+            "permute": m[::-1],
+        }[kind]
+        same(validate_action, reference.reference_validate_action,
+             with_matrix(action, sg.labels[t], matrix))
+
+
 class TestDerivedIdentities:
     def test_all_fixtures(self, all_instances):
         for inst in all_instances:
@@ -105,7 +221,8 @@ class TestDerivedIdentities:
         # alpha_t(I_t* & I_{e1}) = I_{t e1} = I_t
         sg = flip.semigroup
         t, e1 = sg.index("(1>2)"), sg.index("id{1}")
-        from semicross._linalg import intersect_rows, rows_equal
+        from reference import intersect_rows
+        from semicross._linalg import rows_equal
 
         inter = intersect_rows(
             flip.action.ideal(sg.inv(t)).basis, flip.action.ideal(e1).basis

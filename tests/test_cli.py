@@ -18,6 +18,24 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 
 
+# C({x, y}) under the identity, with pi = 1 at both points: an algebraic pair
+# whose pi is not multiplicative (pi(d_x) pi(d_y) = 1, pi(d_x d_y) = 0)
+ONE_POINT = {
+    "semigroup": {"carrier": ["x", "y"], "generators": [{"x": "x", "y": "y"}]},
+    "algebra": {"kind": "function", "points": ["x", "y"]},
+    "action": {"induced": True},
+    "elements": {
+        "a": [["id{x,y}", [[1, 0], [0, 0]]]],
+        "b": [["id{x,y}", [[1, 0], [-1, 0]]]],
+    },
+    "representations": [{
+        "name": "r",
+        "space": {"dim": 1, "p": 2},
+        "pi": {"x": [[[1, 0]]], "y": [[[1, 0]]]},
+        "v": {"id{x,y}": [[[1, 0]]]},
+    }],
+}
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -271,19 +289,8 @@ class TestConsoleScript:
     def test_seminorm_kernel_that_is_not_an_ideal(self, tmp_path, flags):
         # pi = 1 at both points passes the algebraic checks, which do not ask
         # pi to be multiplicative; its kernel is spanned by d_x - d_y
-        doc = {
-            "semigroup": {"carrier": ["x", "y"], "generators": [{"x": "x", "y": "y"}]},
-            "algebra": {"kind": "function", "points": ["x", "y"]},
-            "action": {"induced": True},
-            "representations": [{
-                "name": "r",
-                "space": {"dim": 1, "p": 2},
-                "pi": {"x": [[[1, 0]]], "y": [[[1, 0]]]},
-                "v": {"id{x,y}": [[[1, 0]]]},
-            }],
-        }
         bad = tmp_path / "one_point.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(ONE_POINT))
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         cmd = [sys.executable, *flags, "-m", "semicross.cli"]
@@ -299,6 +306,26 @@ class TestConsoleScript:
         )
         assert result.returncode == 1
         assert result.stderr.startswith("error[NotAnIdeal]: ")
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_seminorm_of_a_pi_that_is_not_multiplicative(self, tmp_path, flags):
+        # the same pair: snorm(b) would read 0 for b = d_x - d_y although
+        # snorm(b * a) = 1, so the sup over the family is not a seminorm
+        bad = tmp_path / "one_point.json"
+        bad.write_text(json.dumps(ONE_POINT))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        cmd = [sys.executable, *flags, "-m", "semicross.cli"]
+        result = subprocess.run(
+            [*cmd, "--json", "eval", str(bad), "snorm(b)"], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"]["code"] == "NotMultiplicative"
+        result = subprocess.run(
+            [*cmd, "eval", str(bad), "snorm(b)"], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error[NotMultiplicative]: ")
 
 
 LAZY_SCIPY = """

@@ -643,6 +643,11 @@ def _one_point_pair():
     return CovariantRep(act, ReprSpace(1, 2), np.ones((2, 1, 1)), np.ones((1, 1, 1)))
 
 
+def _one_point_seminorm():
+    rep = _one_point_pair()
+    return seminorm_family(Ell1Element.zero(rep.action), [rep])
+
+
 def _expanding_pair():
     """The trivial action on C({x}) sent to a non-orthogonal idempotent."""
     sg = generate_semigroup([PartialBijection.identity(("x",))])
@@ -718,6 +723,7 @@ INPUT_CHECKS = {
                              "NotContractive", "what", "integrated map"),
     "integrate, order difference survives": (lambda: integrate(_surviving_pair()),
                                              "NullNotKilled", "row", 0),
+    "seminorm, not multiplicative": (_one_point_seminorm, "NotMultiplicative", "witness", (0, 1)),
     "seminorm kernel, not an ideal": (lambda: seminorm_kernel([_one_point_pair()]),
                                       "NotAnIdeal", "witness", ("id{x,y}", 0, "left")),
     "tautological action of a table": (

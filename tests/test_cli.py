@@ -36,6 +36,7 @@ ONE_POINT = {
     }],
 }
 
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -310,7 +311,7 @@ class TestConsoleScript:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_seminorm_of_a_pi_that_is_not_multiplicative(self, tmp_path, flags):
         # the same pair: snorm(b) would read 0 for b = d_x - d_y although
-        # snorm(b * a) = 1, so the sup over the family is not a seminorm
+        # snorm(conv(b, a)) = 1, so the sup over the family is not a seminorm
         bad = tmp_path / "one_point.json"
         bad.write_text(json.dumps(ONE_POINT))
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

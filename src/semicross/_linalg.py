@@ -30,10 +30,6 @@ def orth_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[: int(_kept(s, tol).sum())]
 
 
-def rank_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    return orth_rows(m, tol).shape[0]
-
-
 def null_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal row basis of {x : m @ x = 0} for ``m`` of shape (k, d)."""
     m = np.atleast_2d(as_complex(m))
@@ -76,18 +72,19 @@ def rows_equal(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return rows_leq(a, b, tol) and rows_leq(b, a, tol)
 
 
-def same_spans(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per matrix of two stacks (..., N, k), whether their column spans agree:
-    ``rows_equal`` of the transposes, by the same rank and residual rules."""
-    def basis(m):  # orthonormal columns up to the rank, zero columns after it
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        return u * _kept(s, tol)[..., None, :]
+def span_basis(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of a stack (..., N, k), orthonormal columns up to its rank, then zeros."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u * _kept(s, tol)[..., None, :]
 
+
+def same_spans(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of two ``span_basis`` stacks, whether their column spans
+    agree: ``rows_equal`` of the transposes, by the same rules."""
     def inside(x, y):  # every column of x lies in the column span of y
         resid = x - y @ (y.conj().swapaxes(-1, -2) @ x)
         return ~off_rows(resid.swapaxes(-1, -2), x.swapaxes(-1, -2), tol).any(-1)
 
-    qa, qb = basis(a), basis(b)
     return inside(qa, qb) & inside(qb, qa)
 
 

@@ -18,10 +18,10 @@ from ._linalg import (
     _kept,
     first_far,
     orth_rows,
-    rank_rows,
     rows_equal,
     rows_leq,
     same_spans,
+    span_basis,
 )
 from .algebras import FinAlgebra, Ideal, PartialAut, function_algebra, ideal_validate
 from .errors import (
@@ -177,7 +177,7 @@ def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
         [action.ideal(e).basis for e in sg.idempotents]
         + [np.zeros((0, action.algebra.dim))]
     )
-    span = rank_rows(idem_rows, tol)
+    span = orth_rows(idem_rows, tol).shape[0]
     if span < action.algebra.dim:
         raise PA2SpanDeficit(action.algebra.dim - span)
     report.add("PA2", "idempotent ideals span the algebra", True)
@@ -185,6 +185,7 @@ def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
     # alpha_t(c S_t) = c M_t inside the source of alpha_s, so c S_t is the
     # domain of alpha_s alpha_t
     src, maps, apply = _paut_stacks(action)
+    src_span = span_basis(src.swapaxes(1, 2), tol)  # once, gathered by st below
     labels = sg.labels
     for s in range(len(sg)):
         q = orth_rows(action.paut(s).source.basis, tol)
@@ -193,7 +194,7 @@ def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
         coeff = vh.conj() * free[..., None]  # rows c with c (M_t - M_t Q* Q) = 0
         st = sg.table[s]
         domain = coeff @ src
-        same = same_spans(domain.swapaxes(1, 2), src[st].swapaxes(1, 2), tol)
+        same = same_spans(span_basis(domain.swapaxes(1, 2), tol), src_span[st], tol)
         bad = ~same
         if far := first_far(coeff @ maps @ apply[s], domain @ apply[st], tol):
             bad[far[0]] = True
@@ -221,12 +222,13 @@ def check_derived_identities(action: Action, tol: float = DEFAULT_TOL) -> CheckR
     # spanned by u_s* b over the basis b of I_t; x -> u x is x @ left
     basis = _stack([action.ideal(t).basis for t in range(len(sg))])
     apply = _paut_stacks(action)[2]
+    ideal_span = span_basis(basis.swapaxes(1, 2), tol)  # once, gathered by st below
     labels = sg.labels
     for s in range(len(sg)):
         unit = action.ideal(sg.inv(s)).unit
         left = np.einsum("i,ijk->jk", unit, action.algebra.structure)
         image = basis @ left @ apply[s]
-        ok = same_spans(image.swapaxes(1, 2), basis[sg.table[s]].swapaxes(1, 2), tol)
+        ok = same_spans(span_basis(image.swapaxes(1, 2), tol), ideal_span[sg.table[s]], tol)
         assert ok.all(), f"alpha_s(I_s* & I_t) != I_st at ({s}, {np.argmin(ok)})"
         report.lines += [
             CheckLine("alpha_s(I_s* & I_t) = I_st", f"({labels[s]}, {b})", bool(good))

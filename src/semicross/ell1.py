@@ -27,6 +27,7 @@ from .errors import (
     NotAnIdeal,
     OrderDifferenceNotProduct,
     QuotientNormLPFailed,
+    QuotientNormNotLP,
 )
 
 N_FACETS = 64  # polygonal model of |z| <= m; relative error <= 1 - cos(pi/64)
@@ -364,73 +365,72 @@ def quotient_ell1_norm(
     undershoot the exact infimum by at most a factor cos(pi/64), a relative
     error below 0.2 percent.  Supported for algebras whose block norms are
     max-of-absolute-sums (all 1x1 blocks, and larger blocks with p in
-    {1, inf}); operator-2-norm blocks of size > 1 have no LP model.
+    {1, inf}); operator-2-norm blocks of size > 1 have no LP model and raise
+    ``QuotientNormNotLP``.  HiGHS solves it in the lifted form of ``_lifted_lp``.
     """
     null_basis, A = orth_rows(null_basis, tol), f.action.algebra
     if null_basis.shape[0] == 0:
         return ell1_norm(f)
     if A.p == 2 and any(idx.size > 1 for idx in A.blocks):
-        raise ValueError("quotient norm over operator-2-norm blocks is not LP-representable")
-    objective, a_ub, b_ub, bounds = _quotient_lp(f, null_basis)
+        raise QuotientNormNotLP("quotient norm over operator-2-norm blocks is not LP-representable")
     from scipy.optimize import linprog  # imported here: it is most of the package's import time
 
-    res = linprog(c=objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(*_lifted_lp(f, null_basis), method="highs")
     if res.status != 0:
         raise QuotientNormLPFailed(res.status, res.message)
     return float(res.fun)
 
 
-def _quotient_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
-    """Objective, A_ub, b_ub and bounds of the quotient-norm LP over the
-    orthonormal rows ``null_basis`` (k of them).
+def _lifted_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
+    """Objective, A_ub, b_ub, A_eq, b_eq (sparse) and bounds of the
+    quotient-norm LP over the orthonormal rows ``null_basis`` (k of them).
 
-    Variables: [Re z (k), Im z (k), m (one per nonzero element), u (per
-    element, one per coordinate of each block larger than 1x1)].  Per
-    element, block by block, each coordinate c of the coset value
-    f(t) + z . N(t) gets one row per facet, Re(e^{-i theta} c) <= its bound
-    (m for a 1x1 block, else its u); a larger block then gets its line rows
-    (columns for p = 1, rows for p = inf), sum of u over the line <= m.
+    Variables: Re z, Im z (k each), m (per nonzero element), u (per live
+    coordinate of a block larger than 1x1), Re w, Im w (per live coordinate).
+    A coordinate is live when f or a null row is nonzero there; a dead one's
+    facet rows would read -bound <= 0, which bound >= 0 says.  Two equality
+    rows give w = f(t) + z . N(t); with w projected out, the facet rows
+    cos(theta) Re w + sin(theta) Im w <= bound (m for a 1x1 block, else u)
+    are the polygon model's.  Each line of a larger block (columns for p = 1,
+    rows for p = inf) that holds a live u bounds the sum of its u by m.
     """
-    act, A = f.action, f.action.algebra
-    elements, k, d = act.nonzero_elements, null_basis.shape[0], A.dim
-    n_m, n_f = len(elements), N_FACETS
-    null_elems = [Ell1Element.from_dense(act, row) for row in null_basis]
-    base = np.array([f.value(t) for t in elements]).reshape(n_m, d)
-    dirs = np.array([[n.value(t) for n in null_elems] for t in elements]).reshape(n_m, k, d)
-    big = [idx for idx in A.blocks if idx.size > 1]
-    upos = np.concatenate([np.zeros(0, dtype=int)] + [idx.ravel() for idx in big])
-    n_u, uloc = upos.size, np.full(d, -1)
-    uloc[upos] = np.arange(n_u)
-    m0, u0 = 2 * k, 2 * k + n_m
-    n_vars = u0 + n_m * n_u
-    el = np.arange(n_m)[:, None]
-    bound = np.where(uloc >= 0, u0 + el * n_u + uloc, m0 + el)  # (element, coordinate)
+    from scipy.sparse import coo_array  # next to linprog: not on the import path
 
-    phase = np.exp(-1j * (2.0 * np.pi * np.arange(n_f) / n_f))
-    wph = np.swapaxes(dirs, 1, 2)[:, :, None, :] * phase[:, None]  # (element, coord, facet, k)
-    facet = np.zeros((n_m, d, n_f, n_vars))
-    facet[..., :k], facet[..., k:m0] = wph.real, -wph.imag
-    facet[el[:, :, None], np.arange(d)[:, None], np.arange(n_f), bound[:, :, None]] = -1.0
-    # Re(b e^{-i theta}) spelled out: the same roundoff as one product of two scalars
-    facet_rhs = -(base.real[..., None] * phase.real - base.imag[..., None] * phase.imag)
-
-    lines = [line for idx in big for line in (idx.T if A.p == 1 else idx)]
-    line_rows = np.zeros((n_m, len(lines), n_vars))
-    line_rows[el, :, m0 + el] = -1.0
-    for i, line in enumerate(lines):
-        line_rows[el, i, u0 + el * n_u + uloc[line]] = 1.0
-
-    # per element: each block's facet rows, coordinate by coordinate, then its line rows
-    order, at = [], d * n_f
+    act, A, k = f.action, f.action.algebra, null_basis.shape[0]
+    rows = np.vstack([f.to_dense(), null_basis])  # f, then the null rows
+    values = np.stack([rows[:, o : o + act.ideal(t).dim] @ act.ideal(t).basis
+                       for t, o in act.offsets.items()])  # (element, 1 + k, coordinate)
+    el, coord = np.nonzero(values.any(1))  # the live coordinates
+    line_at, n_lines = np.full(A.dim, -1), 0  # the line of a coordinate of a block > 1x1
     for idx in A.blocks:
-        order.append((idx.ravel()[:, None] * n_f + np.arange(n_f)).ravel())
         if idx.size > 1:
-            order.append(at + np.arange(idx.shape[0]))
-            at += idx.shape[0]
-    order = np.concatenate(order)
-    a_ub = np.concatenate([facet.reshape(n_m, d * n_f, n_vars), line_rows], axis=1)
-    b_ub = np.concatenate([facet_rhs.reshape(n_m, -1), np.zeros((n_m, len(lines)))], axis=1)
-    objective = np.zeros(n_vars)
-    objective[m0:u0] = 1.0
-    bounds = [(None, None)] * m0 + [(0, None)] * (n_vars - m0)
-    return objective, a_ub[:, order].reshape(-1, n_vars), b_ub[:, order].ravel(), bounds
+            line_at[idx.T if A.p == 1 else idx] = n_lines + np.arange(len(idx))[:, None]
+            n_lines += len(idx)
+    is_u = line_at[coord] >= 0
+    n_w, n_m, n_u = el.size, len(values), np.count_nonzero(is_u)
+    m0, u0, w0 = 2 * k, 2 * k + n_m, 2 * k + n_m + n_u
+
+    def sparse(n_rows, *parts):  # each part (values, rows, columns), broadcast together
+        v, r, c = map(np.concatenate, zip(*(map(np.ravel, np.broadcast_arrays(*p)) for p in parts)))
+        return coo_array((v, (r, c)), shape=(n_rows, w0 + 2 * n_w))
+
+    # w - N(t) . z = f(t), the Re and the Im row of each live coordinate
+    b, nz = values[el, 0, coord], values[el, 1:, coord]
+    zc = np.concatenate([-nz.real, nz.imag, -nz.imag, -nz.real], axis=1).reshape(2 * n_w, 2 * k)
+    r, c = np.nonzero(zc)
+    eq = np.arange(2 * n_w)
+    a_eq = sparse(2 * n_w, (zc[r, c], r, c), (1.0, eq, w0 + eq))
+    # facet rows, three nonzeros each: cos(theta) Re w + sin(theta) Im w - bound <= 0
+    theta = 2.0 * np.pi * np.arange(N_FACETS) / N_FACETS
+    bound = np.where(is_u, u0 + np.cumsum(is_u) - 1, m0 + el)
+    n_f, w = n_w * N_FACETS, w0 + 2 * np.arange(n_w)
+    facets = (np.stack([np.cos(theta), np.sin(theta), -np.ones(N_FACETS)], axis=1),
+              np.arange(n_f).reshape(n_w, N_FACETS, 1), np.stack([w, w + 1, bound], 1)[:, None])
+    # line rows, per (element, line) that holds a live u: sum of its u - m <= 0
+    keys, row = np.unique(el[is_u] * n_lines + line_at[coord[is_u]], return_inverse=True)
+    n_ub = n_f + keys.size
+    a_ub = sparse(n_ub, facets, (1.0, n_f + row, bound[is_u]),
+                  (-1.0, np.arange(n_f, n_ub), m0 + keys // max(n_lines, 1)))
+    objective = np.repeat([0.0, 1.0, 0.0], [m0, n_m, n_u + 2 * n_w])
+    bounds = [(None, None)] * m0 + [(0, None)] * (w0 - m0) + [(None, None)] * (2 * n_w)
+    return objective, a_ub, np.zeros(n_ub), a_eq, np.stack([b.real, b.imag], 1).ravel(), bounds

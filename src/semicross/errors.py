@@ -167,6 +167,10 @@ class QuotientNormLPFailed(CheckError):
         super().__init__(f"quotient norm LP failed with status {status}: {message}")
 
 
+class QuotientNormNotLP(CheckError):
+    pass
+
+
 # ----------------------------------------------------------- representations
 
 

@@ -25,6 +25,7 @@ from ._linalg import (
     operator_norm,
     orth_rows,
     same_spans,
+    span_basis,
 )
 from .actions import Action, PartialSetAction
 from .ell1 import Ell1Element, _ideal_witness, ell1_norms, null_ideal, structure_tensor
@@ -187,7 +188,7 @@ def check_spatial(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     owner, rows = _section_rows(act)
     # entry t: the matrices pi(a) side by side, a over the basis of I_t
     images = _by_element(rep.pi_of(rows), owner, len(sg)).transpose(0, 2, 1, 3)
-    bad = ~same_spans(rep.v, images.reshape(len(sg), n, -1), tol)
+    bad = ~same_spans(span_basis(rep.v, tol), span_basis(images.reshape(len(sg), n, -1), tol), tol)
     if bad.any():
         raise SCR2RangeMismatch(sg.labels[np.argmax(bad)])
     report.add("SCR2", "essential range of every v_t", True)
@@ -433,7 +434,7 @@ def adjoint_check(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     lhs_span, span = (
         _by_element(x.reshape(-1, n * n), owner, len(sg)).swapaxes(1, 2) for x in (lhs, prods)
     )
-    unsaturated = ~same_spans(lhs_span, span[sg.star], tol)
+    unsaturated = ~same_spans(span_basis(lhs_span, tol), span_basis(span, tol)[sg.star], tol)
     if unsaturated[:first].any():
         raise GradingNotSaturated(sg.labels[np.argmax(unsaturated)])
     if bad:

@@ -21,6 +21,9 @@
   off the essential blocks of v.
 * ``generator_lists``: a hypothesis strategy for one to three random
   partial bijections on a carrier {1..n}, n <= 4.
+* ``TRIVIAL_M2``: the instance file of two idempotents 1 >= e acting
+  trivially on M_2 with the operator 2-norm, and a = the identity at 1; the
+  order differences survive, and the quotient norm has no LP model.
 """
 
 from __future__ import annotations
@@ -187,3 +190,12 @@ generator_lists = st.integers(1, 4).flatmap(
 
 
 ALL = {"flip": flip, "semi": semi, "sim2": sim2, "z2": z2}
+
+
+_EYE4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+TRIVIAL_M2 = {
+    "semigroup": {"elements": ["1", "e"], "table": [[0, 1], [1, 1]]},
+    "algebra": {"kind": "matrix", "blocks": [2], "p": 2},
+    "action": {"ideals": {"1": _EYE4, "e": _EYE4}, "maps": {"1": _EYE4, "e": _EYE4}},
+    "elements": {"a": [["1", [[1, 0], [0, 0], [0, 0], [1, 0]]]]},
+}

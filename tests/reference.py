@@ -20,7 +20,11 @@ numbers in the same order, so they certify the same points.  The algebra
 laws raise the named errors that replaced their ``assert`` statements.
 
 ``reference_quotient_lp`` fills the quotient-norm LP one 64-facet row at a
-time, as ``quotient_ell1_norm`` did before ``ell1._quotient_lp``.
+time, each row carrying the 2k coefficients of the coset value, with rows
+for coordinates where the coset is identically zero, as a dense matrix.
+``quotient_ell1_norm`` solves the same program in a lifted, sparse form
+(``ell1._lifted_lp``); ``reference_quotient_norm`` is this program's optimum,
+which the tests compare with it.
 
 ``reference_saturate`` grows the span of ``reference_order_differences``
 by rounds of products with the spanning monomials until it stops growing,
@@ -53,7 +57,6 @@ from semicross._linalg import (
     in_rowspace,
     null_rows,
     orth_rows,
-    rank_rows,
     rows_equal,
     rows_leq,
     solve_coords,
@@ -440,6 +443,14 @@ def reference_quotient_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
     return objective, np.array(rows).reshape(-1, n_vars), np.array(rhs), bounds
 
 
+def reference_quotient_norm(f: Ell1Element, null_basis: np.ndarray) -> float:
+    """The optimum of ``reference_quotient_lp``, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    c, a_ub, b_ub, bounds = reference_quotient_lp(f, null_basis)
+    return linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs").fun
+
+
 # ----------------------------------------------------------- covariant pairs
 #
 # The per-pair, per-basis-vector loops that the stacked checks in
@@ -737,7 +748,7 @@ def reference_validate_action(action, tol: float = DEFAULT_TOL) -> CheckReport:
     idem_rows = np.vstack(
         [action.ideal(e).basis for e in sg.idempotents] + [np.zeros((0, action.algebra.dim))]
     )
-    span = rank_rows(idem_rows, tol)
+    span = orth_rows(idem_rows, tol).shape[0]
     if span < action.algebra.dim:
         raise PA2SpanDeficit(action.algebra.dim - span)
     report.add("PA2", "idempotent ideals span the algebra", True)

@@ -1,7 +1,8 @@
-"""Batched certificates and the vectorized quotient-norm LP against the loops
+"""Batched certificates and the lifted quotient-norm LP against the loops
 they replaced (``tests/reference.py``): the same certificate level on every
 sample instance and on the section-matrix actions, the same first-failure
-payload on crafted failures, entrywise the same LP, and a count of
+payload on crafted failures, the same LP optimum and, with the lifted
+variables projected out, the same facet rows, and a count of
 ``FinAlgebra.norm`` calls that does not grow with the number of samples."""
 
 import dataclasses
@@ -26,8 +27,9 @@ from semicross.algebras import (
     validate_algebra,
 )
 from semicross.ell1 import (
+    N_FACETS,
     Ell1Element,
-    _quotient_lp,
+    _lifted_lp,
     ell1_norm,
     ell1_norms,
     null_ideal,
@@ -294,26 +296,84 @@ class TestQuotientLP:
             z = rng.standard_normal((2, act.total_dim))
             yield Ell1Element.from_dense(act, z[0] + 1j * z[1]), N
 
-    def test_same_program_entrywise(self, samples):
+    def test_same_optimum_as_the_reference_program(self, samples):
         n_cases = 0
         for f, N in self.cases(samples):
-            got, want = _quotient_lp(f, N), reference.reference_quotient_lp(f, N)
-            assert got[3] == want[3]
-            for a, b in zip(got[:3], want[:3]):
-                assert a.shape == b.shape and np.array_equal(a, b)
+            want = reference.reference_quotient_norm(f, N)
+            assert quotient_ell1_norm(f, N) == pytest.approx(want, rel=1e-9, abs=1e-12)
             n_cases += 1
         assert n_cases == 6  # sim2 and swap_e3 on M_2 blocks carry order differences
 
-    def test_semi_qnorm_digits(self, samples):
-        # the per-facet program gives the same digits on the same null basis
-        from scipy.optimize import linprog
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_named_elements_of_the_samples(self, samples, name):
+        inst = samples[name]
+        N = null_ideal(inst.action).basis
+        for f in inst.elements.values():
+            got = quotient_ell1_norm(f, N)
+            if N.shape[0] == 0:  # no LP: the norm itself
+                assert got == ell1_norm(f)
+            else:
+                want = reference.reference_quotient_norm(f, orth_rows(N))
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    def test_semi_qnorm(self, samples):
+        # the coset of 1 delta_1 reaches 1 at z = 0 (f(e) = 0); the lifted
+        # program finds it to the last digit
         inst = samples["semi"]
-        N = orth_rows(null_ideal(inst.action).basis)
-        c, a_ub, b_ub, bounds = reference.reference_quotient_lp(inst.elements["a"], N)
-        want = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs").fun
-        value = quotient_ell1_norm(inst.elements["a"], null_ideal(inst.action).basis)
-        assert value == want == 0.9999999999999967
+        assert quotient_ell1_norm(inst.elements["a"], null_ideal(inst.action).basis) == 1.0
+
+    def test_projecting_w_out_gives_the_reference_rows(self, samples):
+        """Substituting w = b_eq - Z z into the lifted program gives the
+        reference program's facet rows, in order, for the coordinates that
+        are live (a dead one has 64 reference rows with no z coefficient and
+        a zero right-hand side), and its line rows that hold a live u.  The
+        counts are exact: 2 equality rows and 64 facet rows of 3 stored
+        entries per live coordinate."""
+        from scipy.sparse import issparse
+
+        n_cases = n_dead = 0
+        for f, N in self.cases(samples):
+            k, n_m = N.shape[0], len(f.action.nonzero_elements)
+            c, a_ub, b_ub, a_eq, b_eq, bounds = _lifted_lp(f, N)
+            assert issparse(a_ub) and issparse(a_eq)
+            assert np.array_equal(c, [0.0] * 2 * k + [1.0] * n_m + [0.0] * (len(c) - 2 * k - n_m))
+            w = np.array([j >= 2 * k and lo is None for j, (lo, _) in enumerate(bounds)])
+            ub, eq = a_ub.toarray(), a_eq.toarray()
+            assert np.array_equal(eq[:, w], np.eye(w.sum()))  # w = b_eq - Z z
+            assert not eq[:, 2 * k :][:, ~w[2 * k :]].any()
+            on_w = ub[:, w].any(1)
+            assert (np.bincount(a_ub.row, minlength=len(ub))[on_w] == 3).all()
+            rows, rhs = ub[:, ~w] - ub[:, w] @ eq[:, ~w], b_ub - ub[:, w] @ b_eq
+
+            ref_c, ref_ub, ref_b, _ = reference.reference_quotient_lp(f, N)
+            facet = ~(ref_ub[:, 2 * k :] > 0).any(1)
+            groups = ref_ub[facet].reshape(-1, N_FACETS, ref_ub.shape[1])
+            group_b = ref_b[facet].reshape(-1, N_FACETS)
+            live = groups[..., : 2 * k].any((1, 2)) | group_b.any(1)
+            assert eq.shape[0] == 2 * live.sum() and on_w.sum() == N_FACETS * live.sum()
+            n_dead += (~live).sum()
+            want, want_b = groups[live].reshape(-1, ref_ub.shape[1]), group_b[live].ravel()
+            got, got_b = rows[on_w], rhs[on_w]
+            assert np.allclose(got[:, : 2 * k], want[:, : 2 * k], atol=1e-12, rtol=0.0)
+            assert np.allclose(got_b, want_b, atol=1e-12, rtol=0.0)
+            # the bound of each facet row: the same m, or one u per reference u
+            bound = {}
+            for g, r in zip(np.argmin(got[:, 2 * k :], 1), np.argmin(want[:, 2 * k :], 1)):
+                assert bound.setdefault(g, r) == r and (g < n_m) == (r < n_m)
+            assert all(g == r for g, r in bound.items() if g < n_m)
+            assert len(set(bound.values())) == len(bound)
+            got_lines = {
+                frozenset(j if j < n_m else bound[j] for j in np.flatnonzero(row[2 * k :]))
+                for row in rows[~on_w]
+            }
+            live_u = {r for r in bound.values() if r >= n_m}
+            want_lines = {
+                frozenset(j for j in np.flatnonzero(row[2 * k :]) if j < n_m or j in live_u)
+                for row in ref_ub[~facet] if live_u & set(np.flatnonzero(row[2 * k :]))
+            }
+            assert got_lines == want_lines and len(got_lines) == (~on_w).sum()
+            n_cases += 1
+        assert n_cases == 6 and n_dead > 0
 
 
 class TestNoPerSampleLoops:

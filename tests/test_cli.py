@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fixtures
 from semicross.cli import eval_expression, main
 from semicross.errors import EvalError, SchemaError
 from semicross.io_json import load_instance, parse_instance, serialize_instance
@@ -328,15 +329,41 @@ class TestConsoleScript:
         assert result.returncode == 1 and result.stdout == ""
         assert result.stderr.startswith("error[NotMultiplicative]: ")
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_quotient_norm_over_operator_2_norm_blocks(self, tmp_path, flags):
+        # the order difference of 1 >= e survives, so the quotient norm needs
+        # the LP, which has no model of the operator 2-norm on M_2
+        bad = tmp_path / "trivial_m2.json"
+        bad.write_text(json.dumps(fixtures.TRIVIAL_M2))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        cmd = [sys.executable, *flags, "-m", "semicross.cli"]
+        result = subprocess.run(
+            [*cmd, "--json", "eval", str(bad), "qnorm(a)"], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"]["code"] == "QuotientNormNotLP"
+        result = subprocess.run(
+            [*cmd, "eval", str(bad), "qnorm(a)"], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error[QuotientNormNotLP]: ")
+        # a zero null ideal still gives the plain norm, on the same blocks
+        result = subprocess.run(
+            [*cmd, "eval", str(INSTANCES / "m2.json"), "qnorm(a)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0 and result.stdout.strip() == "1.0"
+
 
 LAZY_SCIPY = """
 import contextlib, io, sys
 import semicross
 from semicross.cli import main
-print("scipy.optimize" in sys.modules)
+print("scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     main(["validate", sys.argv[1]])
-print("scipy.optimize" in sys.modules)
+print("scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     main(["eval", sys.argv[2], "qnorm(a)"])
@@ -355,7 +382,8 @@ class TestLazyScipy:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert result.returncode == 0, result.stderr
-        after_import, after_validate, qnorm = result.stdout.split()
-        assert (after_import, after_validate) == ("False", "False")
+        *imported, qnorm = result.stdout.split()
+        # (optimize, sparse) after the import and after validate
+        assert imported == ["False"] * 4
         # the value recorded for semi in perfbench/cli_expected.json
         assert float(qnorm) == pytest.approx(0.9999999999999969, abs=1e-9)

@@ -1,7 +1,8 @@
 """Law-level properties driven by hypothesis: partial bijection algebra,
 closure invariants, the section-algebra axioms under random coefficients,
-the null ideal of random induced actions, and the covariant-pair checks
-against their reference loops, with the facts those checks force."""
+the null ideal and the quotient norm of random induced actions, and the
+covariant-pair checks against their reference loops, with the facts those
+checks force."""
 
 from pathlib import Path
 
@@ -12,9 +13,16 @@ from hypothesis import given, settings, strategies as st
 import fixtures
 import reference
 from reference import reference_order_differences, reference_saturate
-from semicross._linalg import rows_equal
+from semicross._linalg import orth_rows, rows_equal
 from semicross.actions import PartialSetAction, induce_action
-from semicross.ell1 import Ell1Element, convolve, ell1_norm, involution, null_ideal
+from semicross.ell1 import (
+    Ell1Element,
+    convolve,
+    ell1_norm,
+    involution,
+    null_ideal,
+    quotient_ell1_norm,
+)
 from semicross.errors import CheckError
 from semicross.io_json import load_instance
 from semicross.reps import (
@@ -163,6 +171,21 @@ class TestNullIdealLaws:
         want = reference_saturate(act, reference_order_differences(act))
         assert null_ideal(act).dim == len(want)
         assert rows_equal(null_ideal(act).basis, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(partial_bijections(), min_size=1, max_size=2), st.data())
+    def test_quotient_norm_is_the_reference_optimum(self, gens, data):
+        # the lifted sparse program against the per-facet one, on a random section
+        sg = generate_semigroup([PartialBijection.identity(CARRIER), *gens])
+        act = induce_action(PartialSetAction.tautological(sg))
+        f = data.draw(sections(act))
+        N = orth_rows(null_ideal(act).basis)
+        got = quotient_ell1_norm(f, N)
+        if N.shape[0] == 0:
+            assert got == ell1_norm(f)
+        else:
+            want = reference.reference_quotient_norm(f, N)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------ covariant pairs, forced facts

@@ -2,6 +2,7 @@
 adjoints and the group specialization."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from fixtures import cr_perturbations, padded, with_v_at
 import semicross.ell1
 import semicross.reps
 from semicross._linalg import DEFAULT_TOL, rows_equal, rows_leq
-from semicross.ell1 import Ell1Element, convolve, ell1_norm, null_ideal
+from semicross.ell1 import Ell1Element, convolve, ell1_norm, null_ideal, quotient_ell1_norm
 from semicross.errors import (
     CheckError,
     CR1Violation,
@@ -30,6 +31,7 @@ from semicross.errors import (
     NotSemigroupHom,
     SCR2RangeMismatch,
 )
+from semicross.io_json import parse_instance
 from semicross.reps import (
     CovariantRep,
     ReprSpace,
@@ -690,6 +692,11 @@ def _no_star():
     return CovariantRep(act, reg.space, reg.pi, reg.v)
 
 
+def _trivial_m2_qnorm():
+    inst = parse_instance(json.dumps(fixtures.TRIVIAL_M2))
+    return quotient_ell1_norm(inst.elements["a"], null_ideal(inst.action).basis)
+
+
 SWAP = E12 + E21
 # name -> (the call, the class it raises, the payload attribute and value)
 INPUT_CHECKS = {
@@ -726,6 +733,8 @@ INPUT_CHECKS = {
     "seminorm, not multiplicative": (_one_point_seminorm, "NotMultiplicative", "witness", (0, 1)),
     "seminorm kernel, not an ideal": (lambda: seminorm_kernel([_one_point_pair()]),
                                       "NotAnIdeal", "witness", ("id{x,y}", 0, "left")),
+    "quotient norm over operator-2-norm blocks": (_trivial_m2_qnorm, "QuotientNormNotLP",
+                                                  None, None),
     "tautological action of a table": (
         lambda: PartialSetAction.tautological(
             InvSemigroup.from_table([[0]], labels=["1"])), "NotGeneratedByMaps", None, None),

@@ -394,7 +394,7 @@ def _lifted_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
     are the polygon model's.  Each line of a larger block (columns for p = 1,
     rows for p = inf) that holds a live u bounds the sum of its u by m.
     """
-    from scipy.sparse import coo_array  # next to linprog: not on the import path
+    from scipy.sparse import coo_array  # imported here, like linprog: not by import semicross
 
     act, A, k = f.action, f.action.algebra, null_basis.shape[0]
     rows = np.vstack([f.to_dense(), null_basis])  # f, then the null rows

@@ -317,8 +317,8 @@ class TestQuotientLP:
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_semi_qnorm(self, samples):
-        # the coset of 1 delta_1 reaches 1 at z = 0 (f(e) = 0); the lifted
-        # program finds it to the last digit
+        # inf over lambda of |1 - lambda| + |lambda| is 1, attained on [0, 1];
+        # the lifted program gives it to the last digit
         inst = samples["semi"]
         assert quotient_ell1_norm(inst.elements["a"], null_ideal(inst.action).basis) == 1.0
 
@@ -345,7 +345,7 @@ class TestQuotientLP:
             assert (np.bincount(a_ub.row, minlength=len(ub))[on_w] == 3).all()
             rows, rhs = ub[:, ~w] - ub[:, w] @ eq[:, ~w], b_ub - ub[:, w] @ b_eq
 
-            ref_c, ref_ub, ref_b, _ = reference.reference_quotient_lp(f, N)
+            _, ref_ub, ref_b, _ = reference.reference_quotient_lp(f, N)
             facet = ~(ref_ub[:, 2 * k :] > 0).any(1)
             groups = ref_ub[facet].reshape(-1, N_FACETS, ref_ub.shape[1])
             group_b = ref_b[facet].reshape(-1, N_FACETS)

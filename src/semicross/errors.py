@@ -60,6 +60,12 @@ class IdempotentsDoNotCommute(CheckError):
         super().__init__(f"idempotents {pair} do not commute")
 
 
+class ZeroNotAbsorbing(CheckError):
+    def __init__(self, element):
+        self.element = element
+        super().__init__(f"designated zero {element} is not an absorbing element")
+
+
 class NotGeneratedByMaps(CheckError):
     pass
 

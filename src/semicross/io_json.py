@@ -100,6 +100,10 @@ def load_instance(path, cap: int = 10_000, tol: float = 1e-9) -> ParsedInstance:
         return parse_instance(fh.read(), cap, tol)
 
 
+def _is_index(x) -> bool:
+    return type(x) is int  # bool is an int subclass, and no index
+
+
 def _parse_semigroup(block, cap, notes):
     if not isinstance(block, dict):
         raise SchemaError("missing or malformed 'semigroup' block")
@@ -107,22 +111,35 @@ def _parse_semigroup(block, cap, notes):
         carrier = block.get("carrier")
         if not isinstance(carrier, list) or not carrier:
             raise SchemaError("semigroup.carrier: expected a nonempty list")
+        if not all(isinstance(x, str) for x in carrier):
+            raise SchemaError("semigroup.carrier: expected point names as strings")
+        raws = block["generators"]
+        if not isinstance(raws, list) or not raws:
+            raise SchemaError("semigroup.generators: expected a nonempty list")
         gens = []
-        for g, raw in enumerate(block["generators"]):
+        for g, raw in enumerate(raws):
             if not isinstance(raw, dict):
                 raise SchemaError(f"semigroup.generators[{g}]: expected a mapping")
             try:
                 gens.append(PartialBijection.from_dict(tuple(carrier), raw))
-            except ValueError as err:
+            except (TypeError, ValueError) as err:
                 raise SchemaError(f"semigroup.generators[{g}]: {err}") from err
         sg = generate_semigroup(gens, cap=cap)
         return sg, PartialSetAction.tautological(sg)
     if "table" in block:
         table = block["table"]
-        n = len(table)
-        if any(len(row) != n for row in table):
+        if not isinstance(table, list) or any(
+            not isinstance(row, list) or len(row) != len(table) for row in table
+        ):
             raise SchemaError("semigroup.table: expected a square table")
+        n = len(table)
+        if not all(_is_index(x) for row in table for x in row):
+            raise SchemaError("semigroup.table: entries must be integer element indices")
         labels = block.get("elements")
+        if labels is not None and (
+            not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+        ):
+            raise SchemaError("semigroup.elements: expected a list of strings")
         if labels is not None and len(labels) != n:
             raise SchemaError("semigroup.elements: wrong length")
         if labels is not None and len(set(labels)) != len(labels):
@@ -132,9 +149,13 @@ def _parse_semigroup(block, cap, notes):
             if labels is None or zero not in labels:
                 raise SchemaError(f"semigroup.zero: unknown element {zero!r}")
             zero = labels.index(zero)
+        elif zero is not None and not (_is_index(zero) and 0 <= zero < n):
+            raise SchemaError(f"semigroup.zero: expected an element label or an index below {n}")
         star = block.get("star")
         if star is None:
             notes.append("star map reconstructed from the table")
+        elif not isinstance(star, list) or not all(_is_index(x) for x in star):
+            raise SchemaError("semigroup.star: expected a list of integer element indices")
         sg = InvSemigroup.from_table(table, labels=labels, star=star, zero=zero)
         return sg, None
     raise SchemaError("semigroup block needs 'generators' or 'table'")

@@ -17,6 +17,7 @@ from .errors import (
     NotAHomomorphism,
     NotAssociative,
     SizeCapExceeded,
+    ZeroNotAbsorbing,
 )
 
 DEFAULT_CAP = 10_000
@@ -166,9 +167,12 @@ class InvSemigroup:
         labels = tuple(labels) if labels is not None else tuple(f"s{i}" for i in range(n))
         idem = tuple(i for i in range(n) if table[i, i] == i)
         if zero is not None and not (
-            np.all(table[zero, :] == zero) and np.all(table[:, zero] == zero)
+            isinstance(zero, (int, np.integer))
+            and 0 <= zero < n
+            and (table[zero, :] == zero).all()
+            and (table[:, zero] == zero).all()
         ):
-            raise ValueError(f"designated zero {zero} is not absorbing")
+            raise ZeroNotAbsorbing(zero)
         sg = cls(labels, table, found, idem, frozenset(), zero, None)
         sg.order = natural_order(sg)
         return sg
@@ -187,30 +191,71 @@ def _assoc_witness(table: np.ndarray) -> tuple | None:
     return None
 
 
+def _generating_cover(table: np.ndarray) -> list[int]:
+    """Greedy generating set in index order: i joins unless it is already a
+    product of earlier members, closing under table products only."""
+    inside = np.zeros(len(table), dtype=bool)
+    closed = np.empty(0, dtype=int)
+    cover = []
+    for i in range(len(table)):
+        if inside[i]:
+            continue
+        cover.append(i)
+        inside[i] = True
+        batch = np.array([i])
+        while batch.size:
+            closed = np.concatenate([closed, batch])
+            prods = np.concatenate(
+                [table[np.ix_(batch, closed)].ravel(), table[np.ix_(closed, batch)].ravel()]
+            )
+            batch = np.unique(prods[~inside[prods]])
+            inside[batch] = True
+    return cover
+
+
+def _light_test(table: np.ndarray) -> bool:
+    """Light's associativity test over a generating cover.
+
+    Checks (x y) g = x (y g) for all x, y and each g of the cover.  That is
+    enough: if g and h pass, so does gh, since for all x, y
+    (x y)(g h) = ((x y) g) h = (x (y g)) h = x ((y g) h) = x (y (g h)),
+    using h, then g, then h twice.  So the elements that pass are closed
+    under products, and holding the cover they hold all of S.  A cover is
+    all of S at worst (a chain semilattice), and then this is the full
+    O(|S|^3) scan; the memory stays O(|S|^2).
+    """
+    for g in _generating_cover(table):
+        col = table[:, g]
+        if not np.array_equal(col[table], table[:, col]):
+            return False
+    return True
+
+
 def validate_inverse(table) -> np.ndarray:
     """Return the unique star map of an inverse-semigroup table.
 
-    Checks associativity, existence and uniqueness of generalized inverses
-    (t = t u t and u = u t u), and, redundantly, that idempotents commute.
+    Checks associativity (by ``_light_test``; on failure the full scan names
+    the first triple in row-major order), existence and uniqueness of
+    generalized inverses (t = t u t and u = u t u), and, redundantly, that
+    idempotents commute.
     """
     table = np.asarray(table, dtype=int)
     n = table.shape[0]
     if table.shape != (n, n) or (n and (table.min() < 0 or table.max() >= n)):
         raise NotAssociative("<malformed table>")
-    bad = _assoc_witness(table)
-    if bad is not None:
-        raise NotAssociative(bad)
-    star = np.empty(n, dtype=int)
+    if not _light_test(table):
+        raise NotAssociative(_assoc_witness(table))
     every = np.arange(n)
-    for t in range(n):
-        cands = np.flatnonzero(
-            (table[table[t], t] == t) & (table[table[:, t], every] == every)
-        )
-        if not cands.size:
+    inverse = (  # [t, u]: t u t = t and u t u = u
+        (table[table, every[:, None]] == every[:, None]) & (table[table.T, every] == every)
+    )
+    count = inverse.sum(axis=1)
+    if (count != 1).any():
+        t = int(np.flatnonzero(count != 1)[0])
+        if not count[t]:
             raise NoGeneralizedInverse(t)
-        if cands.size > 1:
-            raise NonUniqueInverse(t, cands.tolist())
-        star[t] = cands[0]
+        raise NonUniqueInverse(t, np.flatnonzero(inverse[t]).tolist())
+    star = inverse.argmax(axis=1)
     idem = np.flatnonzero(table[every, every] == every)
     sub = table[np.ix_(idem, idem)]
     clash = np.argwhere(np.triu(sub != sub.T, 1))
@@ -229,10 +274,12 @@ def natural_order(sg: InvSemigroup) -> frozenset:
     assert not (leq & leq.T)[~np.eye(n, dtype=bool)].any(), (
         "natural order is not antisymmetric"
     )
-    for s in range(n):
-        below, above = np.flatnonzero(leq[:, s]), np.flatnonzero(leq[s])
-        assert leq[np.ix_(below, above)].all(), "natural order is not transitive"
     s, t = np.nonzero(leq)
+    step = max(1, 2**22 // max(n, 1))  # pairs per chunk: about 4 MB of rows
+    for k in range(0, len(s), step):
+        # s <= t and t <= u give s <= u: the row of t lies in the row of s
+        below, above = s[k:k + step], t[k:k + step]
+        assert not (leq[above] & ~leq[below]).any(), "natural order is not transitive"
     return frozenset(zip(s.tolist(), t.tolist()))
 
 
@@ -268,52 +315,95 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per row: its bytes."""
-    rows = np.ascontiguousarray(rows)
-    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-    if not key.itemsize:  # no points: every row is the empty map
-        return np.zeros(len(rows), dtype=key)
-    return rows.view(key).ravel()
+def _froidure_pin(letters: np.ndarray, cap: int) -> tuple:
+    """Distinct rows of the semigroup generated by the letter rows.
+
+    Froidure and Pin's enumeration ("Algorithms for computing finite
+    semigroups", 1997): each row found is multiplied on the right by each
+    letter only, and each product is looked up by its bytes.  Returns the
+    rows in order of discovery, the right Cayley graph ``right[x, a]`` (the
+    index of x o letter a), the index of each letter, and for each row the
+    (parent, letter) pair it was first found as, with parent -1 for letters.
+    """
+    width = letters.shape[1]
+    index: dict[bytes, int] = {}
+    blocks, parent, via = [], [], []
+
+    def register(rows, parents, lets) -> np.ndarray:
+        """Index of each row; rows not seen yet are appended in order."""
+        step = rows.itemsize * width
+        keys = rows.tobytes()
+        idx = np.empty(len(rows), dtype=np.intp)
+        fresh = []
+        for r in range(len(rows)):
+            key = keys[r * step:(r + 1) * step]
+            i = index.get(key)
+            if i is None:
+                if len(index) >= cap:
+                    raise SizeCapExceeded(cap)
+                i = index[key] = len(index)
+                fresh.append(r)
+                parent.append(parents[r])
+                via.append(lets[r])
+            idx[r] = i
+        blocks.append(rows[fresh])
+        return idx
+
+    n_letters = len(letters)
+    letter_idx = register(letters, [-1] * n_letters, range(n_letters))
+    right = []
+    while len(blocks[-1]):
+        frontier = blocks[-1]
+        first = len(index) - len(frontier)
+        # x o a for each frontier x, then each letter a
+        prods = _undefined_column(frontier)[:, letters].reshape(len(frontier) * n_letters, width)
+        parents = np.repeat(np.arange(first, len(index)), n_letters).tolist()
+        right.append(register(prods, parents, list(range(n_letters)) * len(frontier)))
+    right = np.concatenate(right).reshape(len(index), n_letters)
+    return np.vstack(blocks), right, letter_idx, parent, via
 
 
-class _RowIndex:
-    """Distinct rows in discovery order, looked up in batches by key."""
+def _discovery_order(table: np.ndarray, star: np.ndarray, firsts) -> np.ndarray:
+    """Indices in the order the breadth-first closure registers them.
 
-    def __init__(self, rows: np.ndarray, cap: int):
-        self.cap = cap
-        self.rows = rows[:0]
-        self.keys = _keys(self.rows)
-        self.register(rows)
+    Each round registers the inverses of the frontier, then, for each
+    frontier element x and each y known at that point, x o y and y o x;
+    only first occurrences count.  Replayed on indices over the finished
+    table, one round at a time.
+    """
+    seen = np.zeros(len(table), dtype=bool)
+    order = []
 
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """Position of the row with each key, or -1 where there is none."""
-        if not self.keys.size:
-            return np.full(keys.shape, -1)
-        pos = np.searchsorted(self.sorted, keys).clip(max=self.keys.size - 1)
-        return np.where(self.sorted[pos] == keys, self.order[pos], -1)
+    def register(cands: np.ndarray) -> np.ndarray:
+        cands = cands[~seen[cands]]
+        new = cands[np.sort(np.unique(cands, return_index=True)[1])]
+        seen[new] = True
+        order.append(new)
+        return new
 
-    def register(self, rows: np.ndarray) -> None:
-        """Append the rows not seen yet, once each, in order of first occurrence."""
-        keys = _keys(rows)
-        fresh = self.find(keys) < 0
-        first = np.sort(np.unique(keys[fresh], return_index=True)[1])
-        if self.keys.size + first.size > self.cap:
-            raise SizeCapExceeded(self.cap)
-        self.rows = np.vstack([self.rows, rows[fresh][first]])
-        self.keys = np.concatenate([self.keys, keys[fresh][first]])
-        self.order = np.argsort(self.keys)
-        self.sorted = self.keys[self.order]
+    frontier = register(np.asarray(firsts))
+    while frontier.size:
+        inverses = register(star[frontier])
+        known = np.concatenate(order)
+        pairs = np.stack(
+            [table[np.ix_(frontier, known)], table[np.ix_(known, frontier)].T], axis=2
+        )
+        frontier = np.concatenate([inverses, register(pairs.ravel())])
+    return np.concatenate(order)
 
 
 def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
-    """Breadth-first closure of partial bijections under composition and inverse.
+    """Closure of partial bijections under composition and inverse.
 
-    Elements are deduplicated by their graph and ordered by discovery, so the
-    enumeration is deterministic: each round registers the inverses of the
-    frontier, then, for each frontier element x and each y known at that
-    point, x o y and y o x.  The empty map, when reached, becomes the
-    semigroup zero.
+    The closure is the semigroup generated by the letters G and G*, found by
+    ``_froidure_pin`` with |S| * 2|G| row products.  The Cayley table then
+    follows from the right Cayley graph R one column at a time: y = p o a
+    gives table[:, y] = R[table[:, p], a].  The star follows likewise, from
+    (p o a)* = a* o p*.
+
+    Elements are ordered as the breadth-first closure discovers them, so the
+    enumeration is deterministic (see ``_discovery_order``).  The empty map,
+    when reached, becomes the semigroup zero.
     """
     gens = list(generators)
     if not gens:
@@ -323,26 +413,23 @@ def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
         if g.carrier != carrier:
             raise CarrierMismatch("generators live on different carriers")
 
-    index = _RowIndex(_pbij_rows(carrier, gens), cap)
-    start = 0
-    while start < len(index.rows):
-        frontier = index.rows[start:]
-        start = len(index.rows)
-        index.register(_inverse_rows(frontier))
-        known = index.rows
-        known_ext = _undefined_column(known)
-        for x in frontier:
-            # x o y and y o x interleaved, for y in known order
-            pair = np.stack([np.append(x, -1)[known], known_ext[:, x]], axis=1)
-            index.register(pair.reshape(2 * len(known), len(carrier)))
-
-    elems = index.rows
+    rows = _pbij_rows(carrier, gens)
+    letters = np.vstack([rows, _inverse_rows(rows)])
+    elems, right, letter_idx, parent, via = _froidure_pin(letters, cap)
     n = len(elems)
-    ext = _undefined_column(elems)
-    table = np.empty((n, n), dtype=int)
-    for i in range(n):
-        table[i] = index.find(_keys(ext[i][elems]))
-    star = index.find(_keys(_inverse_rows(elems)))
+    inverse_letter = np.roll(letter_idx.reshape(2, -1), 1, axis=0).ravel()
+    cols = np.empty((n, n), dtype=int)  # cols[y] = table[:, y]
+    for y, (p, a) in enumerate(zip(parent, via)):
+        cols[y] = right[:, a] if p < 0 else right[cols[p], a]
+    star = np.empty(n, dtype=int)
+    for y, (p, a) in enumerate(zip(parent, via)):
+        star[y] = inverse_letter[a] if p < 0 else cols[star[p], inverse_letter[a]]
+    order = _discovery_order(cols.T, star, letter_idx[: len(gens)])
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    table = np.ascontiguousarray(rank[cols[np.ix_(order, order)].T])
+    star = rank[star[order]]
+    elems = elems[order]
     idem = tuple(np.flatnonzero(table.diagonal() == np.arange(n)).tolist())
     pbijs = tuple(_to_pbij(carrier, row) for row in elems)
     labels = tuple(x.label for x in pbijs)
@@ -381,7 +468,7 @@ def wagner_preston_embed(sg: InvSemigroup) -> list[PartialBijection]:
     domain = sg.table[sg.table[sg.star, every][:, None], every] == every  # [t, x]
     rows = np.full((n, n), -1, dtype=np.intp)
     rows[:, pos] = np.where(domain, pos[sg.table], -1)
-    assert np.unique(_keys(rows)).size == n, "embedding is not injective"
+    assert len(np.unique(rows, axis=0)) == n, "embedding is not injective"
     _check_rows(sg, rows)
     assert np.array_equal(rows[sg.star], _inverse_rows(rows)), (
         "embedding does not commute with star"

@@ -10,6 +10,9 @@ the product element.
 Cayley table, with the pairwise natural order; ``generate_semigroup``
 replaced it with a closure over int rows that registers elements in the same
 order.  ``reference_wagner_preston`` builds the regular embedding map by map.
+``reference_assoc_witness`` scans every triple of a Cayley table one at a
+time for the first failure of associativity, which ``validate_inverse`` now
+finds by Light's test over a generating cover.
 
 The sampled and per-pair certificates (``reference_paut_validate``,
 ``reference_ideal_validate``, ``reference_certify_contractive``,
@@ -237,6 +240,17 @@ def reference_generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemig
     sg = InvSemigroup(labels, table, star, idem, frozenset(), index.get(()), tuple(elems))
     sg.order = reference_natural_order(sg)
     return sg
+
+
+def reference_assoc_witness(table) -> tuple | None:
+    """First (i, j, k) in row-major order with (ij)k != i(jk), or None."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return (i, j, k)
+    return None
 
 
 def reference_wagner_preston(sg: InvSemigroup) -> list[PartialBijection]:

@@ -371,6 +371,55 @@ print(out.getvalue().strip())
 """
 
 
+def _set(path: tuple, value):
+    """Edit of an instance document: ``doc[path[0]]...[path[-1]] = value``."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+# (instance, edit, exit code, error code): each once ended in a traceback
+MALFORMED_SEMIGROUPS = {
+    "zero out of range": ("semi_table", _set(("semigroup", "zero"), 5), 2, "SchemaError"),
+    "zero not an int": ("semi_table", _set(("semigroup", "zero"), [0]), 2, "SchemaError"),
+    "zero not absorbing": ("semi_table", _set(("semigroup", "zero"), 0), 1, "ZeroNotAbsorbing"),
+    "table entry not an int": (
+        "semi_table", _set(("semigroup", "table"), [[0, "e"], [1, 1]]), 2, "SchemaError"
+    ),
+    "no generators": ("flip", _set(("semigroup", "generators"), []), 2, "SchemaError"),
+    "mixed carrier": ("flip", _set(("semigroup", "carrier"), [1, "2"]), 2, "SchemaError"),
+    "carrier of lists": ("flip", _set(("semigroup", "carrier"), [["1"], ["2"]]), 2, "SchemaError"),
+}
+
+
+class TestMalformedSemigroup:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("case", list(MALFORMED_SEMIGROUPS))
+    def test_fails_with_a_named_code(self, tmp_path, case, flags):
+        name, edit, exit_code, code = MALFORMED_SEMIGROUPS[case]
+        doc = json.loads((INSTANCES / f"{name}.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        cmd = [sys.executable, *flags, "-m", "semicross.cli"]
+        result = subprocess.run(
+            [*cmd, "--json", "validate", str(bad)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == exit_code, result.stderr
+        assert json.loads(result.stdout)["error"]["code"] == code
+        result = subprocess.run(
+            [*cmd, "validate", str(bad)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == exit_code
+        assert result.stderr.startswith(f"error[{code}]: ")
+
+
 class TestLazyScipy:
     def test_only_the_quotient_norm_imports_scipy_optimize(self):
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

@@ -1,16 +1,24 @@
 """Partial bijections, generated closures, Cayley-table validation, the
 natural order, and the regular embedding."""
 
+import contextlib
 import itertools
+import os
+import subprocess
+import sys
+import time
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fixtures
 
 from reference import (
+    reference_assoc_witness,
     reference_generate_semigroup,
     reference_natural_order,
     reference_wagner_preston,
@@ -23,7 +31,10 @@ from semicross.errors import (
     NotAHomomorphism,
     NotAssociative,
     SizeCapExceeded,
+    ZeroNotAbsorbing,
 )
+from semicross import semigroups
+from semicross.io_json import load_instance
 from semicross.semigroups import (
     InvSemigroup,
     PartialBijection,
@@ -33,6 +44,9 @@ from semicross.semigroups import (
     validate_inverse,
     wagner_preston_embed,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ("flip", "m2", "m2_swap", "semi", "semi_table", "sim2", "z2")
 
 X = ("1", "2")
 T = PartialBijection.from_dict(X, {"1": "2"})
@@ -231,6 +245,50 @@ class TestClosureAgainstReference:
             assert err.value.cap == 208
             assert len(closure(gens, cap=209)) == 209
 
+    @pytest.mark.parametrize("name", ["tau_e1", "sim3", "empty_carrier"])
+    def test_cap_zero_is_the_same(self, name):
+        for closure in (generate_semigroup, reference_generate_semigroup):
+            with pytest.raises(SizeCapExceeded) as err:
+                closure(CLOSURES[name], cap=0)
+            assert err.value.cap == 0
+
+    def test_empty_carrier_fits_a_cap_of_one(self):
+        gens = CLOSURES["empty_carrier"]
+        assert_same_semigroup(
+            generate_semigroup(gens, cap=1), reference_generate_semigroup(gens, cap=1)
+        )
+
+    def test_sim5_in_bounded_time_and_memory(self):
+        # |sim_5| = 1546; the table alone has 2.4 M entries
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from semicross import InvSemigroup, PartialBijection as P, generate_semigroup\n"
+            "x = (1, 2, 3, 4, 5)\n"
+            "gens = [P.from_dict(x, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}),\n"
+            "        P.from_dict(x, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}), P.identity(x, (2, 3, 4, 5))]\n"
+            "sg = generate_semigroup(gens)\n"
+            "rebuilt = InvSemigroup.from_table(sg.table)\n"
+            "same = np.array_equal(rebuilt.star, sg.star) and rebuilt.idempotents == sg.idempotents\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(len(sg), int(same), rss)\n"
+        )
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        wall = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        size, same, rss_kib = map(int, result.stdout.split())
+        assert size == sum(comb(5, k) ** 2 * factorial(k) for k in range(6)) == 1546
+        assert same
+        assert rss_kib < 1024**2, f"peak RSS {rss_kib / 1024:.0f} MiB"
+        assert wall < 10.0, f"{wall:.1f} s"
+
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatch):
             generate_semigroup([T, _on(3, {1: 2})])
@@ -275,9 +333,86 @@ class TestValidateInverse:
         with pytest.raises(NonUniqueInverse):
             InvSemigroup.from_table([[0, 1], [1, 0]], star=[1, 0])
 
+    @pytest.mark.parametrize("zero", [0, 2, -1])
+    def test_designated_zero_must_be_absorbing(self, zero):
+        # 1 >= e: e is absorbing, the identity 1 is not, and 2, -1 are no elements
+        with pytest.raises(ZeroNotAbsorbing) as err:
+            InvSemigroup.from_table([[0, 1], [1, 1]], zero=zero)
+        assert err.value.element == zero
+        assert InvSemigroup.from_table([[0, 1], [1, 1]], zero=1).zero == 1
+
     def test_star_reconstruction_matches_generated(self):
         sg = generate_semigroup([TAU, E1])
         assert np.array_equal(validate_inverse(sg.table), sg.star)
+
+
+def chain_semilattice(n: int) -> np.ndarray:
+    """i j = min(i, j): each element is a product of earlier ones only with
+    itself, so the generating cover is all of S."""
+    every = np.arange(n)
+    return np.minimum(every[:, None], every)
+
+
+def cyclic_group(n: int) -> np.ndarray:
+    every = np.arange(n)
+    return (every[:, None] + every) % n
+
+
+def known_tables() -> dict:
+    tables = {name: load_instance(ROOT / "instances" / f"{name}.json").semigroup.table
+              for name in SAMPLES}
+    for name in ("sim3", "sim4", "chain8"):
+        tables[name] = generate_semigroup(CLOSURES[name]).table
+    tables["chain_semilattice12"] = chain_semilattice(12)
+    tables["cyclic9"] = cyclic_group(9)
+    return tables
+
+
+KNOWN_TABLES = known_tables()
+
+# small inverse semigroups whose tables get one entry changed
+small_generator_lists = st.integers(1, 3).flatmap(
+    lambda n: st.lists(fixtures.partial_bijections_on(n), min_size=1, max_size=3)
+)
+
+
+class TestLightAssociativity:
+    """Light's test over a generating cover against the full triple scan."""
+
+    @pytest.mark.parametrize("name", list(KNOWN_TABLES))
+    def test_certifies_without_the_full_scan(self, name, monkeypatch):
+        table = KNOWN_TABLES[name]
+        if len(table) <= 40:
+            assert reference_assoc_witness(table) is None
+
+        def full_scan(_):
+            raise AssertionError("the full associativity scan ran")
+
+        monkeypatch.setattr(semigroups, "_assoc_witness", full_scan)
+        validate_inverse(table)
+
+    def test_generating_covers(self):
+        assert semigroups._generating_cover(chain_semilattice(12)) == list(range(12))
+        assert semigroups._generating_cover(cyclic_group(9)) == [0, 1]
+        assert semigroups._generating_cover(KNOWN_TABLES["sim4"]) == [0, 1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_generator_lists, st.data())
+    def test_first_triple_matches_the_reference(self, gens, data):
+        table = generate_semigroup(gens).table.copy()
+        n = len(table)
+        assume(n > 1)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        other = data.draw(st.integers(0, n - 2))  # any entry but the old one
+        table[i, j] = other + (other >= table[i, j])
+        want = reference_assoc_witness(table)
+        if want is None:
+            with contextlib.suppress(NoGeneralizedInverse, NonUniqueInverse):
+                validate_inverse(table)
+        else:
+            with pytest.raises(NotAssociative) as err:
+                validate_inverse(table)
+            assert err.value.triple == want
 
 
 class TestNaturalOrder:

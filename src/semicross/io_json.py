@@ -101,7 +101,7 @@ def load_instance(path, cap: int = 10_000, tol: float = 1e-9) -> ParsedInstance:
 
 
 def _is_index(x) -> bool:
-    return type(x) is int  # bool is an int subclass, and no index
+    return type(x) is int  # not bool, which is an int subclass
 
 
 def _parse_semigroup(block, cap, notes):

@@ -390,6 +390,10 @@ MALFORMED_SEMIGROUPS = {
     "table entry not an int": (
         "semi_table", _set(("semigroup", "table"), [[0, "e"], [1, 1]]), 2, "SchemaError"
     ),
+    "labels not strings": (
+        "semi_table", _set(("semigroup", "elements"), [["1"], "e"]), 2, "SchemaError"
+    ),
+    "star not ints": ("semi_table", _set(("semigroup", "star"), ["e", 1]), 2, "SchemaError"),
     "no generators": ("flip", _set(("semigroup", "generators"), []), 2, "SchemaError"),
     "mixed carrier": ("flip", _set(("semigroup", "carrier"), [1, "2"]), 2, "SchemaError"),
     "carrier of lists": ("flip", _set(("semigroup", "carrier"), [["1"], ["2"]]), 2, "SchemaError"),

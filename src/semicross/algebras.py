@@ -198,12 +198,18 @@ class Ideal:
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return in_rowspace(self._orth, x, tol)
 
+    @property
+    def pinv(self) -> np.ndarray:
+        """The pseudo-inverse of ``basis``, computed once: x @ pinv are the
+        coordinates of x when x lies in the subspace."""
+        if not hasattr(self, "_pinv"):
+            self._pinv = np.linalg.pinv(self.basis)
+        return self._pinv
+
     def coords(self, x, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Basis coefficients (of each row, if 2-d); rejects vectors off the subspace."""
         x = as_complex(x)
-        if not hasattr(self, "_pinv"):
-            self._pinv = np.linalg.pinv(self.basis)
-        c = x @ self._pinv
+        c = x @ self.pinv
         if off_rows(x - c @ self.basis, x, tol).any():
             raise np.linalg.LinAlgError("vector not in the ideal subspace")
         return c

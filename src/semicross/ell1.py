@@ -14,13 +14,13 @@ the tensor is built.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, first_far, in_rowspace, null_rows, orth_rows
-from .actions import Action
+from ._linalg import DEFAULT_TOL, as_complex, first_far, in_rowspace, null_rows, off_rows
+from ._linalg import orth_rows
+from .actions import Action, _stack
 from .errors import (
     ActionMismatch,
     ConvolutionEscapesIdeal,
@@ -135,26 +135,53 @@ class Ell1Element:
 def structure_tensor(action: Action, tol: float = DEFAULT_TOL) -> tuple:
     """The products of the spanning monomials, once per (action, tol), as
     read-only arrays (I, J, K, C): m_i * m_j = sum of C[e] m_K[e] over the
-    entries e with I[e] = i and J[e] = j.  Actions reach here unvalidated, so
-    each alpha_s(alpha_{s*}(a) b), a in I_s and b in I_t, is checked to lie in
-    I_st; if one does not, ``ConvolutionEscapesIdeal`` names (s, t)."""
+    entries e with I[e] = i and J[e] = j, in the order of (s, t, i, j, k).
+
+    One build per nonzero s covers every t: the basis a of I_s is pulled
+    back through alpha_{s*} once, multiplied with the zero-padded stack of
+    every ideal basis b, mapped by alpha_s, and given coordinates in I_st by
+    the padded pseudo-inverses gathered by st (padding adds no entries).
+    Actions reach here unvalidated, so each alpha_s(alpha_{s*}(a) b) is
+    checked to lie in the source of alpha_s and in I_st, by the rule of
+    ``Ideal.coords``; if one does not, ``ConvolutionEscapesIdeal`` names the
+    first failing t of the first failing s, or (s, the first nonzero t) when
+    I_s is off the source of alpha_{s*}."""
     if not hasattr(action, "_tensor"):
         action._tensor = {}
     if tol in action._tensor:
         return action._tensor[tol]
-    sg, A, offs = action.semigroup, action.algebra, action.offsets
+    sg, A, d = action.semigroup, action.algebra, action.algebra.dim
+    ideals = [action.ideal(r) for r in range(len(sg))]
+    basis = _stack([ideal.basis for ideal in ideals])  # (r, row, d)
+    pinv = _stack([ideal.pinv.T for ideal in ideals]).swapaxes(1, 2)  # (r, d, column)
+    start = np.array([action.offsets.get(r, 0) for r in range(len(sg))])
+    nonzero = np.array(action.nonzero_elements, dtype=np.intp)
+    others = basis[nonzero].reshape(-1, d)  # (t, b) rows
     entries = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=complex),)]
-    for s, t in itertools.product(action.nonzero_elements, repeat=2):
-        r, bs, bt = sg.mul(s, t), action.ideal(s).basis, action.ideal(t).basis
+    for s in nonzero:
+        source, st = action.paut(s).source, sg.table[s, nonzero]
         try:
-            pulled = action.apply(sg.inv(s), bs, tol)
-            prod = np.einsum("ai,bj,ijk->abk", pulled, bt, A.structure).reshape(-1, A.dim)
-            coords = action.ideal(r).coords(action.apply(s, prod, tol), tol)
+            pulled = action.apply(sg.inv(s), ideals[s].basis, tol)
         except np.linalg.LinAlgError:
-            raise ConvolutionEscapesIdeal(sg.labels[s], sg.labels[t]) from None
-        ab, k = np.nonzero(coords)
-        a, b = divmod(ab, len(bt))
-        entries.append((offs[s] + a, offs[t] + b, offs.get(r, 0) + k, coords[ab, k]))
+            raise ConvolutionEscapesIdeal(sg.labels[s], sg.labels[nonzero[0]]) from None
+        if not source.dim:  # alpha_s is the zero map
+            continue
+        prod = others @ np.tensordot(pulled, A.structure, (1, 0))  # (a, (t, b), d)
+        c = prod @ source.pinv
+        escapes = off_rows(prod - c @ source.basis, prod, tol)
+        image = (c @ action.paut(s).matrix).reshape(len(pulled), len(nonzero), -1, d)
+        image = image.swapaxes(0, 1).reshape(len(nonzero), -1, d)  # (t, (a, b), d)
+        coords = image @ pinv[st]
+        bad = off_rows(image - coords @ basis[st], image, tol).any(1)
+        bad |= escapes.reshape(len(pulled), len(nonzero), -1).any((0, 2))
+        if bad.any():
+            t = nonzero[np.argmax(bad)]
+            raise ConvolutionEscapesIdeal(sg.labels[s], sg.labels[t])
+        coords = coords.reshape(len(nonzero), len(pulled), basis.shape[1], -1)
+        t, a, b, k = np.nonzero(coords)
+        entries.append(
+            (start[s] + a, start[nonzero[t]] + b, start[st[t]] + k, coords[t, a, b, k])
+        )
     tensor = tuple(map(np.concatenate, zip(*entries)))
     for arr in tensor:
         arr.flags.writeable = False
@@ -375,24 +402,63 @@ def quotient_ell1_norm(
         raise QuotientNormNotLP("quotient norm over operator-2-norm blocks is not LP-representable")
     from scipy.optimize import linprog  # imported here: it is most of the package's import time
 
-    res = linprog(*_lifted_lp(f, null_basis), method="highs")
+    # presolve off: faster on these small programs, and on the segment of
+    # optima of semi's qnorm(a) HiGHS then stops at a vertex that reads 1.0
+    res = linprog(*_lifted_lp(f, null_basis), method="highs", options={"presolve": False})
     if res.status != 0:
         raise QuotientNormLPFailed(res.status, res.message)
     return float(res.fun)
+
+
+_RE, _IM, _A, _B, _X, _Y, _BOUND = range(7)  # a live coordinate's columns, then its bound
+_R2 = np.sqrt(0.5)
+
+
+def _triples(rows) -> tuple:
+    """The (row, column, value) arrays of rows given as {column: value}."""
+    triples = [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
+    return tuple(map(np.array, zip(*triples)))
+
+
+# the rows of one live coordinate in the folded polygon model (see _lifted_lp)
+_FOLD_UB = _triples([
+    {_RE: 1, _A: -1}, {_RE: -1, _A: -1},  # a >= +-Re w
+    {_IM: 1, _B: -1}, {_IM: -1, _B: -1},  # b >= +-Im w
+    {_A: -_R2, _B: _R2, _Y: -1}, {_A: _R2, _B: -_R2, _Y: -1},  # y >= +-(b - a)/sqrt(2)
+    *({_X: np.cos(phi), _Y: np.sin(phi), _BOUND: -1}  # the facets, phi in [0, pi/4]
+      for phi in 2 * np.pi * np.arange(N_FACETS // 8 + 1) / N_FACETS),
+])
+_FOLD_EQ = _triples([{_X: 1, _A: -_R2, _B: -_R2}])  # x = (a + b)/sqrt(2)
 
 
 def _lifted_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
     """Objective, A_ub, b_ub, A_eq, b_eq (sparse) and bounds of the
     quotient-norm LP over the orthonormal rows ``null_basis`` (k of them).
 
-    Variables: Re z, Im z (k each), m (per nonzero element), u (per live
-    coordinate of a block larger than 1x1), Re w, Im w (per live coordinate).
-    A coordinate is live when f or a null row is nonzero there; a dead one's
-    facet rows would read -bound <= 0, which bound >= 0 says.  Two equality
-    rows give w = f(t) + z . N(t); with w projected out, the facet rows
-    cos(theta) Re w + sin(theta) Im w <= bound (m for a 1x1 block, else u)
-    are the polygon model's.  Each line of a larger block (columns for p = 1,
-    rows for p = inf) that holds a live u bounds the sum of its u by m.
+    Variables: Re w, Im w, a, b, x, y (per live coordinate), Re z, Im z
+    (k each), m (per nonzero element), u (per live coordinate of a block
+    larger than 1x1).  A coordinate is live when f or a null row is nonzero
+    there; a dead one would only say 0 <= bound, which bound >= 0 says.  Two
+    equality rows give w = f(t) + z . N(t).  The bound of a coordinate is m
+    for a 1x1 block, else its u; each line of a larger block (columns for
+    p = 1, rows for p = inf) that holds a live u bounds the sum of its u by m.
+
+    The 64-gon |w| <= bound, cos(theta) Re w + sin(theta) Im w <= bound at
+    theta = 2 pi i/64, is folded by its symmetries into 15 inequality rows
+    and one more equality row per coordinate: a >= +-Re w and b >= +-Im w
+    with a, b >= 0, x = (a + b)/sqrt(2), y >= +-(b - a)/sqrt(2), and
+    cos(phi) x + sin(phi) y <= bound at phi = j pi/32, j = 0..8.  The
+    polygon's facet angles are unchanged by sign flips of Re w and Im w and
+    by swapping them (4 and 8 divide 64), so its support function at w is
+    its value at (p, q) = (|Re w|, |Im w|), the maximum over the 17 facets
+    with theta in [0, pi/2].  Writing theta = pi/4 +- phi, such a facet
+    reads cos(phi) (p + q)/sqrt(2) +- sin(phi) (q - p)/sqrt(2), and the
+    larger sign is the folded row at x = (p + q)/sqrt(2),
+    y = |q - p|/sqrt(2).  At the smallest y each folded row is
+    cos(pi/4 + phi) a + sin(pi/4 + phi) b or sin(pi/4 + phi) a +
+    cos(pi/4 + phi) b, whose slopes are nonnegative for phi <= pi/4, so
+    raising a above |Re w| or b above |Im w| never helps: the program
+    projects onto the same polygon.
     """
     from scipy.sparse import coo_array  # imported here, like linprog: not by import semicross
 
@@ -408,29 +474,36 @@ def _lifted_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
             n_lines += len(idx)
     is_u = line_at[coord] >= 0
     n_w, n_m, n_u = el.size, len(values), np.count_nonzero(is_u)
-    m0, u0, w0 = 2 * k, 2 * k + n_m, 2 * k + n_m + n_u
+    z0 = _BOUND * n_w  # the columns of the live coordinates come first
+    m0, u0 = z0 + 2 * k, z0 + 2 * k + n_m
 
     def sparse(n_rows, *parts):  # each part (values, rows, columns), broadcast together
         v, r, c = map(np.concatenate, zip(*(map(np.ravel, np.broadcast_arrays(*p)) for p in parts)))
-        return coo_array((v, (r, c)), shape=(n_rows, w0 + 2 * n_w))
+        return coo_array((v, (r, c)), shape=(n_rows, u0 + n_u))
 
-    # w - N(t) . z = f(t), the Re and the Im row of each live coordinate
+    bound = np.where(is_u, u0 + np.cumsum(is_u) - 1, m0 + el)
+    cols = np.column_stack([_BOUND * np.arange(n_w)[:, None] + np.arange(_BOUND), bound])
+
+    def fold(template, first):  # one copy of a template per live coordinate
+        r, c, v = template
+        n = r.max() + 1
+        return v, first + n * np.arange(n_w)[:, None] + r, cols[:, c]
+
+    # w - N(t) . z = f(t), the Re and the Im row of each live coordinate, then x rows
     b, nz = values[el, 0, coord], values[el, 1:, coord]
     zc = np.concatenate([-nz.real, nz.imag, -nz.imag, -nz.real], axis=1).reshape(2 * n_w, 2 * k)
     r, c = np.nonzero(zc)
     eq = np.arange(2 * n_w)
-    a_eq = sparse(2 * n_w, (zc[r, c], r, c), (1.0, eq, w0 + eq))
-    # facet rows, three nonzeros each: cos(theta) Re w + sin(theta) Im w - bound <= 0
-    theta = 2.0 * np.pi * np.arange(N_FACETS) / N_FACETS
-    bound = np.where(is_u, u0 + np.cumsum(is_u) - 1, m0 + el)
-    n_f, w = n_w * N_FACETS, w0 + 2 * np.arange(n_w)
-    facets = (np.stack([np.cos(theta), np.sin(theta), -np.ones(N_FACETS)], axis=1),
-              np.arange(n_f).reshape(n_w, N_FACETS, 1), np.stack([w, w + 1, bound], 1)[:, None])
-    # line rows, per (element, line) that holds a live u: sum of its u - m <= 0
+    a_eq = sparse(3 * n_w, (zc[r, c], r, z0 + c), (1.0, eq, cols[:, :2].ravel()),
+                  fold(_FOLD_EQ, 2 * n_w))
+    # folded polygon rows, then line rows per (element, line) that holds a live u
+    n_f = n_w * (_FOLD_UB[0].max() + 1)
     keys, row = np.unique(el[is_u] * n_lines + line_at[coord[is_u]], return_inverse=True)
     n_ub = n_f + keys.size
-    a_ub = sparse(n_ub, facets, (1.0, n_f + row, bound[is_u]),
+    a_ub = sparse(n_ub, fold(_FOLD_UB, 0), (1.0, n_f + row, bound[is_u]),
                   (-1.0, np.arange(n_f, n_ub), m0 + keys // max(n_lines, 1)))
-    objective = np.repeat([0.0, 1.0, 0.0], [m0, n_m, n_u + 2 * n_w])
-    bounds = [(None, None)] * m0 + [(0, None)] * (w0 - m0) + [(None, None)] * (2 * n_w)
-    return objective, a_ub, np.zeros(n_ub), a_eq, np.stack([b.real, b.imag], 1).ravel(), bounds
+    objective = np.repeat([0.0, 1.0, 0.0], [m0, n_m, n_u])
+    free, pos = (None, None), (0, None)
+    bounds = [free, free, pos, pos, free, pos] * n_w + [free] * 2 * k + [pos] * (n_m + n_u)
+    b_eq = np.concatenate([np.stack([b.real, b.imag], 1).ravel(), np.zeros(n_w)])
+    return objective, a_ub, np.zeros(n_ub), a_eq, b_eq, bounds

@@ -10,6 +10,7 @@ literals.  Complex scalars are [re, im] pairs throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,24 @@ def _complex_in(value, where: str) -> complex:
     ):
         return complex(value[0], value[1])
     raise SchemaError(f"{where}: expected a number or [re, im] pair")
+
+
+def _finite(text: str) -> float:
+    """A JSON number, or the NaN and Infinity that ``json`` also reads,
+    rejected unless finite: a NaN residual would pass every check."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number {text} in the instance file")
+    return value
+
+
+def _p_in(value, where: str):
+    """A norm exponent p: 1, 2 or "inf"."""
+    if value == "inf":
+        return np.inf
+    if isinstance(value, bool) or value not in (1, 2):
+        raise SchemaError(f"{where}: expected 1, 2 or \"inf\", not {value!r}")
+    return value
 
 
 def _complex_out(z: complex) -> list:
@@ -74,7 +93,7 @@ def parse_instance(text: str, cap: int = 10_000, tol: float = 1e-9) -> ParsedIns
     """Parse, build and cross-link all blocks; raises SchemaError on shape
     problems and the named axiom errors on semantic ones."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as err:
         raise SchemaError(
             f"not valid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -133,8 +152,8 @@ def _parse_semigroup(block, cap, notes):
         ):
             raise SchemaError("semigroup.table: expected a square table")
         n = len(table)
-        if not all(_is_index(x) for row in table for x in row):
-            raise SchemaError("semigroup.table: entries must be integer element indices")
+        if not all(_is_index(x) and 0 <= x < n for row in table for x in row):
+            raise SchemaError(f"semigroup.table: entries must be element indices 0..{n - 1}")
         labels = block.get("elements")
         if labels is not None and (
             not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
@@ -175,8 +194,7 @@ def _parse_algebra(block, theta):
         sizes = block.get("blocks")
         if not isinstance(sizes, list) or not sizes:
             raise SchemaError("algebra.blocks: expected a nonempty list of sizes")
-        p = block.get("p", 2)
-        return matrix_algebra(sizes, np.inf if p == "inf" else p)
+        return matrix_algebra(sizes, _p_in(block.get("p", 2), "algebra.p"))
     raise SchemaError(f"algebra.kind: unsupported kind {block['kind']!r}")
 
 
@@ -255,14 +273,14 @@ def _parse_representations(blocks, action, theta, tol, notes):
                 raise SchemaError(
                     f"representations[{i}]: regular needs a generated semigroup"
                 )
-            out[name] = regular_rep(theta, block.get("p", 2), action=action, tol=tol)
+            p = _p_in(block.get("p", 2), f"representations[{i}].p")
+            out[name] = regular_rep(theta, p, action=action, tol=tol)
             continue
         space = block.get("space")
         if not isinstance(space, dict):
             raise SchemaError(f"representations[{i}].space: expected an object")
         dim = space.get("dim")
-        p = space.get("p", 2)
-        p = np.inf if p == "inf" else p
+        p = _p_in(space.get("p", 2), f"representations[{i}].space.p")
         pi_raw = block.get("pi")
         v_raw = block.get("v")
         if not isinstance(pi_raw, dict) or not isinstance(v_raw, dict):

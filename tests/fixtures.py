@@ -11,6 +11,7 @@
   dim l1 = 63) acting tautologically.
 * ``escaping_flip``: ``flip`` with alpha at (1>2) replaced by the identity
   of C delta_1, so it leaves I_(1>2) = C delta_2; never validated.
+  ``flip_with_identity`` makes the other maps of that kind.
 * ``twisted_sim2``: sim2 moving the blocks of M_2 + M_2 (p = inf), with
   alpha at (1>2) followed by Ad(W) and alpha at (2>1) preceded by Ad(W*),
   W the swap on the block of point 2.  Each alpha_t is still a partial
@@ -89,13 +90,20 @@ def sim3() -> Instance:
     return _instance("sim3", [cycle, swap, part])
 
 
-def escaping_flip() -> Action:
+def flip_with_identity(label: str, point: str | None) -> Action:
+    """``flip`` with alpha at ``label`` replaced by the identity of
+    C delta_point, or by the zero map when ``point`` is None; its target
+    ideal stays.  Never validated."""
     act = flip().action
-    t = act.semigroup.index("(1>2)")
-    good = act.paut(t)
+    t = act.semigroup.index(label)
+    source = Ideal.from_support(act.algebra, [point] if point else [])
     pauts = list(act.pauts)
-    pauts[t] = PartialAut(good.source, good.target, np.array(good.source.basis))
+    pauts[t] = PartialAut(source, act.paut(t).target, np.array(source.basis))
     return Action(act.semigroup, act.algebra, tuple(pauts))
+
+
+def escaping_flip() -> Action:
+    return flip_with_identity("(1>2)", "1")
 
 
 def twisted_sim2() -> Action:

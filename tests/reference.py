@@ -5,6 +5,11 @@ replaced with one contraction of the structure tensor: an exact double sum
 over the support pairs, with every summand checked to land in the ideal of
 the product element.
 
+``reference_structure_tensor`` builds the structure tensor with one
+batched solve per pair (s, t) of nonzero elements; ``structure_tensor``
+replaced it with one stacked build per s that gives the same entries in the
+same order and names the same first failing pair.
+
 ``reference_generate_semigroup`` is the breadth-first closure that composes
 ``PartialBijection`` pairs one at a time, for the closure and again for the
 Cayley table, with the pairwise natural order; ``generate_semigroup``
@@ -53,6 +58,8 @@ longer re-proves on every call.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from semicross._linalg import (
@@ -86,6 +93,7 @@ from semicross.errors import (
     DimensionMismatch,
     AdjointFormulaViolation,
     CarrierMismatch,
+    ConvolutionEscapesIdeal,
     CR1Violation,
     CR2Violation,
     CR3Violation,
@@ -148,6 +156,26 @@ def reference_convolve(
             )
             out[r] = out.get(r, 0) + ideal.coords(summand, tol)
     return Ell1Element(act, out)
+
+
+def reference_structure_tensor(action, tol: float = DEFAULT_TOL) -> tuple:
+    """(I, J, K, C) of ``structure_tensor``, one batched solve per pair (s, t)
+    of nonzero elements; the first pair whose products leave the source of
+    alpha_s or the ideal of st raises ``ConvolutionEscapesIdeal``."""
+    sg, A, offs = action.semigroup, action.algebra, action.offsets
+    entries = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=complex),)]
+    for s, t in itertools.product(action.nonzero_elements, repeat=2):
+        r, bs, bt = sg.mul(s, t), action.ideal(s).basis, action.ideal(t).basis
+        try:
+            pulled = action.apply(sg.inv(s), bs, tol)
+            prod = np.einsum("ai,bj,ijk->abk", pulled, bt, A.structure).reshape(-1, A.dim)
+            coords = action.ideal(r).coords(action.apply(s, prod, tol), tol)
+        except np.linalg.LinAlgError:
+            raise ConvolutionEscapesIdeal(sg.labels[s], sg.labels[t]) from None
+        ab, k = np.nonzero(coords)
+        a, b = divmod(ab, len(bt))
+        entries.append((offs[s] + a, offs[t] + b, offs.get(r, 0) + k, coords[ab, k]))
+    return tuple(map(np.concatenate, zip(*entries)))
 
 
 def reference_monomial_products(action, basis, tol: float = DEFAULT_TOL) -> np.ndarray:

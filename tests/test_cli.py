@@ -382,11 +382,24 @@ def _set(path: tuple, value):
     return edit
 
 
+def _literal(path: tuple, text: str):
+    """Edit that writes ``text`` verbatim at ``path``: NaN, Infinity, 1e999."""
+
+    def edit(doc):
+        _set(path, "@literal@")(doc)
+        return json.dumps(doc).replace('"@literal@"', text)
+
+    return edit
+
+
 # (instance, edit, exit code, error code): each once ended in a traceback
 MALFORMED_SEMIGROUPS = {
     "zero out of range": ("semi_table", _set(("semigroup", "zero"), 5), 2, "SchemaError"),
     "zero not an int": ("semi_table", _set(("semigroup", "zero"), [0]), 2, "SchemaError"),
     "zero not absorbing": ("semi_table", _set(("semigroup", "zero"), 0), 1, "ZeroNotAbsorbing"),
+    "table entry out of range": (
+        "semi_table", _set(("semigroup", "table", 0, 1), 5), 2, "SchemaError"
+    ),
     "table entry not an int": (
         "semi_table", _set(("semigroup", "table"), [[0, "e"], [1, 1]]), 2, "SchemaError"
     ),
@@ -400,28 +413,62 @@ MALFORMED_SEMIGROUPS = {
 }
 
 
+# numbers the checks cannot use: a NaN residual compares false, so a NaN
+# basis once passed validation; a p outside {1, 2, inf} ended in a traceback
+MALFORMED_VALUES = {
+    "NaN in an ideal basis": (
+        "semi_table", _literal(("action", "ideals", "e", 0, 0, 0), "NaN"), 2, "SchemaError"
+    ),
+    "Infinity in a map": (
+        "semi_table", _literal(("action", "maps", "1", 0, 0, 1), "-Infinity"), 2, "SchemaError"
+    ),
+    "number that overflows": (
+        "semi_table", _literal(("action", "maps", "1", 0, 0, 0), "1e999"), 2, "SchemaError"
+    ),
+    "representation p = 2.5": (
+        "semi_table", _set(("representations", 0, "space", "p"), 2.5), 2, "SchemaError"
+    ),
+    "regular representation p = 0": (
+        "flip", _set(("representations", 0, "p"), 0), 2, "SchemaError"
+    ),
+    "algebra p = 3": ("m2", _set(("algebra", "p"), 3), 2, "SchemaError"),
+}
+
+
+def _fails_with_a_named_code(tmp_path, flags, name, edit, exit_code, code):
+    """The edited instance fails validation with ``code`` and ``exit_code``,
+    with and without --json."""
+    doc = json.loads((INSTANCES / f"{name}.json").read_text())
+    text = edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text or json.dumps(doc))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    cmd = [sys.executable, *flags, "-m", "semicross.cli"]
+    result = subprocess.run(
+        [*cmd, "--json", "validate", str(bad)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == exit_code, result.stderr
+    assert json.loads(result.stdout)["error"]["code"] == code
+    result = subprocess.run(
+        [*cmd, "validate", str(bad)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == exit_code
+    assert result.stderr.startswith(f"error[{code}]: ")
+
+
 class TestMalformedSemigroup:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     @pytest.mark.parametrize("case", list(MALFORMED_SEMIGROUPS))
     def test_fails_with_a_named_code(self, tmp_path, case, flags):
-        name, edit, exit_code, code = MALFORMED_SEMIGROUPS[case]
-        doc = json.loads((INSTANCES / f"{name}.json").read_text())
-        edit(doc)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        cmd = [sys.executable, *flags, "-m", "semicross.cli"]
-        result = subprocess.run(
-            [*cmd, "--json", "validate", str(bad)], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == exit_code, result.stderr
-        assert json.loads(result.stdout)["error"]["code"] == code
-        result = subprocess.run(
-            [*cmd, "validate", str(bad)], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == exit_code
-        assert result.stderr.startswith(f"error[{code}]: ")
+        _fails_with_a_named_code(tmp_path, flags, *MALFORMED_SEMIGROUPS[case])
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("case", list(MALFORMED_VALUES))
+    def test_fails_with_a_named_code(self, tmp_path, case, flags):
+        _fails_with_a_named_code(tmp_path, flags, *MALFORMED_VALUES[case])
 
 
 class TestLazyScipy:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fixtures
 from reference import (
@@ -17,6 +18,7 @@ from reference import (
     reference_monomial_products,
     reference_order_differences,
     reference_saturate,
+    reference_structure_tensor,
 )
 from semicross._linalg import in_rowspace, null_rows, orth_rows, rows_equal, rows_leq
 from semicross.actions import Action, PartialSetAction, induce_action, validate_action
@@ -39,16 +41,34 @@ from semicross.errors import (
     NotAnIdeal,
     OrderDifferenceNotProduct,
     PA1Violation,
+    PA2SpanDeficit,
 )
 from semicross.io_json import load_instance
 from semicross.reps import seminorm_kernel
 from semicross.semigroups import PartialBijection, generate_semigroup
+from test_batched import MATRIX_ACTIONS, matrix_action
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ("flip", "semi", "semi_table", "sim2", "z2", "m2", "m2_swap")
 
 D1 = np.array([1, 0], dtype=complex)
 D2 = np.array([0, 1], dtype=complex)
+# the induced ladder of the in-process benchmark; its matrix actions are MATRIX_ACTIONS
+INDUCED_RUNGS = {
+    "sim2": [{1: 2, 2: 1}, {1: 1}],
+    "chain3": [{1: 2, 2: 3}],
+    "cyc3_e": [{1: 2, 2: 3, 3: 1}, {1: 1}],
+    "swap_e4": [{1: 2, 3: 4}, {1: 1, 4: 4}],
+    "cyc4_e": [{1: 2, 2: 3, 3: 4, 4: 1}, {1: 1}],
+}
+# flip with one map replaced (fixtures.flip_with_identity), and where it fails
+CRAFTED = {
+    "product off I_st": (("(1>2)", "1"), ("(1>2)", "(2>1)")),
+    "product off the source of alpha_s": (("(1>2)", "2"), ("(1>2)", "(2>1)")),
+    "I_s off the source of alpha_s*": (("(2>1)", "1"), ("(1>2)", "(1>2)")),
+    "failing s last": (("id{1}", "2"), ("id{1}", "(1>2)")),
+    "zero map": (("(1>2)", None), None),
+}
 
 
 def run_python(flags, code: str) -> subprocess.CompletedProcess:
@@ -73,6 +93,54 @@ def chain_action() -> tuple:
         [PartialBijection.identity(points, p) for p in (points, ("1", "2"), ("1",))]
     )
     return chain, induce_action(PartialSetAction.tautological(chain))
+
+
+def induced(generators) -> Action:
+    carrier = tuple(sorted({x for g in generators for pair in g.items() for x in pair}))
+    sg = generate_semigroup([PartialBijection.from_dict(carrier, g) for g in generators])
+    return induce_action(PartialSetAction.tautological(sg))
+
+
+TENSOR_CASES = {
+    **{name: lambda name=name: load_instance(ROOT / "instances" / f"{name}.json").action
+       for name in SAMPLES},
+    "sim3": lambda: fixtures.sim3().action,
+    **{f"induced {name}": lambda g=g: induced(g) for name, g in INDUCED_RUNGS.items()},
+    **{f"matrix {name}": lambda g=g: matrix_action(g) for name, g in MATRIX_ACTIONS.items()},
+}
+
+
+def rebased(action: Action, rng) -> Action:
+    """The same action in random complex bases of its ideals: the basis of
+    I_t is G_t times the old one, and alpha_t sends the new basis of I_t* to
+    G_t* times its old images."""
+    sg, G = action.semigroup, []
+    for t in range(len(sg)):
+        k = action.ideal(t).dim
+        G.append(np.eye(k) + 0.5 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))))
+    pauts = []
+    for t, p in enumerate(action.pauts):
+        u = sg.inv(t)
+        source = Ideal(action.algebra, G[u] @ p.source.basis, p.source.unit)
+        target = Ideal(action.algebra, G[t] @ p.target.basis, p.target.unit)
+        pauts.append(PartialAut(source, target, G[u] @ p.matrix))
+    return Action(sg, action.algebra, tuple(pauts))
+
+
+def tensor_or_pair(build, action):
+    """The tensor a build gives, or the pair its ConvolutionEscapesIdeal names."""
+    try:
+        return build(action)
+    except ConvolutionEscapesIdeal as err:
+        return err.pair
+
+
+def assert_same_tensor(got, want) -> None:
+    """The same I, J and K, in order, and C within 1e-12."""
+    assert len(got) == len(want) == 4
+    for g, w in zip(got[:3], want[:3]):
+        assert np.array_equal(g, w)
+    assert np.allclose(got[3], want[3], atol=1e-12, rtol=0.0)
 
 
 def mono(inst, label, vec):
@@ -230,6 +298,77 @@ class TestStructureTensor:
         assert got == want
         assert np.all(C == 1.0)
         assert len(set(zip(I.tolist(), J.tolist()))) == 1323
+
+    @pytest.mark.parametrize("name", TENSOR_CASES)
+    def test_stacked_build_is_the_reference(self, name):
+        act = TENSOR_CASES[name]()
+        assert_same_tensor(structure_tensor(act), reference_structure_tensor(act))
+
+    @pytest.mark.parametrize("name", CRAFTED)
+    def test_crafted_failures_name_the_reference_pair(self, name):
+        args, pair = CRAFTED[name]
+        want = tensor_or_pair(reference_structure_tensor, fixtures.flip_with_identity(*args))
+        got = tensor_or_pair(structure_tensor, fixtures.flip_with_identity(*args))
+        if pair is None:
+            assert_same_tensor(got, want)
+        else:
+            assert got == want == pair
+
+    @PYTHON_FLAGS
+    def test_crafted_failures_are_named_under_python_flags(self, flags):
+        code = (
+            "import fixtures\n"
+            "from reference import reference_structure_tensor\n"
+            "from semicross.ell1 import structure_tensor\n"
+            "from semicross.errors import CheckError\n"
+            f"for args in {[args for args, pair in CRAFTED.values() if pair]!r}:\n"
+            "    for build in (structure_tensor, reference_structure_tensor):\n"
+            "        try:\n"
+            "            build(fixtures.flip_with_identity(*args))\n"
+            "        except CheckError as err:\n"
+            "            print(err.code, *err.pair)\n"
+        )
+        result = run_python(flags, code)
+        assert result.returncode == 0, result.stderr
+        want = [f"ConvolutionEscapesIdeal {s} {t}" for _, pair in CRAFTED.values() if pair
+                for s, t in [pair] * 2]
+        assert result.stdout.splitlines() == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fixtures.generator_lists,
+        st.sampled_from(["induced", "rebased", "scale", "mix", "permute"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_actions_match_the_reference(self, gens, kind, seed):
+        # induced actions, then in random bases, then with one map perturbed
+        sg = generate_semigroup(gens)
+        if len(sg) > 40:  # the reference takes about a millisecond per pair
+            return
+        try:
+            act = induce_action(PartialSetAction.tautological(sg))
+        except PA2SpanDeficit:
+            return
+        rng = np.random.default_rng(seed)
+        if kind != "induced":
+            act = rebased(act, rng)
+        t = int(rng.choice(act.nonzero_elements))
+        m = act.paut(t).matrix
+        z = rng.standard_normal((len(m), len(m))) + 1j * rng.standard_normal((len(m), len(m)))
+        matrix = {
+            "scale": complex(*rng.uniform(0.5, 1.5, 2)) * m,
+            "mix": (np.eye(len(m)) + 0.5 * z) @ m,  # still inside the target
+            "permute": m[::-1],
+        }.get(kind, m)
+        pauts = list(act.pauts)
+        pauts[t] = PartialAut(act.paut(t).source, act.paut(t).target, matrix)
+        act = Action(sg, act.algebra, tuple(pauts))
+        want = tensor_or_pair(reference_structure_tensor, act)
+        got = tensor_or_pair(structure_tensor, act)
+        if len(want) == 2:  # a pair of labels
+            assert got == want
+        else:
+            assert_same_tensor(got, want)
 
     def test_memoized_per_tolerance_and_read_only(self, sim2):
         tensor = structure_tensor(sim2.action, 1e-9)

@@ -10,6 +10,7 @@ block layout with 1x1 blocks, so the norm code is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -189,7 +190,12 @@ class Ideal:
         if self.basis.size == 0:
             self.basis = self.basis.reshape(0, self.parent.dim)
         self.unit = as_complex(self.unit)
-        self._orth = orth_rows(self.basis)
+
+    @cached_property
+    def _orth(self) -> np.ndarray:
+        """An orthonormal basis of the subspace, on first use: only the
+        membership checks read it."""
+        return orth_rows(self.basis)
 
     @property
     def dim(self) -> int:

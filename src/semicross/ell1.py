@@ -15,6 +15,7 @@ the tensor is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -393,117 +394,276 @@ def quotient_ell1_norm(
     error below 0.2 percent.  Supported for algebras whose block norms are
     max-of-absolute-sums (all 1x1 blocks, and larger blocks with p in
     {1, inf}); operator-2-norm blocks of size > 1 have no LP model and raise
-    ``QuotientNormNotLP``.  HiGHS solves it in the lifted form of ``_lifted_lp``.
+    ``QuotientNormNotLP``.  The dual of the program is solved by the simplex
+    method of ``_dual_simplex``, and its answer is certified before it is
+    returned: the polygon-model norm hi of the coset at the optimal z (or at
+    z = 0, if that is lower) is within tol * max(1, hi) of the dual value lo
+    of a basis with lambda >= -tol, else ``QuotientNormLPFailed``.
     """
-    null_basis, A = orth_rows(null_basis, tol), f.action.algebra
-    if null_basis.shape[0] == 0:
+    lp = _dual_program(f.action, null_basis, tol)
+    if lp is None:
         return ell1_norm(f)
+    return _dual_simplex(lp, lp.values(f.to_dense()[None])[:, 0], tol)
+
+
+# facet i of the 64-gon |w| <= bound reads cos(theta_i) Re w + sin(theta_i) Im w <= bound
+_THETA = 2 * np.pi * np.arange(N_FACETS) / N_FACETS
+_COS_SIN = np.stack([np.cos(_THETA), np.sin(_THETA)])
+_COS, _SIN = _COS_SIN
+_REFACTOR, _MAX_PIVOTS = 100, 20_000  # pivots between fresh inverses; pivots before failing
+_PERTURB, _PIVOT_TOL, _OPT_TOL, _FEAS_TOL = 1e-9, 1e-9, 1e-12, 1e-12
+
+
+def _nearest_facet(w: np.ndarray) -> tuple:
+    """The facet nearest arg w, which attains the maximum over the facets i
+    of cos(theta_i) Re w + sin(theta_i) Im w, and that maximum: the polygon
+    model of |w|."""
+    i = np.rint(np.arctan2(w.imag, w.real) * (N_FACETS / (2 * np.pi))).astype(np.intp) % N_FACETS
+    return i, _COS[i] * w.real + _SIN[i] * w.imag
+
+
+@dataclass(eq=False)
+class _DualProgram:
+    """The part of the dual quotient-norm program that f does not enter.
+
+    The primal minimizes the sum of m_t over z in C^k, subject to
+    cos(theta_i) Re w_j + sin(theta_i) Im w_j <= bound_j for every facet i
+    at every coordinate j of an ideal, w_j = f_j + N_j . z, where bound_j is
+    m_t for a coordinate of a 1x1 block of element t, else its own u_j, and
+    each line of a larger block (columns for p = 1, rows for p = inf) bounds
+    the sum of its u by m_t.  The dual has one row per primal variable:
+    Re z, Im z (equalities with right-hand side 0), then m_t (<= 1) and u_j
+    (<= 0).  Its columns are the facets, never stored (``columns`` builds
+    those a basis needs; facet i of coordinate j has id N_FACETS j + i), and
+    the ``explicit`` ones: the lines, a slack per m and u row, then an
+    artificial per z row.
+    """
+
+    action: Action
+    null: np.ndarray  # (k, D) orthonormal rows
+    el: np.ndarray  # the element (position in offsets) of each coordinate
+    coord: np.ndarray  # and its algebra coordinate
+    bound: np.ndarray  # the row of each coordinate's bound
+    explicit: np.ndarray  # (row, column) the explicit columns
+    norm_lines: np.ndarray  # (line, algebra coordinate): the lines of every block
+    delta: np.ndarray  # the perturbation of the basic solution
+    basis: np.ndarray | None = None  # column ids of the last optimal basis
+
+    @property
+    def k(self) -> int:
+        return self.null.shape[0]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.delta)
+
+    @property
+    def n_facets(self) -> int:
+        return len(self.el) * N_FACETS
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """(2, coordinate, 2k): the z rows of facets 0 and N_FACETS/4.  As
+        one (2 coordinate, 2k) matrix it maps (Re z, Im z) to (Re, Im) of
+        the null rows' value N_j . z at each coordinate."""
+        nv = self.values(self.null)
+        return np.stack([np.hstack([nv.real, -nv.imag]), np.hstack([nv.imag, nv.real])])
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """(coordinate, row) values of dense sections (row, D)."""
+        act = self.action
+        return np.stack([rows[:, o : o + act.ideal(t).dim] @ act.ideal(t).basis
+                         for t, o in act.offsets.items()])[self.el, :, self.coord]
+
+    def columns(self, ids) -> np.ndarray:
+        """(row, id) the columns of the ids.  The z rows of a facet are
+        cos(theta_i) g[0] + sin(theta_i) g[1] at its coordinate."""
+        ids = np.asarray(ids)
+        on = ids < self.n_facets
+        j, i = np.divmod(ids[on], N_FACETS)
+        out = np.zeros((self.n_rows, len(ids)))
+        out[:, ~on] = self.explicit[:, ids[~on] - self.n_facets]
+        out[: 2 * self.k, on] = (_COS[i, None] * self.g[0, j] + _SIN[i, None] * self.g[1, j]).T
+        out[self.bound[j], np.flatnonzero(on)] = 1.0
+        return out
+
+    def costs(self, ids, fv: np.ndarray) -> np.ndarray:
+        """The dual objective at the columns: the facet's value at f_j, or 0."""
+        ids = np.asarray(ids)
+        on = ids < self.n_facets
+        j, i = np.divmod(ids[on], N_FACETS)
+        out = np.zeros(len(ids))
+        out[on] = _COS[i] * fv[j].real + _SIN[i] * fv[j].imag
+        return out
+
+    def column(self, q: int, fv: np.ndarray) -> tuple:
+        """The column of id q and its cost, as ``columns`` and ``costs`` give them."""
+        if q >= self.n_facets:
+            return self.explicit[:, q - self.n_facets], 0.0
+        j, i = divmod(q, N_FACETS)
+        col = np.zeros(self.n_rows)
+        col[: 2 * self.k] = _COS[i] * self.g[0, j] + _SIN[i] * self.g[1, j]
+        col[self.bound[j]] = 1.0
+        return col, _COS[i] * fv[j].real + _SIN[i] * fv[j].imag
+
+    def model_norm(self, w: np.ndarray) -> float:
+        """The polygon-model section norm at coordinate values w: per element
+        the largest line sum of the modeled moduli, summed over elements."""
+        rho = np.zeros((len(self.action.offsets), self.norm_lines.shape[1]))
+        rho[self.el, self.coord] = _nearest_facet(w)[1]
+        return float((rho @ self.norm_lines.T).max(1).sum())
+
+
+def _dual_program(action: Action, null_basis: np.ndarray, tol: float):
+    """The ``_DualProgram`` of the null rows, once per (action, tol, bytes of
+    ``null_basis``), with the last optimal basis to start the next solve
+    from; None when the null ideal is zero."""
+    if not hasattr(action, "_dual"):
+        action._dual = {}
+    key = (tol, null_basis.shape, as_complex(null_basis).tobytes())
+    if key in action._dual:
+        return action._dual[key]
+    null, A = orth_rows(null_basis, tol), action.algebra
+    if null.shape[0] == 0:
+        action._dual[key] = None
+        return None
     if A.p == 2 and any(idx.size > 1 for idx in A.blocks):
         raise QuotientNormNotLP("quotient norm over operator-2-norm blocks is not LP-representable")
-    from scipy.optimize import linprog  # imported here: it is most of the package's import time
-
-    # presolve off: faster on these small programs, and on the segment of
-    # optima of semi's qnorm(a) HiGHS then stops at a vertex that reads 1.0
-    res = linprog(*_lifted_lp(f, null_basis), method="highs", options={"presolve": False})
-    if res.status != 0:
-        raise QuotientNormLPFailed(res.status, res.message)
-    return float(res.fun)
-
-
-_RE, _IM, _A, _B, _X, _Y, _BOUND = range(7)  # a live coordinate's columns, then its bound
-_R2 = np.sqrt(0.5)
-
-
-def _triples(rows) -> tuple:
-    """The (row, column, value) arrays of rows given as {column: value}."""
-    triples = [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
-    return tuple(map(np.array, zip(*triples)))
-
-
-# the rows of one live coordinate in the folded polygon model (see _lifted_lp)
-_FOLD_UB = _triples([
-    {_RE: 1, _A: -1}, {_RE: -1, _A: -1},  # a >= +-Re w
-    {_IM: 1, _B: -1}, {_IM: -1, _B: -1},  # b >= +-Im w
-    {_A: -_R2, _B: _R2, _Y: -1}, {_A: _R2, _B: -_R2, _Y: -1},  # y >= +-(b - a)/sqrt(2)
-    *({_X: np.cos(phi), _Y: np.sin(phi), _BOUND: -1}  # the facets, phi in [0, pi/4]
-      for phi in 2 * np.pi * np.arange(N_FACETS // 8 + 1) / N_FACETS),
-])
-_FOLD_EQ = _triples([{_X: 1, _A: -_R2, _B: -_R2}])  # x = (a + b)/sqrt(2)
+    k2, n_el = 2 * null.shape[0], len(action.offsets)
+    norm_lines = np.zeros((sum(len(idx) for idx in A.blocks), A.dim))
+    for r, line in enumerate(line for idx in A.blocks for line in (idx.T if A.p == 1 else idx)):
+        norm_lines[r, line] = 1.0
+    big = norm_lines[norm_lines.sum(1) > 1]  # the lines of the blocks larger than 1x1
+    el, coord = np.nonzero([action.ideal(t).basis.any(0) for t in action.offsets])
+    is_u = big[:, coord].any(0)
+    n_rows = k2 + n_el + np.count_nonzero(is_u)
+    bound = np.where(is_u, k2 + n_el + np.cumsum(is_u) - 1, k2 + el)
+    live = np.zeros((n_el, A.dim))
+    live[el[is_u], coord[is_u]] = 1.0
+    e, line = np.nonzero(live @ big.T)  # the (element, line) pairs that hold a u
+    lines = np.zeros((n_rows, len(e)))
+    lines[k2 + e, np.arange(len(e))] = 1.0
+    lines[k2 + n_el :] -= (el[is_u, None] == e) & (big[line][:, coord[is_u]].T > 0)
+    units = np.eye(n_rows)
+    action._dual[key] = _DualProgram(
+        action, null, el, coord, bound, np.hstack([lines, units[:, k2:], units[:, :k2]]),
+        norm_lines, _PERTURB * (1 + np.random.default_rng(0).random(n_rows)),
+    )
+    return action._dual[key]
 
 
-def _lifted_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
-    """Objective, A_ub, b_ub, A_eq, b_eq (sparse) and bounds of the
-    quotient-norm LP over the orthonormal rows ``null_basis`` (k of them).
+def _inverse(mat: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        raise QuotientNormLPFailed(4, "the basis is singular") from None
 
-    Variables: Re w, Im w, a, b, x, y (per live coordinate), Re z, Im z
-    (k each), m (per nonzero element), u (per live coordinate of a block
-    larger than 1x1).  A coordinate is live when f or a null row is nonzero
-    there; a dead one would only say 0 <= bound, which bound >= 0 says.  Two
-    equality rows give w = f(t) + z . N(t).  The bound of a coordinate is m
-    for a 1x1 block, else its u; each line of a larger block (columns for
-    p = 1, rows for p = inf) that holds a live u bounds the sum of its u by m.
 
-    The 64-gon |w| <= bound, cos(theta) Re w + sin(theta) Im w <= bound at
-    theta = 2 pi i/64, is folded by its symmetries into 15 inequality rows
-    and one more equality row per coordinate: a >= +-Re w and b >= +-Im w
-    with a, b >= 0, x = (a + b)/sqrt(2), y >= +-(b - a)/sqrt(2), and
-    cos(phi) x + sin(phi) y <= bound at phi = j pi/32, j = 0..8.  The
-    polygon's facet angles are unchanged by sign flips of Re w and Im w and
-    by swapping them (4 and 8 divide 64), so its support function at w is
-    its value at (p, q) = (|Re w|, |Im w|), the maximum over the 17 facets
-    with theta in [0, pi/2].  Writing theta = pi/4 +- phi, such a facet
-    reads cos(phi) (p + q)/sqrt(2) +- sin(phi) (q - p)/sqrt(2), and the
-    larger sign is the folded row at x = (p + q)/sqrt(2),
-    y = |q - p|/sqrt(2).  At the smallest y each folded row is
-    cos(pi/4 + phi) a + sin(pi/4 + phi) b or sin(pi/4 + phi) a +
-    cos(pi/4 + phi) b, whose slopes are nonnegative for phi <= pi/4, so
-    raising a above |Re w| or b above |Im w| never helps: the program
-    projects onto the same polygon.
+def _pivot(binv: np.ndarray, a: np.ndarray, r: int) -> None:
+    """Update the basis inverse in place for the column a (= binv @ column)
+    entering at row r."""
+    row = binv[r] / a[r]
+    binv -= a[:, None] * row
+    binv[r] = row
+
+
+def _crash(lp: _DualProgram) -> np.ndarray:
+    """A first feasible basis: the slacks and artificials (lambda = 0), with
+    each artificial swapped out at level 0 for facet 0 or N_FACETS/4 of a
+    coordinate, the largest pivot first."""
+    k2, n_rows = 2 * lp.k, lp.n_rows
+    # the unit column of each row: after the lines, the slacks of rows k2..
+    # and then the artificials of rows ..k2
+    units = lp.n_facets + lp.explicit.shape[1] - n_rows + np.arange(n_rows)
+    basis = np.roll(units, k2)
+    cand = (np.arange(len(lp.el))[:, None] * N_FACETS + [0, N_FACETS // 4]).ravel()
+    cols, binv = lp.columns(cand), np.eye(n_rows)
+    for r in range(k2):
+        row = binv[r] @ cols
+        j = np.argmax(np.abs(row))
+        if abs(row[j]) <= _PIVOT_TOL:
+            raise QuotientNormLPFailed(4, "the null rows are dependent")
+        _pivot(binv, binv @ cols[:, j], r)
+        basis[r] = cand[j]
+    return basis
+
+
+def _dual_simplex(lp: _DualProgram, fv: np.ndarray, tol: float) -> float:
+    """The optimum of the quotient-norm program at coordinate values fv of f.
+
+    A revised simplex on the dual of ``_DualProgram``, from the last optimal
+    basis or else from ``_crash``.  The simplex multipliers pi are the
+    primal variables, z = -(pi_Re + i pi_Im), so the best of the 64 facet
+    columns of coordinate j has reduced cost rho(w_j) - pi_bound, at the
+    facet nearest arg w_j (``_nearest_facet``).  Pricing is Dantzig's rule
+    on a right-hand side perturbed so that every basic value starts
+    positive, and Bland's rule once more pivots in a row than there are rows
+    gain nothing.  The basis inverse is updated at each pivot and recomputed
+    every ``_REFACTOR`` pivots.
     """
-    from scipy.sparse import coo_array  # imported here, like linprog: not by import semicross
-
-    act, A, k = f.action, f.action.algebra, null_basis.shape[0]
-    rows = np.vstack([f.to_dense(), null_basis])  # f, then the null rows
-    values = np.stack([rows[:, o : o + act.ideal(t).dim] @ act.ideal(t).basis
-                       for t, o in act.offsets.items()])  # (element, 1 + k, coordinate)
-    el, coord = np.nonzero(values.any(1))  # the live coordinates
-    line_at, n_lines = np.full(A.dim, -1), 0  # the line of a coordinate of a block > 1x1
-    for idx in A.blocks:
-        if idx.size > 1:
-            line_at[idx.T if A.p == 1 else idx] = n_lines + np.arange(len(idx))[:, None]
-            n_lines += len(idx)
-    is_u = line_at[coord] >= 0
-    n_w, n_m, n_u = el.size, len(values), np.count_nonzero(is_u)
-    z0 = _BOUND * n_w  # the columns of the live coordinates come first
-    m0, u0 = z0 + 2 * k, z0 + 2 * k + n_m
-
-    def sparse(n_rows, *parts):  # each part (values, rows, columns), broadcast together
-        v, r, c = map(np.concatenate, zip(*(map(np.ravel, np.broadcast_arrays(*p)) for p in parts)))
-        return coo_array((v, (r, c)), shape=(n_rows, u0 + n_u))
-
-    bound = np.where(is_u, u0 + np.cumsum(is_u) - 1, m0 + el)
-    cols = np.column_stack([_BOUND * np.arange(n_w)[:, None] + np.arange(_BOUND), bound])
-
-    def fold(template, first):  # one copy of a template per live coordinate
-        r, c, v = template
-        n = r.max() + 1
-        return v, first + n * np.arange(n_w)[:, None] + r, cols[:, c]
-
-    # w - N(t) . z = f(t), the Re and the Im row of each live coordinate, then x rows
-    b, nz = values[el, 0, coord], values[el, 1:, coord]
-    zc = np.concatenate([-nz.real, nz.imag, -nz.imag, -nz.real], axis=1).reshape(2 * n_w, 2 * k)
-    r, c = np.nonzero(zc)
-    eq = np.arange(2 * n_w)
-    a_eq = sparse(3 * n_w, (zc[r, c], r, z0 + c), (1.0, eq, cols[:, :2].ravel()),
-                  fold(_FOLD_EQ, 2 * n_w))
-    # folded polygon rows, then line rows per (element, line) that holds a live u
-    n_f = n_w * (_FOLD_UB[0].max() + 1)
-    keys, row = np.unique(el[is_u] * n_lines + line_at[coord[is_u]], return_inverse=True)
-    n_ub = n_f + keys.size
-    a_ub = sparse(n_ub, fold(_FOLD_UB, 0), (1.0, n_f + row, bound[is_u]),
-                  (-1.0, np.arange(n_f, n_ub), m0 + keys // max(n_lines, 1)))
-    objective = np.repeat([0.0, 1.0, 0.0], [m0, n_m, n_u])
-    free, pos = (None, None), (0, None)
-    bounds = [free, free, pos, pos, free, pos] * n_w + [free] * 2 * k + [pos] * (n_m + n_u)
-    b_eq = np.concatenate([np.stack([b.real, b.imag], 1).ravel(), np.zeros(n_w)])
-    return objective, a_ub, np.zeros(n_ub), a_eq, b_eq, bounds
+    k2, n_rows, n_f, n_c = 2 * lp.k, lp.n_rows, lp.n_facets, len(fv)
+    h, fw = lp.g.reshape(-1, k2), np.concatenate([fv.real, fv.imag])  # Re w, Im w = fw - h @ pi
+    # pi at the bound of each coordinate, then the reduced costs of the
+    # lines and the slacks; an artificial never re-enters
+    price = np.hstack([np.eye(n_rows)[:, lp.bound], lp.explicit[:, :-k2]])
+    rhs = np.zeros(n_rows)
+    rhs[k2 : k2 + len(lp.action.offsets)] = 1.0
+    basis = _crash(lp) if lp.basis is None else lp.basis.copy()
+    mat = lp.columns(basis)
+    binv = _inverse(mat)
+    rhs_p = rhs + mat @ lp.delta
+    x, cb = binv @ rhs_p, lp.costs(basis, fv)
+    eps = _OPT_TOL * max(1.0, np.abs(fv).max(initial=0.0))
+    stalled, bland = 0, False
+    for n in range(_MAX_PIVOTS):
+        if n and not n % _REFACTOR:
+            binv = _inverse(lp.columns(basis))
+            x = binv @ rhs_p
+        pi = cb @ binv
+        facets = (fw - h @ pi[:k2]).reshape(2, n_c).T @ _COS_SIN  # (coordinate, facet) at w
+        d = -(pi @ price)
+        bland = bland or stalled > n_rows
+        if bland:  # the first improving column, and below the first tied row
+            d = np.concatenate([(facets + d[:n_c, None]).ravel(), d[n_c:]])
+            q = np.argmax(d > eps)
+            dq = d[q]
+        else:
+            d[:n_c] += facets.max(1)
+            q = np.argmax(d)
+            dq = d[q]
+            q = q * N_FACETS + np.argmax(facets[q]) if q < n_c else n_f + q - n_c
+        if dq <= eps:
+            break
+        col, cost = lp.column(q, fv)
+        a = binv @ col
+        # Harris's ratio test: of the rows that block within _FEAS_TOL, the
+        # largest pivot (Bland: the least basic id)
+        on, xp = a > _PIVOT_TOL, np.maximum(x, 0.0)
+        if not on.any():
+            raise QuotientNormLPFailed(3, "the dual program is unbounded")
+        reach = np.divide(xp + _FEAS_TOL, a, out=np.full(n_rows, np.inf), where=on).min()
+        tied = np.flatnonzero(on & (xp <= reach * a))
+        r = tied[np.argmin(basis[tied])] if bland else tied[np.argmax(a[tied])]
+        step = xp[r] / a[r]
+        stalled = stalled + 1 if step * dq <= eps * _PERTURB else 0
+        x -= step * a
+        x[r] = step
+        _pivot(binv, a, r)
+        basis[r], cb[r] = q, cost
+    else:
+        raise QuotientNormLPFailed(1, f"no optimum within {_MAX_PIVOTS} pivots")
+    binv = _inverse(lp.columns(basis))
+    lam, pi = binv @ rhs, cb @ binv
+    lo = float(cb @ lam)
+    at_zero = lp.model_norm(fv)
+    w = fw - h @ pi[:k2]
+    at_opt = lp.model_norm(w[:n_c] + 1j * w[n_c:])
+    # z = 0 wins a tie within the rounding of the norm: it is f itself, read
+    # without the rounding of the null rows
+    hi = at_zero if at_zero <= at_opt * (1 + 4 * np.finfo(float).eps) else at_opt
+    if lam.min() < -tol or hi - lo > tol * max(1.0, hi):
+        raise QuotientNormLPFailed(
+            4, f"no certified optimum: [lo, hi] = [{lo}, {hi}], min lambda {lam.min()}"
+        )
+    lp.basis = basis
+    return hi

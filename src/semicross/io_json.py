@@ -226,17 +226,20 @@ def _parse_action(block, sg, algebra, theta, tol):
     ideals_raw = block.get("ideals")
     maps_raw = block.get("maps", {})
     units_raw = block.get("units", {})
-    if not isinstance(ideals_raw, dict):
-        raise SchemaError("action.ideals: expected a mapping from element labels")
+    for key, raw in (("ideals", ideals_raw), ("maps", maps_raw), ("units", units_raw)):
+        if not isinstance(raw, dict):
+            raise SchemaError(f"action.{key}: expected a mapping from element labels")
     for key in list(ideals_raw) + list(maps_raw) + list(units_raw):
         if key not in sg.labels:
             raise SchemaError(f"action: unknown semigroup element {key!r}")
     ideals = {}
     for t, label in enumerate(sg.labels):
         raw = ideals_raw.get(label)
-        if raw is None or len(raw) == 0:
+        if raw is None or raw == []:
             ideals[t] = Ideal.zero(algebra)
             continue
+        if not isinstance(raw, list):
+            raise SchemaError(f"action.ideals[{label}]: expected a list of basis vectors")
         basis = _matrix_in(raw, (len(raw), algebra.dim), f"action.ideals[{label}]")
         if label in units_raw:
             unit = _vector_in(
@@ -268,6 +271,8 @@ def _parse_representations(blocks, action, theta, tol, notes):
         if not isinstance(block, dict):
             raise SchemaError(f"representations[{i}]: expected an object")
         name = block.get("name", f"rep{i}")
+        if not isinstance(name, str):
+            raise SchemaError(f"representations[{i}].name: expected a string")
         if block.get("regular"):
             if theta is None:
                 raise SchemaError(
@@ -280,6 +285,8 @@ def _parse_representations(blocks, action, theta, tol, notes):
         if not isinstance(space, dict):
             raise SchemaError(f"representations[{i}].space: expected an object")
         dim = space.get("dim")
+        if not _is_index(dim) or dim < 0:
+            raise SchemaError(f"representations[{i}].space.dim: expected a nonnegative integer")
         p = _p_in(space.get("p", 2), f"representations[{i}].space.p")
         pi_raw = block.get("pi")
         v_raw = block.get("v")

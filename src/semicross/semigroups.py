@@ -50,6 +50,16 @@ class PartialBijection:
             raise ValueError("domain or image escapes the carrier")
 
     @classmethod
+    def _canonical(cls, carrier: tuple, pairs: tuple) -> "PartialBijection":
+        """A map from parts already in the form ``__post_init__`` gives and
+        checks (a sorted carrier, injective pairs on it sorted by source),
+        built without re-sorting or re-checking them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "carrier", carrier)
+        object.__setattr__(out, "pairs", pairs)
+        return out
+
+    @classmethod
     def from_dict(cls, carrier, mapping: dict) -> "PartialBijection":
         return cls(tuple(carrier), tuple(mapping.items()))
 
@@ -298,7 +308,9 @@ def _pbij_rows(carrier: tuple, pbijs) -> np.ndarray:
 
 
 def _to_pbij(carrier: tuple, row: np.ndarray) -> PartialBijection:
-    return PartialBijection(
+    """The map of an injective int row on a sorted carrier: its pairs come
+    out sorted by source, so it is built unchecked."""
+    return PartialBijection._canonical(
         carrier, tuple((carrier[i], carrier[j]) for i, j in enumerate(row.tolist()) if j >= 0)
     )
 

@@ -30,9 +30,10 @@ laws raise the named errors that replaced their ``assert`` statements.
 ``reference_quotient_lp`` fills the quotient-norm LP one 64-facet row at a
 time, each row carrying the 2k coefficients of the coset value, with rows
 for coordinates where the coset is identically zero, as a dense matrix.
-``quotient_ell1_norm`` solves the same program in a lifted, sparse form
-(``ell1._lifted_lp``); ``reference_quotient_norm`` is this program's optimum,
-which the tests compare with it.
+``quotient_ell1_norm`` solves the dual of the same program by a simplex
+that prices the facets in closed form (``ell1._dual_simplex``);
+``reference_quotient_norm`` is this program's optimum by HiGHS, which the
+tests compare with it.
 
 ``reference_saturate`` grows the span of ``reference_order_differences``
 by rounds of products with the spanning monomials until it stops growing,

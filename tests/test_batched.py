@@ -1,8 +1,8 @@
-"""Batched certificates and the lifted quotient-norm LP against the loops
+"""Batched certificates and the dual quotient-norm simplex against the loops
 they replaced (``tests/reference.py``): the same certificate level on every
 sample instance and on the section-matrix actions, the same first-failure
-payload on crafted failures, the same LP optimum, folded facet rows that
-reach the maximum of the reference's 64 facet rows, and a count of
+payload on crafted failures, the same LP optimum, closed-form facet pricing
+that reaches the maximum of the reference's 64 facet rows, and a count of
 ``FinAlgebra.norm`` calls that does not grow with the number of samples."""
 
 import dataclasses
@@ -29,7 +29,8 @@ from semicross.algebras import (
 from semicross.ell1 import (
     N_FACETS,
     Ell1Element,
-    _lifted_lp,
+    _dual_program,
+    _nearest_facet,
     ell1_norm,
     ell1_norms,
     null_ideal,
@@ -60,7 +61,6 @@ MATRIX_ACTIONS = {
 }
 M2 = matrix_algebra([2], 2)
 # a >= Re w, a >= -Re w, b >= Im w, b >= -Im w over the columns Re w, Im w, a, b
-ABS_ROWS = [[1, 0, -1, 0], [-1, 0, -1, 0], [0, 1, 0, -1], [0, -1, 0, -1]]
 
 
 def matrix_action(generators, p=np.inf) -> Action:
@@ -320,83 +320,44 @@ class TestQuotientLP:
 
     def test_semi_qnorm(self, samples):
         # inf over lambda of |1 - lambda| + |lambda| is 1, attained on [0, 1];
-        # the lifted program gives it to the last digit
+        # z = 0 is among the optimal points, so the certified value is exact
         inst = samples["semi"]
         assert quotient_ell1_norm(inst.elements["a"], null_ideal(inst.action).basis) == 1.0
 
-    def test_folded_rows_match_the_reference_facets(self, samples):
-        """The folded program against the reference program, coordinate by
-        coordinate in order.  Each live coordinate has 3 equality rows (Re w,
-        Im w, x) and 15 inequality rows holding 2, 2, 2, 2, 3, 3 and 9 times 3
-        stored entries; a dead one (64 reference rows with no z coefficient
-        and a zero right-hand side) has none.  At w = f(t) + z . N(t) for a
-        random z, the 9 folded facets at (|Re w|, |Im w|) reach the maximum
-        of the reference's 64 facet rows.  The facets bound the same m, or
-        one u per reference u, and the line rows are the reference's that
-        hold a live u."""
-        from scipy.sparse import issparse
-
+    def test_closed_form_pricing_matches_the_reference_facets(self, samples):
+        """At a random z, the facet nearest arg w of each coordinate (the
+        closed-form pricing) reaches the maximum of the reference's 64 facet
+        rows there, and the reduced costs of the 64 facet columns that
+        ``columns`` builds reach the same maximum less the bound's
+        multiplier.  A reference coordinate without columns (off the support
+        of its ideal) reads 0 at every z."""
         rng = np.random.default_rng(5)
         n_cases = n_dead = 0
         for f, N in self.cases(samples):
-            k, n_m = N.shape[0], len(f.action.nonzero_elements)
-            _, ref_ub, ref_b, _ = reference.reference_quotient_lp(f, N)
+            act, k = f.action, N.shape[0]
+            lp = _dual_program(act, N, 1e-9)  # z in the coordinates of its rows lp.null
+            _, ref_ub, ref_b, _ = reference.reference_quotient_lp(f, lp.null)
             facet = ~(ref_ub[:, 2 * k :] > 0).any(1)
-            groups = ref_ub[facet].reshape(-1, N_FACETS, ref_ub.shape[1])
-            group_b = ref_b[facet].reshape(-1, N_FACETS)
-            live = groups[..., : 2 * k].any((1, 2)) | group_b.any(1)
-            n_w, n_f = live.sum(), 15 * live.sum()
-            n_dead += (~live).sum()
-
-            c, a_ub, b_ub, a_eq, b_eq, bounds = _lifted_lp(f, N)
-            assert issparse(a_ub) and issparse(a_eq)
-            z0, m0 = 6 * n_w, 6 * n_w + 2 * k  # the coordinates' columns, then z, m, u
-            assert np.array_equal(c, np.repeat([0.0, 1.0, 0.0], [m0, n_m, len(c) - m0 - n_m]))
-            ub, eq = a_ub.toarray(), a_eq.toarray()
-            assert eq.shape == (3 * n_w, len(c)) and not b_ub.any()
-            per_row = np.bincount(a_ub.row, minlength=len(ub))
-            assert np.array_equal(per_row[:n_f], np.tile([2] * 4 + [3] * 11, n_w))
-            assert np.array_equal(np.bincount(a_eq.row)[2 * n_w :], [3] * n_w)
-            assert not b_eq[2 * n_w :].any()
-            # a coordinate's rows stay in its own columns
-            blocks = ub[:n_f, :z0].reshape(n_w, 15, n_w, 6)
-            assert all(not np.delete(blocks[i], i, axis=1).any() for i in range(n_w))
-            assert not ub[:n_f, z0:m0].any() and not eq[:, m0:].any()
-            assert np.array_equal(eq[: 2 * n_w, :z0], np.kron(np.eye(n_w), np.eye(2, 6)))
-
-            z = rng.standard_normal(2 * k)
-            w = (b_eq[: 2 * n_w] - eq[: 2 * n_w, z0:m0] @ z).reshape(n_w, 2)
-            want = (groups[live][..., : 2 * k] @ z - group_b[live]).max(1)
-            for i, (re, im) in enumerate(w):
-                # the smallest a, b, x, y that the rows of coordinate i allow
-                cols, rows = 6 * i + np.arange(6), ub[15 * i : 15 * i + 15]
-                a, b = abs(re), abs(im)
-                x = -eq[2 * n_w + i, cols[2:4]] @ [a, b] / eq[2 * n_w + i, cols[4]]
-                y = (rows[4:6, cols[2:4]] @ [a, b]).max() / -rows[4, cols[5]]
-                assert np.array_equal(rows[:4, cols[:4]], ABS_ROWS)
-                got = (rows[6:, cols[4:]] @ [x, y]).max()
-                assert got == pytest.approx(want[i], rel=1e-12, abs=1e-12)
-
-            # the bound of each facet row: the same m, or one u per reference u
-            facet_bound = np.argmin(ub[:n_f, m0:], 1).reshape(n_w, 15)[:, 6:]
-            assert (facet_bound == facet_bound[:, :1]).all()
-            got_bound = facet_bound[:, 0]
-            want_bound = np.argmin(groups[live][:, 0, 2 * k :], 1)
-            bound = {}
-            for g, r in zip(got_bound, want_bound):
-                assert bound.setdefault(g, r) == r and (g < n_m) == (r < n_m)
-            assert all(g == r for g, r in bound.items() if g < n_m)
-            assert len(set(bound.values())) == len(bound)
-            got_lines = {
-                frozenset(j if j < n_m else bound[j] for j in np.flatnonzero(row[m0:]))
-                for row in ub[n_f:]
-            }
-            live_u = {r for r in bound.values() if r >= n_m}
-            want_lines = {
-                frozenset(j for j in np.flatnonzero(row[2 * k :]) if j < n_m or j in live_u)
-                for row in ref_ub[~facet] if live_u & set(np.flatnonzero(row[2 * k :]))
-            }
-            assert got_lines == want_lines and len(got_lines) == len(ub) - n_f
+            v = rng.standard_normal(2 * k)  # (Re z, Im z)
+            groups = (ref_ub[facet, : 2 * k] @ v - ref_b[facet]).reshape(-1, N_FACETS)
+            # per element, the coordinates of each block in the order of its entries
+            order = [(e, int(c)) for e in range(len(act.offsets))
+                     for idx in act.algebra.blocks for c in idx.flat]
+            want = dict(zip(order, groups.max(1)))
+            fv = lp.values(f.to_dense()[None])[:, 0]
+            nz = lp.g.reshape(-1, 2 * k) @ v  # (Re, Im) of N_j . z
+            rho = _nearest_facet(fv + nz[: len(fv)] + 1j * nz[len(fv) :])[1]
+            got = dict(zip(zip(lp.el.tolist(), lp.coord.tolist()), rho))
+            for key, value in got.items():
+                assert value == pytest.approx(want[key], rel=1e-12, abs=1e-12)
+            dead = set(want) - set(got)
+            assert all(not groups[order.index(key)].any() for key in dead)
+            n_dead += len(dead)
+            # the simplex multipliers of this z are -v on the z rows
+            pi = np.concatenate([-v, rng.standard_normal(lp.n_rows - 2 * k)])
+            ids = np.arange(lp.n_facets)
+            reduced = (lp.costs(ids, fv) - pi @ lp.columns(ids)).reshape(-1, N_FACETS)
+            assert np.allclose(reduced.max(1), rho - pi[lp.bound], rtol=1e-12, atol=1e-12)
             n_cases += 1
         assert n_cases == 6 and n_dead > 0
 

@@ -360,13 +360,16 @@ LAZY_SCIPY = """
 import contextlib, io, sys
 import semicross
 from semicross.cli import main
-print("scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+print(scipy_loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     main(["validate", sys.argv[1]])
-print("scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
+print(scipy_loaded())
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     main(["eval", sys.argv[2], "qnorm(a)"])
+print(scipy_loaded())
 print(out.getvalue().strip())
 """
 
@@ -432,6 +435,22 @@ MALFORMED_VALUES = {
         "flip", _set(("representations", 0, "p"), 0), 2, "SchemaError"
     ),
     "algebra p = 3": ("m2", _set(("algebra", "p"), 3), 2, "SchemaError"),
+    "representation dim true": (
+        "semi_table", _set(("representations", 0, "space", "dim"), True), 2, "SchemaError"
+    ),
+    "representation dim -1": (
+        "semi_table", _set(("representations", 0, "space", "dim"), -1), 2, "SchemaError"
+    ),
+    "representation dim 2.5": (
+        "semi_table", _set(("representations", 0, "space", "dim"), 2.5), 2, "SchemaError"
+    ),
+    "representation name as a list": (
+        "semi_table", _set(("representations", 0, "name"), ["R"]), 2, "SchemaError"
+    ),
+    "ideal given as a number": (
+        "semi_table", _set(("action", "ideals", "1"), 5), 2, "SchemaError"
+    ),
+    "maps given as a list": ("semi_table", _set(("action", "maps"), []), 2, "SchemaError"),
 }
 
 
@@ -470,9 +489,19 @@ class TestMalformedValues:
     def test_fails_with_a_named_code(self, tmp_path, case, flags):
         _fails_with_a_named_code(tmp_path, flags, *MALFORMED_VALUES[case])
 
+    @pytest.mark.parametrize("case", list(MALFORMED_VALUES))
+    def test_build_and_report_name_it_too(self, tmp_path, capsys, case):
+        name, edit, exit_code, code = MALFORMED_VALUES[case]
+        doc = json.loads((INSTANCES / f"{name}.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(doc) or json.dumps(doc))
+        for cmd in (["build", "--null", "--quotient"], ["report"]):
+            assert main(["--json", *cmd, str(bad)]) == exit_code
+            assert json.loads(capsys.readouterr().out)["error"]["code"] == code
+
 
 class TestLazyScipy:
-    def test_only_the_quotient_norm_imports_scipy_optimize(self):
+    def test_no_command_imports_scipy(self):
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
             [sys.executable, "-c", LAZY_SCIPY,
@@ -483,7 +512,7 @@ class TestLazyScipy:
         )
         assert result.returncode == 0, result.stderr
         *imported, qnorm = result.stdout.split()
-        # (optimize, sparse) after the import and after validate
-        assert imported == ["False"] * 4
+        # after the import, after validate and after the quotient norm
+        assert imported == ["False"] * 3
         # the value recorded for semi in perfbench/cli_expected.json
         assert float(qnorm) == pytest.approx(0.9999999999999969, abs=1e-9)

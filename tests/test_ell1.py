@@ -651,6 +651,15 @@ class TestQuotientNorm:
         got = quotient_ell1_norm(f, null.basis)
         assert got == pytest.approx(1.0, rel=2e-3)
 
+    @pytest.mark.parametrize("label, vec", [("id{1}", D1), ("id{1,2}", D1 + D2)])
+    def test_semi_cosets_are_exact(self, semi, label, vec):
+        # c d_id{1} has a segment of optimal z, z = 0 among them; on the side
+        # of id{1,2}, z = 0 is the only optimum.  Either way the norm is |c|
+        # to the last bit, whichever optimal vertex the simplex reaches.
+        null = null_ideal(semi.action)
+        for c in (1, 2, 0.5, 3, -1, 1j, -2j, 0.25j):
+            assert quotient_ell1_norm(mono(semi, label, c * vec), null.basis) == abs(c)
+
     def test_zero_coset(self, semi):
         null = null_ideal(semi.action)
         assert quotient_ell1_norm(Ell1Element.zero(semi.action), null.basis) == 0.0
@@ -662,22 +671,28 @@ class TestQuotientNorm:
 
     @PYTHON_FLAGS
     def test_failed_lp_is_a_named_error(self, flags):
+        # the pivot cap (status 1), then a simplex stopped at its first basis,
+        # whose dual value 0 does not certify the norm (status 4)
         code = (
-            "import types, numpy, scipy.optimize, fixtures\n"
-            "from semicross.ell1 import Ell1Element, null_ideal, quotient_ell1_norm\n"
+            "import numpy, fixtures\n"
+            "from semicross import ell1\n"
             "from semicross.errors import CheckError\n"
-            "scipy.optimize.linprog = lambda *args, **kwargs: types.SimpleNamespace(\n"
-            "    status=2, message='infeasible', fun=0.0)\n"
             "act = fixtures.semi().action\n"
-            "f = Ell1Element.from_dense(act, numpy.ones(act.total_dim))\n"
-            "try:\n"
-            "    quotient_ell1_norm(f, null_ideal(act).basis)\n"
-            "except CheckError as err:\n"
-            "    print(err.code, err.status)\n"
+            "f = ell1.Ell1Element.from_dense(act, numpy.ones(act.total_dim))\n"
+            "for name, value in (('_MAX_PIVOTS', 1), ('_OPT_TOL', 1e3)):\n"
+            "    saved = getattr(ell1, name)\n"
+            "    setattr(ell1, name, value)\n"
+            "    try:\n"
+            "        ell1.quotient_ell1_norm(f, ell1.null_ideal(act).basis)\n"
+            "    except CheckError as err:\n"
+            "        print(err.code, err.status)\n"
+            "    setattr(ell1, name, saved)\n"
+            "print(ell1.quotient_ell1_norm(f, ell1.null_ideal(act).basis) > 0)\n"
         )
         result = run_python(flags, code)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["QuotientNormLPFailed", "2"]
+        assert result.stdout.split() == [
+            "QuotientNormLPFailed", "1", "QuotientNormLPFailed", "4", "True"]
 
     def test_never_exceeds_the_norm(self, sim2):
         null = null_ideal(sim2.action)

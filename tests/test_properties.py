@@ -175,7 +175,7 @@ class TestNullIdealLaws:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(partial_bijections(), min_size=1, max_size=2), st.data())
     def test_quotient_norm_is_the_reference_optimum(self, gens, data):
-        # the lifted sparse program against the per-facet one, on a random section
+        # the dual simplex against the per-facet program, on a random section
         sg = generate_semigroup([PartialBijection.identity(CARRIER), *gens])
         act = induce_action(PartialSetAction.tautological(sg))
         f = data.draw(sections(act))

@@ -217,6 +217,16 @@ class TestClosureAgainstReference:
         gens = CLOSURES[name]
         assert_same_semigroup(generate_semigroup(gens), reference_generate_semigroup(gens))
 
+    @pytest.mark.parametrize("name", list(CLOSURES))
+    def test_unchecked_maps_equal_the_checked_ones(self, name):
+        # the closure and the regular embedding build their maps unchecked;
+        # each equals, and hashes like, the map built and sorted the checked way
+        sg = generate_semigroup(CLOSURES[name])
+        for p in (*sg.pbijs, *wagner_preston_embed(sg)):
+            checked = PartialBijection(p.carrier[::-1], p.pairs[::-1])
+            assert (p.carrier, p.pairs) == (checked.carrier, checked.pairs)
+            assert p == checked and hash(p) == hash(checked)
+
     @settings(max_examples=30, deadline=None)
     @given(fixtures.generator_lists)
     def test_random_generators_match_reference(self, gens):

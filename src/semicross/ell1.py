@@ -397,8 +397,9 @@ def quotient_ell1_norm(
     ``QuotientNormNotLP``.  The dual of the program is solved by the simplex
     method of ``_dual_simplex``, and its answer is certified before it is
     returned: the polygon-model norm hi of the coset at the optimal z (or at
-    z = 0, if that is lower) is within tol * max(1, hi) of the dual value lo
-    of a basis with lambda >= -tol, else ``QuotientNormLPFailed``.
+    z = 0, when that is no higher up to rounding) is within tol * max(1, hi)
+    of the dual value lo of a basis with lambda >= -tol, else
+    ``QuotientNormLPFailed``.
     """
     lp = _dual_program(f.action, null_basis, tol)
     if lp is None:

@@ -60,7 +60,6 @@ MATRIX_ACTIONS = {
     "swap_e3": [{1: 2, 2: 1}, {1: 1, 3: 3}],
 }
 M2 = matrix_algebra([2], 2)
-# a >= Re w, a >= -Re w, b >= Im w, b >= -Im w over the columns Re w, Im w, a, b
 
 
 def matrix_action(generators, p=np.inf) -> Action:

@@ -621,18 +621,20 @@ def _dual_simplex(lp: _DualProgram, fv: np.ndarray, tol: float) -> float:
             binv = _inverse(lp.columns(basis))
             x = binv @ rhs_p
         pi = cb @ binv
-        facets = (fw - h @ pi[:k2]).reshape(2, n_c).T @ _COS_SIN  # (coordinate, facet) at w
+        wv = fw - h @ pi[:k2]
         d = -(pi @ price)
         bland = bland or stalled > n_rows
         if bland:  # the first improving column, and below the first tied row
+            facets = wv.reshape(2, n_c).T @ _COS_SIN  # (coordinate, facet)
             d = np.concatenate([(facets + d[:n_c, None]).ravel(), d[n_c:]])
             q = np.argmax(d > eps)
             dq = d[q]
-        else:
-            d[:n_c] += facets.max(1)
+        else:  # Dantzig's rule, each coordinate's best facet in closed form
+            facet, rho = _nearest_facet(wv[:n_c] + 1j * wv[n_c:])
+            d[:n_c] += rho
             q = np.argmax(d)
             dq = d[q]
-            q = q * N_FACETS + np.argmax(facets[q]) if q < n_c else n_f + q - n_c
+            q = q * N_FACETS + facet[q] if q < n_c else n_f + q - n_c
         if dq <= eps:
             break
         col, cost = lp.column(q, fv)
@@ -657,8 +659,8 @@ def _dual_simplex(lp: _DualProgram, fv: np.ndarray, tol: float) -> float:
     lam, pi = binv @ rhs, cb @ binv
     lo = float(cb @ lam)
     at_zero = lp.model_norm(fv)
-    w = fw - h @ pi[:k2]
-    at_opt = lp.model_norm(w[:n_c] + 1j * w[n_c:])
+    wv = fw - h @ pi[:k2]
+    at_opt = lp.model_norm(wv[:n_c] + 1j * wv[n_c:])
     # z = 0 wins a tie within the rounding of the norm: it is f itself, read
     # without the rounding of the null rows
     hi = at_zero if at_zero <= at_opt * (1 + 4 * np.finfo(float).eps) else at_opt

@@ -487,11 +487,25 @@ def reference_quotient_lp(f: Ell1Element, null_basis: np.ndarray) -> tuple:
 
 
 def reference_quotient_norm(f: Ell1Element, null_basis: np.ndarray) -> float:
-    """The optimum of ``reference_quotient_lp``, solved by HiGHS."""
+    """The optimum of ``reference_quotient_lp``, solved by HiGHS's
+    interior-point method (with its crossover to a vertex) at feasibility
+    tolerances of 1e-10.  The optimum is positively homogeneous in f and the
+    right-hand side is linear in f, so the program is solved with that side
+    divided by the norm of f.  HiGHS's simplex at its default tolerances
+    (1e-7, absolute) read 1.1749e-7 for a section of norm 1.1921e-7 whose
+    optimum is that norm, and up to 1.5e-9 relative low on sections with
+    entries near 1e-7 even at 1e-9; at 1e-10 it ends some of these programs
+    without a solution."""
     from scipy.optimize import linprog
 
+    scale = ell1_norm(f)
+    if not scale:
+        return 0.0
     c, a_ub, b_ub, bounds = reference_quotient_lp(f, null_basis)
-    return linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs").fun
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(c=c, A_ub=a_ub, b_ub=b_ub / scale, bounds=bounds, method="highs-ipm",
+                  options=tight)
+    return scale * res.fun
 
 
 # ----------------------------------------------------------- covariant pairs

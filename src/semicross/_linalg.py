@@ -15,6 +15,22 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def classes_by_first(keys: np.ndarray) -> tuple:
+    """The class of each entry of the 1-d ``keys`` (entries with equal keys
+    share one), classes numbered in the order of their first entries, and
+    the index of each class's first entry.  Sort-based: ``np.unique`` would
+    import ``numpy.ma``."""
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    first = order[new]  # in key order; stable, so each is its class's first entry
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = np.empty(len(keys), dtype=np.intp)
+    labels[order] = rank[np.cumsum(new) - 1]
+    return labels, np.sort(first)
+
+
 def _kept(s: np.ndarray, tol: float) -> np.ndarray:
     """The rank rule: which singular values (descending along the last axis,
     one row per matrix of a stack) exceed tol * max(1, the largest)."""

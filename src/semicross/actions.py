@@ -117,7 +117,9 @@ def induce_action(theta: PartialSetAction) -> Action:
     The action is certified exactly from theta, not numerically: theta is a
     homomorphism with theta_{t*} = theta_t^{-1}, so alpha_s alpha_t = alpha_st
     on the largest domain and alpha_t starts at I_{t*} (PA1); the ideal of the
-    zero is {0}; and the idempotent images cover the carrier (PA2).
+    zero is {0}; and the idempotent images cover the carrier (PA2).  The
+    action keeps theta, from which ``ell1`` builds its sections' products,
+    null ideal and quotient exactly.
     """
     theta.validate()
     sg = theta.semigroup
@@ -140,7 +142,9 @@ def induce_action(theta: PartialSetAction) -> Action:
         tgt = Ideal.from_support(algebra, m.image)
         # delta_x o theta_{t*} = delta_{theta_t(x)}, rows in the order of the domain
         pauts.append(PartialAut(src, tgt, eye[[pos[y] for _, y in m.pairs]]))
-    return Action(sg, algebra, tuple(pauts))
+    action = Action(sg, algebra, tuple(pauts))
+    action._theta = theta
+    return action
 
 
 def _stack(blocks: list) -> np.ndarray:

@@ -231,7 +231,8 @@ class Ideal:
 
     @classmethod
     def from_support(cls, parent: FinAlgebra, points) -> "Ideal":
-        """span{delta_x : x in points} inside a function algebra."""
+        """span{delta_x : x in points} inside a function algebra.  Its basis
+        rows are distinct unit vectors, so its pseudo-inverse is the transpose."""
         assert parent.kind == "function"
         idxs = sorted(parent.points.index(p) for p in points)
         basis = np.zeros((len(idxs), parent.dim), dtype=complex)
@@ -239,7 +240,9 @@ class Ideal:
         for r, i in enumerate(idxs):
             basis[r, i] = 1.0
             unit[i] = 1.0
-        return cls(parent, basis, unit)
+        ideal = cls(parent, basis, unit)
+        ideal._pinv = ideal.basis.T.copy()
+        return ideal
 
     @property
     def support(self) -> tuple:

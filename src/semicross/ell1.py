@@ -9,18 +9,21 @@ a delta_s - a delta_t for s <= t, and quotients by such ideals.
 
 Every product contracts one sparse structure tensor per (action, tol); that
 each summand lands in the ideal of its product element is checked once, when
-the tensor is built.
+the tensor is built.  For an action that ``induce_action`` built from a
+partial set action theta, the tensor, the order-difference ideal, the
+quotient and the quotient norm come from theta and its germ partition
+(``_Germs``), exactly and with no numerical linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, first_far, in_rowspace, null_rows, off_rows
-from ._linalg import orth_rows
+from ._linalg import DEFAULT_TOL, as_complex, classes_by_first, first_far, null_rows
+from ._linalg import off_rows, orth_rows
 from .actions import Action, _stack
 from .errors import (
     ActionMismatch,
@@ -30,6 +33,7 @@ from .errors import (
     QuotientNormLPFailed,
     QuotientNormNotLP,
 )
+from .semigroups import _inverse_rows, _pbij_rows
 
 N_FACETS = 64  # polygonal model of |z| <= m; relative error <= 1 - cos(pi/64)
 
@@ -146,11 +150,20 @@ def structure_tensor(action: Action, tol: float = DEFAULT_TOL) -> tuple:
     checked to lie in the source of alpha_s and in I_st, by the rule of
     ``Ideal.coords``; if one does not, ``ConvolutionEscapesIdeal`` names the
     first failing t of the first failing s, or (s, the first nonzero t) when
-    I_s is off the source of alpha_{s*}."""
+    I_s is off the source of alpha_{s*}.  An induced action takes its
+    tensor from theta instead (``_Germs.tensor``), with the same entries."""
     if not hasattr(action, "_tensor"):
         action._tensor = {}
-    if tol in action._tensor:
-        return action._tensor[tol]
+    if tol not in action._tensor:
+        germs = _germs(action)
+        tensor = _numeric_tensor(action, tol) if germs is None else germs.tensor()
+        for arr in tensor:
+            arr.flags.writeable = False
+        action._tensor[tol] = tensor
+    return action._tensor[tol]
+
+
+def _numeric_tensor(action: Action, tol: float) -> tuple:
     sg, A, d = action.semigroup, action.algebra, action.algebra.dim
     ideals = [action.ideal(r) for r in range(len(sg))]
     basis = _stack([ideal.basis for ideal in ideals])  # (r, row, d)
@@ -183,11 +196,107 @@ def structure_tensor(action: Action, tol: float = DEFAULT_TOL) -> tuple:
         entries.append(
             (start[s] + a, start[nonzero[t]] + b, start[st[t]] + k, coords[t, a, b, k])
         )
-    tensor = tuple(map(np.concatenate, zip(*entries)))
-    for arr in tensor:
-        arr.flags.writeable = False
-    action._tensor[tol] = tensor
-    return tensor
+    return tuple(map(np.concatenate, zip(*entries)))
+
+
+@dataclass(eq=False)
+class _Germs:
+    """The germ partition of an action that ``induce_action`` built from
+    theta (Exel, "Inverse semigroups and combinatorial C*-algebras", 2008).
+
+    The coordinate (t, y) of the section space, y in the image of theta_t,
+    is the germ [t, x] at x = theta_t^-1(y), and [s, x] = [t, x] iff
+    s e = t e for an idempotent e whose domain holds x, iff s e_x = t e_x
+    for the least such e_x.  So (t e_x, x) keys the class of (t, y).
+    Classes are numbered in the order of their first coordinates.
+    """
+
+    action: Action
+    at: np.ndarray  # (element, point + 1): the coordinate of (t, y), else -1
+    back: np.ndarray  # (element, point): theta_t^-1(y), else the padding point
+    label: np.ndarray  # the class of each coordinate
+    first: np.ndarray  # the first coordinate of each class
+    owner: np.ndarray  # the position in offsets of each coordinate's element
+
+    @property
+    def count(self) -> int:
+        return len(self.first)
+
+    def owns(self, rows) -> bool:
+        """Whether ``rows`` is this partition's ``basis`` (not built here)."""
+        return self.__dict__.get("basis") is rows
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal class contrasts, in the order of their coordinates:
+        for the r-th coordinate j of a class (r >= 1), the sum of the r
+        coordinates of the class before it less r e_j, over sqrt(r (r + 1))."""
+        n = len(self.label)
+        earlier = (self.label[:, None] == self.label) & np.tri(n, k=-1, dtype=bool)
+        rank = earlier.sum(1)
+        rows = (earlier - np.diag(rank))[rank > 0]
+        return (rows / np.sqrt(rank * (rank + 1.0))[rank > 0, None]).astype(complex)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """(class, coordinate): the class sums."""
+        out = np.zeros((self.count, len(self.label)), dtype=complex)
+        out[self.label, np.arange(len(self.label))] = 1.0
+        return out
+
+    @cached_property
+    def program(self):
+        """The ``_GermProgram`` of the quotient norm; None when every class
+        is a single coordinate."""
+        if self.count == len(self.label):
+            return None
+        n_el = len(self.action.offsets)
+        hold = np.zeros((n_el, self.count))
+        hold[self.owner, self.label] = 1.0
+        return _GermProgram(self, hold, np.eye(n_el), np.ones(n_el),
+                            _PERTURB * (1 + np.random.default_rng(0).random(n_el)))
+
+    def tensor(self) -> tuple:
+        """``structure_tensor`` from theta: m_(s,y) * m_(t,x) = m_(st,y) with
+        coefficient 1 when x = theta_s^-1(y) lies in the image of theta_t,
+        in the order of (s, t, y), which is that of (s, t, a, b, k)."""
+        at, back, table = self.at, self.back, self.action.semigroup.table
+        nz = np.array(self.action.nonzero_elements, dtype=np.intp)
+        # s has one entry per t and x in the domain of theta_s and the image of theta_t
+        held = np.append((at[nz, :-1] >= 0).sum(0), 0)
+        ends = np.cumsum(held[back[nz]].sum(1))
+        I, J, K = np.empty((3, ends[-1] if len(nz) else 0), dtype=np.intp)
+        step = max(1, 2**18 // max(1, len(nz) * back.shape[1]))
+        for lo in range(0, len(nz), step):
+            s = nz[lo : lo + step]
+            b = at[nz][:, back[s]].swapaxes(0, 1)  # (s, t, y): the coordinate of (t, x)
+            a, t, y = np.nonzero(b >= 0)
+            part = slice(ends[lo - 1] if lo else 0, ends[lo + len(s) - 1])
+            I[part], J[part], K[part] = at[s[a], y], b[a, t, y], at[table[s[a], nz[t]], y]
+        return I, J, K, np.ones(len(I), dtype=complex)
+
+
+def _germs(action: Action):
+    """The ``_Germs`` of an action that ``induce_action`` built, once; None
+    for any other action."""
+    theta = getattr(action, "_theta", None)
+    if theta is None:
+        return None
+    if not hasattr(action, "_germ"):
+        sg, n = action.semigroup, len(action.algebra.points)
+        back = _inverse_rows(_pbij_rows(action.algebra.points, theta.maps))
+        el, y = np.nonzero(back >= 0)  # the coordinates (t, y), in dense order
+        at = np.full((len(sg), n + 1), -1, dtype=np.intp)
+        at[el, y] = np.arange(len(el))
+        idem = np.array(sg.idempotents, dtype=np.intp)
+        least = np.empty(n, dtype=np.intp)  # e_x: the product of the e with x in their domain
+        for x in range(n):
+            least[x] = reduce(lambda e, f: sg.table[e, f], idem[back[idem, x] >= 0])
+        x = back[el, y]
+        label, first = classes_by_first(sg.table[el, least[x]] * n + x)
+        owner = np.searchsorted(np.array(action.nonzero_elements), el)
+        action._germ = _Germs(action, at, np.where(back >= 0, back, n), label, first, owner)
+    return action._germ
 
 
 def convolve(f: Ell1Element, g: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1Element:
@@ -258,20 +367,28 @@ def _ideal_witness(action: Action, basis: np.ndarray, comp: np.ndarray, tol: flo
     return None
 
 
-@dataclass
 class NullIdeal:
     """The ideal generated by the differences a delta_s - a delta_t, s <= t.
 
     ``basis`` holds orthonormal rows in the dense coordinates of the section
-    space.
+    space.  For an induced action, ``germs`` is its germ partition, and
+    ``basis`` is built from it on first use.
     """
 
-    action: Action
-    basis: np.ndarray
+    def __init__(self, action: Action, basis: np.ndarray | None = None, germs=None):
+        self.action, self.germs = action, germs
+        if basis is not None:
+            self.basis = basis
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self.germs.basis
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        if self.germs is None:
+            return self.basis.shape[0]
+        return len(self.germs.label) - self.germs.count
 
 
 def _order_differences(action: Action, tol: float) -> np.ndarray:
@@ -324,10 +441,23 @@ def null_ideal(action: Action, tol: float = DEFAULT_TOL) -> NullIdeal:
     v = 1_{t*t} delta_{t*t} (else ``OrderDifferenceNotProduct``), and the
     span to be closed under the monomials (else ``NotAnIdeal``, as when PA1
     fails).
+
+    For an action induced by theta, the seeds at a = delta_y are the
+    differences e_(s,y) - e_(t,y), s <= t, of coordinates with equal germs,
+    and every two coordinates with equal germs [s, x] = [t, x] are linked
+    through e_(r,y), r = s e_x = t e_x <= s, t.  So N is the span of the
+    differences within the classes of ``_Germs``: it is kept as that
+    partition, of dimension D less the number of classes, and its basis is
+    the class contrasts.  No seed, SVD or closure check is needed: theta
+    was certified exactly when the action was built.
     """
     if not hasattr(action, "_null"):
         action._null = {}
     if tol not in action._null:
+        germs = _germs(action)
+        if germs is not None:
+            action._null[tol] = NullIdeal(action, germs=germs)
+            return action._null[tol]
         basis = orth_rows(_order_differences(action, tol), tol)
         if witness := _ideal_witness(action, basis, null_rows(basis, tol), tol):
             raise NotAnIdeal(witness)
@@ -361,27 +491,50 @@ class QuotientAlgebra:
 def quotient_algebra(
     action: Action, null_basis: np.ndarray, tol: float = DEFAULT_TOL
 ) -> QuotientAlgebra:
-    """Verify the subspace is a convolution ideal, then quotient by it."""
-    null_basis = orth_rows(null_basis, tol)
-    comp = null_rows(null_basis, tol)
-    if witness := _ideal_witness(action, null_basis, comp, tol):
-        raise NotAnIdeal(witness)
-    # e_j is off N + span(chosen) iff comp e_j is off span(comp chosen), and
-    # the two distances are equal, so the greedy pivots run in the q columns
-    chosen, cur = [], np.zeros((0, len(comp)), dtype=complex)
-    for j, col in enumerate(comp.T):
-        if not in_rowspace(cur, col, tol):
-            chosen.append(j)
-            cur = orth_rows(np.vstack([cur, col]), tol)
+    """Verify the subspace is a convolution ideal, then quotient by it.
+
+    The complement coordinates are the greedy choice in coordinate order:
+    e_j joins unless it lies in N + span(the e chosen so far).  For the
+    basis of an induced action's own ``null_ideal`` that is the first
+    coordinate of each germ class, and the projection is the class sums;
+    no check is needed (see ``null_ideal``)."""
+    germs = _germs(action)
+    if germs is not None and germs.owns(null_basis):
+        chosen, proj = germs.first, germs.projection
+    else:
+        null_basis = orth_rows(null_basis, tol)
+        comp = null_rows(null_basis, tol)
+        if witness := _ideal_witness(action, null_basis, comp, tol):
+            raise NotAnIdeal(witness)
+        chosen = _pivots(comp, tol)
+        proj = np.linalg.solve(comp[:, chosen], comp)  # x - proj(x) . e_chosen lies in N
     q = len(chosen)
-    proj = np.linalg.solve(comp[:, chosen], comp)  # x - proj(x) . e_chosen lies in N
     I, J, K, C = structure_tensor(action, tol)
     pos = np.full(action.total_dim, -1)
     pos[chosen] = np.arange(q)
     keep = (pos[I] >= 0) & (pos[J] >= 0)  # products of the chosen monomials
     structure = np.zeros((q, q, q), dtype=complex)
     np.add.at(structure, (pos[I[keep]], pos[J[keep]]), C[keep, None] * proj[:, K[keep]].T)
-    return QuotientAlgebra(action, null_basis, tuple(chosen), structure, proj)
+    return QuotientAlgebra(action, null_basis, tuple(map(int, chosen)), structure, proj)
+
+
+def _pivots(comp: np.ndarray, tol: float) -> list:
+    """The greedy pivots of ``quotient_algebra`` in the complement rows comp:
+    e_j is off N + span(chosen) iff comp e_j is off span(comp chosen), and
+    the two distances are equal.  Each chosen column extends orthonormal
+    rows by its residual, orthogonalized once more."""
+    q = len(comp)
+    cur, chosen = np.zeros((q, q), dtype=complex), []
+    for j, col in enumerate(comp.T):
+        if len(chosen) == q:
+            break
+        rows = cur[: len(chosen)]
+        resid = col - (col @ rows.conj().T) @ rows
+        if off_rows(resid, col, tol):
+            resid -= (resid @ rows.conj().T) @ rows
+            cur[len(chosen)] = resid / np.linalg.norm(resid)
+            chosen.append(j)
+    return chosen
 
 
 def quotient_ell1_norm(
@@ -396,15 +549,33 @@ def quotient_ell1_norm(
     {1, inf}); operator-2-norm blocks of size > 1 have no LP model and raise
     ``QuotientNormNotLP``.  The dual of the program is solved by the simplex
     method of ``_dual_simplex``, and its answer is certified before it is
-    returned: the polygon-model norm hi of the coset at the optimal z (or at
-    z = 0, when that is no higher up to rounding) is within tol * max(1, hi)
-    of the dual value lo of a basis with lambda >= -tol, else
-    ``QuotientNormLPFailed``.
+    returned: the polygon-model norm hi of a point of the coset that the
+    optimal multipliers give (or of f itself, when that is no higher up to
+    rounding) is within tol * max(1, hi) of the dual value lo of a basis
+    with lambda >= -tol, else ``QuotientNormLPFailed``.
+
+    For the basis of an induced action's own ``null_ideal`` the program has
+    one coordinate per germ class C instead of one per section coordinate
+    (``_GermProgram``): minimize the sum of m_t subject to
+    rho(c_C) <= sum of m_t over the t holding C, with rho the polygon model
+    of the modulus and c_C the class total of f.  Both programs have the
+    same optimum.  The coset f + N is the set of sections w with class
+    totals c_C, and a feasible (w, m) of the section program has
+    rho(c_C) <= sum over j in C of rho(w_j) <= sum of m_t over the t holding
+    C, since rho is subadditive and each t holds at most one coordinate of
+    C.  Conversely, for a feasible m the split w_j = c_C m_t / M_C, with
+    M_C the sum of m_t over C and t the element of j, has class totals c_C,
+    and rho(w_j) = m_t rho(c_C) / M_C <= m_t, as rho is positively
+    homogeneous (if M_C = 0, then rho(c_C) <= 0 and c_C = 0).
     """
-    lp = _dual_program(f.action, null_basis, tol)
+    germs = _germs(f.action)
+    if germs is not None and germs.owns(null_basis):
+        lp = germs.program
+    else:
+        lp = _dual_program(f.action, null_basis, tol)
     if lp is None:
         return ell1_norm(f)
-    return _dual_simplex(lp, lp.values(f.to_dense()[None])[:, 0], tol)
+    return _dual_simplex(lp, f.to_dense(), tol)
 
 
 # facet i of the 64-gon |w| <= bound reads cos(theta_i) Re w + sin(theta_i) Im w <= bound
@@ -423,36 +594,26 @@ def _nearest_facet(w: np.ndarray) -> tuple:
     return i, _COS[i] * w.real + _SIN[i] * w.imag
 
 
-@dataclass(eq=False)
 class _DualProgram:
-    """The part of the dual quotient-norm program that f does not enter.
+    """The part of a dual quotient-norm program that f does not enter.
 
     The primal minimizes the sum of m_t over z in C^k, subject to
-    cos(theta_i) Re w_j + sin(theta_i) Im w_j <= bound_j for every facet i
-    at every coordinate j of an ideal, w_j = f_j + N_j . z, where bound_j is
-    m_t for a coordinate of a 1x1 block of element t, else its own u_j, and
-    each line of a larger block (columns for p = 1, rows for p = inf) bounds
-    the sum of its u by m_t.  The dual has one row per primal variable:
-    Re z, Im z (equalities with right-hand side 0), then m_t (<= 1) and u_j
-    (<= 0).  Its columns are the facets, never stored (``columns`` builds
-    those a basis needs; facet i of coordinate j has id N_FACETS j + i), and
-    the ``explicit`` ones: the lines, a slack per m and u row, then an
-    artificial per z row.
+    cos(theta_i) Re w_j + sin(theta_i) Im w_j <= the sum of the bounds that
+    ``hold`` coordinate j, for every facet i at every coordinate j of the
+    program, w_j = f_j + g_j . z.  The dual has one row per primal variable,
+    z rows first (equalities with right-hand side 0), with ``rhs`` its
+    right-hand side.  Its columns are the facets, never stored (``columns``
+    builds those a basis needs; facet i of coordinate j has id
+    N_FACETS j + i), and then the ``explicit`` ones, the last 2k of them an
+    artificial per z row.  A program also holds ``delta``, the perturbation
+    of the basic solution, and ``basis``, the column ids of its last optimal
+    basis.  Its ``values`` are the coordinate values of dense sections, and
+    its ``coset_norms`` certify an answer.
     """
-
-    action: Action
-    null: np.ndarray  # (k, D) orthonormal rows
-    el: np.ndarray  # the element (position in offsets) of each coordinate
-    coord: np.ndarray  # and its algebra coordinate
-    bound: np.ndarray  # the row of each coordinate's bound
-    explicit: np.ndarray  # (row, column) the explicit columns
-    norm_lines: np.ndarray  # (line, algebra coordinate): the lines of every block
-    delta: np.ndarray  # the perturbation of the basic solution
-    basis: np.ndarray | None = None  # column ids of the last optimal basis
 
     @property
     def k(self) -> int:
-        return self.null.shape[0]
+        return self.g.shape[2] // 2
 
     @property
     def n_rows(self) -> int:
@@ -460,21 +621,7 @@ class _DualProgram:
 
     @property
     def n_facets(self) -> int:
-        return len(self.el) * N_FACETS
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """(2, coordinate, 2k): the z rows of facets 0 and N_FACETS/4.  As
-        one (2 coordinate, 2k) matrix it maps (Re z, Im z) to (Re, Im) of
-        the null rows' value N_j . z at each coordinate."""
-        nv = self.values(self.null)
-        return np.stack([np.hstack([nv.real, -nv.imag]), np.hstack([nv.imag, nv.real])])
-
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        """(coordinate, row) values of dense sections (row, D)."""
-        act = self.action
-        return np.stack([rows[:, o : o + act.ideal(t).dim] @ act.ideal(t).basis
-                         for t, o in act.offsets.items()])[self.el, :, self.coord]
+        return self.hold.shape[1] * N_FACETS
 
     def columns(self, ids) -> np.ndarray:
         """(row, id) the columns of the ids.  The z rows of a facet are
@@ -485,7 +632,7 @@ class _DualProgram:
         out = np.zeros((self.n_rows, len(ids)))
         out[:, ~on] = self.explicit[:, ids[~on] - self.n_facets]
         out[: 2 * self.k, on] = (_COS[i, None] * self.g[0, j] + _SIN[i, None] * self.g[1, j]).T
-        out[self.bound[j], np.flatnonzero(on)] = 1.0
+        out[:, on] += self.hold[:, j]
         return out
 
     def costs(self, ids, fv: np.ndarray) -> np.ndarray:
@@ -502,10 +649,51 @@ class _DualProgram:
         if q >= self.n_facets:
             return self.explicit[:, q - self.n_facets], 0.0
         j, i = divmod(q, N_FACETS)
-        col = np.zeros(self.n_rows)
+        col = self.hold[:, j].copy()
         col[: 2 * self.k] = _COS[i] * self.g[0, j] + _SIN[i] * self.g[1, j]
-        col[self.bound[j]] = 1.0
         return col, _COS[i] * fv[j].real + _SIN[i] * fv[j].imag
+
+
+@dataclass(eq=False)
+class _SectionProgram(_DualProgram):
+    """The program over the section coordinates and the null rows.
+
+    At every coordinate j of an ideal, the bound is m_t for a coordinate of
+    a 1x1 block of element t, else its own u_j, and each line of a larger
+    block (columns for p = 1, rows for p = inf) bounds the sum of its u by
+    m_t.  The dual rows are Re z, Im z, then m_t (<= 1) and u_j (<= 0); the
+    explicit columns are the lines, a slack per m and u row, then the
+    artificials.
+    """
+
+    action: Action
+    null: np.ndarray  # (k, D) orthonormal rows
+    el: np.ndarray  # the element (position in offsets) of each coordinate
+    coord: np.ndarray  # and its algebra coordinate
+    bound: np.ndarray  # the row of each coordinate's bound
+    explicit: np.ndarray  # (row, column) the explicit columns
+    norm_lines: np.ndarray  # (line, algebra coordinate): the lines of every block
+    rhs: np.ndarray
+    delta: np.ndarray
+    basis: np.ndarray | None = None
+
+    @cached_property
+    def hold(self) -> np.ndarray:
+        return np.eye(self.n_rows)[:, self.bound]
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """(2, coordinate, 2k): the z rows of facets 0 and N_FACETS/4.  As
+        one (2 coordinate, 2k) matrix it maps (Re z, Im z) to (Re, Im) of
+        the null rows' value N_j . z at each coordinate."""
+        nv = self.values(self.null)
+        return np.stack([np.hstack([nv.real, -nv.imag]), np.hstack([nv.imag, nv.real])])
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """(coordinate, row) values of dense sections (row, D)."""
+        act = self.action
+        return np.stack([rows[:, o : o + act.ideal(t).dim] @ act.ideal(t).basis
+                         for t, o in act.offsets.items()])[self.el, :, self.coord]
 
     def model_norm(self, w: np.ndarray) -> float:
         """The polygon-model section norm at coordinate values w: per element
@@ -514,10 +702,54 @@ class _DualProgram:
         rho[self.el, self.coord] = _nearest_facet(w)[1]
         return float((rho @ self.norm_lines.T).max(1).sum())
 
+    def coset_norms(self, dense: np.ndarray, fv: np.ndarray, pi: np.ndarray) -> tuple:
+        """The polygon-model norms of f and of f + z N, z = -(pi_Re + i pi_Im)."""
+        z = pi[: 2 * self.k]
+        return self.model_norm(fv), self.model_norm(fv - (self.g[0] + 1j * self.g[1]) @ z)
+
+
+@dataclass(eq=False)
+class _GermProgram(_DualProgram):
+    """The program over the germ classes of an induced action (see
+    ``quotient_ell1_norm``): no z and no u, so the dual rows are the m_t
+    (<= 1), ``hold`` marks the elements holding each class, and the
+    explicit columns are the slacks."""
+
+    germs: _Germs
+    hold: np.ndarray  # (element, class)
+    explicit: np.ndarray
+    rhs: np.ndarray
+    delta: np.ndarray
+    basis: np.ndarray | None = None
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return np.zeros((2, self.hold.shape[1], 0))
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """(class, row) class totals of dense sections (row, D)."""
+        return self.germs.projection @ rows.T
+
+    def model_norm(self, w: np.ndarray) -> float:
+        """The polygon-model section norm at section coordinate values w."""
+        starts = list(self.germs.action.offsets.values())
+        return float(np.maximum.reduceat(_nearest_facet(w)[1], starts).sum())
+
+    def coset_norms(self, dense: np.ndarray, fv: np.ndarray, pi: np.ndarray) -> tuple:
+        """The polygon-model norms of f and of its split at m = pi: each
+        class total c_C spread over the coordinates of C in proportion to
+        their m_t (all on the first coordinate when the m_t add up to 0)."""
+        label, owner = self.germs.label, self.germs.owner
+        held = (pi @ self.hold)[label]
+        first = np.zeros(len(label))
+        first[self.germs.first] = 1.0
+        share = np.divide(pi[owner], held, out=first, where=held > 0)
+        return self.model_norm(dense), self.model_norm(fv[label] * share)
+
 
 def _dual_program(action: Action, null_basis: np.ndarray, tol: float):
-    """The ``_DualProgram`` of the null rows, once per (action, tol, bytes of
-    ``null_basis``), with the last optimal basis to start the next solve
+    """The ``_SectionProgram`` of the null rows, once per (action, tol, bytes
+    of ``null_basis``), with the last optimal basis to start the next solve
     from; None when the null ideal is zero."""
     if not hasattr(action, "_dual"):
         action._dual = {}
@@ -545,10 +777,11 @@ def _dual_program(action: Action, null_basis: np.ndarray, tol: float):
     lines = np.zeros((n_rows, len(e)))
     lines[k2 + e, np.arange(len(e))] = 1.0
     lines[k2 + n_el :] -= (el[is_u, None] == e) & (big[line][:, coord[is_u]].T > 0)
-    units = np.eye(n_rows)
-    action._dual[key] = _DualProgram(
+    units, rhs = np.eye(n_rows), np.zeros(n_rows)
+    rhs[k2 : k2 + n_el] = 1.0
+    action._dual[key] = _SectionProgram(
         action, null, el, coord, bound, np.hstack([lines, units[:, k2:], units[:, :k2]]),
-        norm_lines, _PERTURB * (1 + np.random.default_rng(0).random(n_rows)),
+        norm_lines, rhs, _PERTURB * (1 + np.random.default_rng(0).random(n_rows)),
     )
     return action._dual[key]
 
@@ -577,7 +810,7 @@ def _crash(lp: _DualProgram) -> np.ndarray:
     # and then the artificials of rows ..k2
     units = lp.n_facets + lp.explicit.shape[1] - n_rows + np.arange(n_rows)
     basis = np.roll(units, k2)
-    cand = (np.arange(len(lp.el))[:, None] * N_FACETS + [0, N_FACETS // 4]).ravel()
+    cand = (np.arange(lp.hold.shape[1])[:, None] * N_FACETS + [0, N_FACETS // 4]).ravel()
     cols, binv = lp.columns(cand), np.eye(n_rows)
     for r in range(k2):
         row = binv[r] @ cols
@@ -589,26 +822,25 @@ def _crash(lp: _DualProgram) -> np.ndarray:
     return basis
 
 
-def _dual_simplex(lp: _DualProgram, fv: np.ndarray, tol: float) -> float:
-    """The optimum of the quotient-norm program at coordinate values fv of f.
+def _dual_simplex(lp: _DualProgram, dense: np.ndarray, tol: float) -> float:
+    """The optimum of the quotient-norm program at the dense section f.
 
     A revised simplex on the dual of ``_DualProgram``, from the last optimal
     basis or else from ``_crash``.  The simplex multipliers pi are the
     primal variables, z = -(pi_Re + i pi_Im), so the best of the 64 facet
-    columns of coordinate j has reduced cost rho(w_j) - pi_bound, at the
-    facet nearest arg w_j (``_nearest_facet``).  Pricing is Dantzig's rule
+    columns of coordinate j has reduced cost rho(w_j) less pi at the bounds
+    that hold j, at the facet nearest arg w_j (``_nearest_facet``).  Pricing is Dantzig's rule
     on a right-hand side perturbed so that every basic value starts
     positive, and Bland's rule once more pivots in a row than there are rows
     gain nothing.  The basis inverse is updated at each pivot and recomputed
     every ``_REFACTOR`` pivots.
     """
-    k2, n_rows, n_f, n_c = 2 * lp.k, lp.n_rows, lp.n_facets, len(fv)
-    h, fw = lp.g.reshape(-1, k2), np.concatenate([fv.real, fv.imag])  # Re w, Im w = fw - h @ pi
-    # pi at the bound of each coordinate, then the reduced costs of the
+    fv = lp.values(dense[None])[:, 0]
+    k2, n_rows, n_f, n_c, rhs = 2 * lp.k, lp.n_rows, lp.n_facets, len(fv), lp.rhs
+    h, fw = lp.g.reshape(2 * n_c, k2), np.concatenate([fv.real, fv.imag])  # Re w, Im w = fw - h @ pi
+    # pi at the bounds of each coordinate, then the reduced costs of the
     # lines and the slacks; an artificial never re-enters
-    price = np.hstack([np.eye(n_rows)[:, lp.bound], lp.explicit[:, :-k2]])
-    rhs = np.zeros(n_rows)
-    rhs[k2 : k2 + len(lp.action.offsets)] = 1.0
+    price = np.hstack([lp.hold, lp.explicit[:, : lp.explicit.shape[1] - k2]])
     basis = _crash(lp) if lp.basis is None else lp.basis.copy()
     mat = lp.columns(basis)
     binv = _inverse(mat)
@@ -658,11 +890,9 @@ def _dual_simplex(lp: _DualProgram, fv: np.ndarray, tol: float) -> float:
     binv = _inverse(lp.columns(basis))
     lam, pi = binv @ rhs, cb @ binv
     lo = float(cb @ lam)
-    at_zero = lp.model_norm(fv)
-    wv = fw - h @ pi[:k2]
-    at_opt = lp.model_norm(wv[:n_c] + 1j * wv[n_c:])
-    # z = 0 wins a tie within the rounding of the norm: it is f itself, read
-    # without the rounding of the null rows
+    at_zero, at_opt = lp.coset_norms(dense, fv, pi)
+    # f wins a tie within the rounding of the norm: it is read without the
+    # rounding of the null rows or of the split
     hi = at_zero if at_zero <= at_opt * (1 + 4 * np.finfo(float).eps) else at_opt
     if lam.min() < -tol or hi - lo > tol * max(1.0, hi):
         raise QuotientNormLPFailed(

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import classes_by_first
 from .errors import (
     CarrierMismatch,
     IdempotentsDoNotCommute,
@@ -218,7 +219,9 @@ def _generating_cover(table: np.ndarray) -> list[int]:
             prods = np.concatenate(
                 [table[np.ix_(batch, closed)].ravel(), table[np.ix_(closed, batch)].ravel()]
             )
-            batch = np.unique(prods[~inside[prods]])
+            fresh = np.zeros(len(table), dtype=bool)
+            fresh[prods] = True
+            batch = np.flatnonzero(fresh & ~inside)  # sorted, each once
             inside[batch] = True
     return cover
 
@@ -388,7 +391,7 @@ def _discovery_order(table: np.ndarray, star: np.ndarray, firsts) -> np.ndarray:
 
     def register(cands: np.ndarray) -> np.ndarray:
         cands = cands[~seen[cands]]
-        new = cands[np.sort(np.unique(cands, return_index=True)[1])]
+        new = cands[classes_by_first(cands)[1]]
         seen[new] = True
         order.append(new)
         return new
@@ -480,7 +483,8 @@ def wagner_preston_embed(sg: InvSemigroup) -> list[PartialBijection]:
     domain = sg.table[sg.table[sg.star, every][:, None], every] == every  # [t, x]
     rows = np.full((n, n), -1, dtype=np.intp)
     rows[:, pos] = np.where(domain, pos[sg.table], -1)
-    assert len(np.unique(rows, axis=0)) == n, "embedding is not injective"
+    by_row = rows[np.lexsort(rows.T)]
+    assert (by_row[1:] != by_row[:-1]).any(1).all(), "embedding is not injective"
     _check_rows(sg, rows)
     assert np.array_equal(rows[sg.star], _inverse_rows(rows)), (
         "embedding does not commute with star"

@@ -9,6 +9,8 @@
 * ``z2``: the two-point swap, a plain group action.
 * ``sim3``: the full symmetric inverse monoid on three points (34 elements,
   dim l1 = 63) acting tautologically.
+* ``plain``: an induced action rebuilt as a plain ``Action``, the numeric
+  path's twin of the germ path.
 * ``escaping_flip``: ``flip`` with alpha at (1>2) replaced by the identity
   of C delta_1, so it leaves I_(1>2) = C delta_2; never validated.
   ``flip_with_identity`` makes the other maps of that kind.
@@ -88,6 +90,12 @@ def sim3() -> Instance:
     swap = PartialBijection.from_dict(points, {"1": "2", "2": "1", "3": "3"})
     part = PartialBijection.identity(points, ("1", "2"))
     return _instance("sim3", [cycle, swap, part])
+
+
+def plain(action: Action) -> Action:
+    """The same semigroup, algebra and maps as a plain ``Action``, with no
+    link to a theta: ``ell1`` takes its numeric path for it."""
+    return Action(action.semigroup, action.algebra, action.pauts)
 
 
 def flip_with_identity(label: str, point: str | None) -> Action:

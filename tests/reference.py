@@ -35,6 +35,14 @@ that prices the facets in closed form (``ell1._dual_simplex``);
 ``reference_quotient_norm`` is this program's optimum by HiGHS, which the
 tests compare with it.
 
+``reference_quotient_pivots`` is the greedy pivot loop that
+``quotient_algebra`` ran with one SVD of the chosen columns per choice; it
+now extends orthonormal rows by one residual per choice.
+
+``reference_germ_classes`` is a union-find over partial bijections given as
+frozensets of pairs: the germ partition of an induced action's section
+coordinates, computed without semicross, as the oracle of ``ell1._Germs``.
+
 ``reference_saturate`` grows the span of ``reference_order_differences``
 by rounds of products with the spanning monomials until it stops growing,
 as ``null_ideal`` did before it checked once that the span is closed.
@@ -217,6 +225,50 @@ def reference_saturate(action, seed_rows, tol: float = DEFAULT_TOL) -> np.ndarra
         if grown.shape[0] == basis.shape[0]:
             return grown
         basis = grown
+
+
+def reference_quotient_pivots(comp: np.ndarray, tol: float = DEFAULT_TOL) -> list:
+    """The complement coordinates ``quotient_algebra`` chooses from the rows
+    comp of the orthogonal complement of N: e_j joins unless comp e_j lies
+    in the span of the columns chosen so far, which is re-orthonormalized
+    after each choice."""
+    chosen, cur = [], np.zeros((0, len(comp)), dtype=complex)
+    for j, col in enumerate(comp.T):
+        if not in_rowspace(cur, col, tol):
+            chosen.append(j)
+            cur = orth_rows(np.vstack([cur, col]), tol)
+    return chosen
+
+
+def reference_germ_classes(elements) -> dict:
+    """The germ class of each (t, y), y in the image of the partial bijection
+    ``elements[t]`` (a frozenset of (x, y) pairs, one per element of a
+    semigroup of distinct maps), as a representative (s, x): the germs
+    [s, x] and [t, x] are equal when s e = t e for some idempotent e whose
+    domain holds x (Exel 2008).  A union-find that composes the frozensets
+    pair by pair."""
+    def compose(f, g):  # f after g
+        fd = dict(f)
+        return frozenset((x, fd[y]) for x, y in g if y in fd)
+
+    parent = {(t, x): (t, x) for t, m in enumerate(elements) for x, _ in m}
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for e in (e for e in elements if all(x == y for x, y in e)):
+        for x, _ in e:
+            seen = {}
+            for t, m in enumerate(elements):
+                if x in dict(m):
+                    key = compose(m, e)
+                    if key in seen:
+                        parent[find((t, x))] = find(seen[key])
+                    else:
+                        seen[key] = (t, x)
+    return {(t, dict(m)[x]): find((t, x)) for t, m in enumerate(elements) for x, _ in m}
 
 
 def reference_natural_order(sg: InvSemigroup) -> frozenset:

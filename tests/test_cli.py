@@ -373,6 +373,16 @@ print(scipy_loaded())
 print(out.getvalue().strip())
 """
 
+# each command in turn, then whether numpy.ma has been imported
+NO_MASKED = """
+import contextlib, io, json, sys
+from semicross.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    print("numpy.ma" in sys.modules)
+"""
+
 
 def _set(path: tuple, value):
     """Edit of an instance document: ``doc[path[0]]...[path[-1]] = value``."""
@@ -516,3 +526,22 @@ class TestLazyScipy:
         assert imported == ["False"] * 3
         # the value recorded for semi in perfbench/cli_expected.json
         assert float(qnorm) == pytest.approx(0.9999999999999969, abs=1e-9)
+
+    def test_no_command_imports_numpy_ma(self):
+        # np.unique imports numpy.ma (about 11 ms and 1.5 MB per process)
+        argvs = [["eval", str(INSTANCES / "semi.json"), "qnorm(a)"],
+                 ["eval", str(INSTANCES / "flip.json"), "norm1(conv(a, b))"]]
+        for name in ("flip", "m2", "m2_swap", "semi", "semi_table", "sim2", "z2"):
+            path = INSTANCES / f"{name}.json"
+            reps = [r["name"] for r in json.loads(path.read_text()).get("representations", [])]
+            argvs += [["validate", str(path)], ["report", str(path)],
+                      ["build", str(path), "--null", "--quotient", "--seminorm", *reps]]
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, "-c", NO_MASKED, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"] * 23

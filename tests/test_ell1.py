@@ -1,5 +1,6 @@
 """Convolution, the structure tensor, the section norm, the involution, the
-order-difference ideal and quotients."""
+order-difference ideal and quotients, and the germ path of induced actions
+against the numeric path of the same maps."""
 
 import os
 import subprocess
@@ -15,16 +16,21 @@ from hypothesis import given, settings, strategies as st
 import fixtures
 from reference import (
     reference_convolve,
+    reference_germ_classes,
     reference_monomial_products,
     reference_order_differences,
+    reference_quotient_norm,
+    reference_quotient_pivots,
     reference_saturate,
     reference_structure_tensor,
 )
 from semicross._linalg import in_rowspace, null_rows, orth_rows, rows_equal, rows_leq
 from semicross.actions import Action, PartialSetAction, induce_action, validate_action
 from semicross.algebras import Ideal, PartialAut
+from semicross import ell1
 from semicross.ell1 import (
     Ell1Element,
+    _germs,
     _ideal_witness,
     convolve,
     ell1_norm,
@@ -45,7 +51,7 @@ from semicross.errors import (
 )
 from semicross.io_json import load_instance
 from semicross.reps import seminorm_kernel
-from semicross.semigroups import PartialBijection, generate_semigroup
+from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
 from test_batched import MATRIX_ACTIONS, matrix_action
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +90,35 @@ def run_python(flags, code: str) -> subprocess.CompletedProcess:
 
 
 PYTHON_FLAGS = pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+# the peak resident set of the running interpreter in KiB: on Linux,
+# ru_maxrss also counts the parent's high-water mark from before exec
+PEAK_RSS = (
+    "import resource\n"
+    "def peak_kib():\n"
+    "    try:\n"
+    "        with open('/proc/self/status') as fh:\n"
+    "            return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+    "    except (OSError, StopIteration):\n"
+    "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+)
+# the quotient norm of semi at a capped pivot count and at a huge optimality
+# tolerance, then at the defaults, with the null basis {basis}
+FAILED_LP = (
+    "import numpy, fixtures\n"
+    "from semicross import ell1\n"
+    "from semicross.errors import CheckError\n"
+    "act = fixtures.semi().action\n"
+    "f = ell1.Ell1Element.from_dense(act, numpy.ones(act.total_dim))\n"
+    "for name, value in (('_MAX_PIVOTS', 1), ('_OPT_TOL', 1e3)):\n"
+    "    saved = getattr(ell1, name)\n"
+    "    setattr(ell1, name, value)\n"
+    "    try:\n"
+    "        ell1.quotient_ell1_norm(f, {basis})\n"
+    "    except CheckError as err:\n"
+    "        print(err.code, err.status)\n"
+    "    setattr(ell1, name, saved)\n"
+    "print(ell1.quotient_ell1_norm(f, {basis}) > 0)\n"
+)
 
 
 def chain_action() -> tuple:
@@ -108,6 +143,71 @@ TENSOR_CASES = {
     **{f"induced {name}": lambda g=g: induced(g) for name, g in INDUCED_RUNGS.items()},
     **{f"matrix {name}": lambda g=g: matrix_action(g) for name, g in MATRIX_ACTIONS.items()},
 }
+
+
+def trivially(table, points=("p", "q")) -> Action:
+    """The semigroup of a Cayley table acting on C(points) with every
+    theta_t the identity: theta is not injective, and two elements with the
+    same map have equal germs only when the semigroup says so."""
+    sg = InvSemigroup.from_table(table)
+    one = PartialBijection.identity(points)
+    return induce_action(PartialSetAction(sg, points, (one,) * len(sg)))
+
+
+# induced actions, on which the germ path is compared with the numeric path
+GERM_CASES = {
+    **{name: lambda name=name: load_instance(ROOT / "instances" / f"{name}.json").action
+       for name in ("flip", "semi", "sim2", "z2")},
+    "sim3": lambda: fixtures.sim3().action,
+    **{f"induced {name}": lambda g=g: induced(g) for name, g in INDUCED_RUNGS.items()},
+    "z2 acting trivially": lambda: trivially([[0, 1], [1, 0]]),
+    "1 >= e acting trivially": lambda: trivially([[0, 1], [1, 1]]),
+}
+
+
+def assert_same_paths(act: Action, rng, n_norms: int) -> None:
+    """The germ path of an induced action against the numeric path of the
+    same maps (``fixtures.plain``): the same tensor, N by row space, the same
+    quotient coordinates and structure within 1e-12, and quotient norms of
+    random sections within 1e-12 relative, and within 1e-9 of the reference
+    program."""
+    plain = fixtures.plain(act)
+    assert _germs(act) is not None and _germs(plain) is None
+    assert_same_tensor(structure_tensor(act), structure_tensor(plain))
+    null, want = null_ideal(act), null_ideal(plain)
+    assert null.dim == want.dim and rows_equal(null.basis, want.basis)
+    assert np.allclose(null.basis @ null.basis.conj().T, np.eye(null.dim), atol=1e-12)
+    quot, quot_want = quotient_algebra(act, null.basis), quotient_algebra(plain, want.basis)
+    assert quot.coords == quot_want.coords
+    assert np.allclose(quot.structure, quot_want.structure, atol=1e-12, rtol=0.0)
+    assert np.allclose(quot.projection, quot_want.projection, atol=1e-12, rtol=0.0)
+    for z in rng.standard_normal((n_norms, 2, act.total_dim)):
+        f, g = (Ell1Element.from_dense(a, z[0] + 1j * z[1]) for a in (act, plain))
+        got = quotient_ell1_norm(f, null.basis)
+        assert got == pytest.approx(quotient_ell1_norm(g, want.basis), rel=1e-12, abs=0.0)
+        if want.dim:
+            assert got == pytest.approx(reference_quotient_norm(g, want.basis), rel=1e-9)
+
+
+def assert_reference_germs(act: Action) -> None:
+    """The germ classes of an induced action of distinct maps are the
+    partition of ``reference_germ_classes``."""
+    label = _germs(act).label
+    maps = [frozenset(m.pairs) for m in act._theta.maps]
+    oracle = reference_germ_classes(maps)
+    points = act.algebra.points
+    reps = [oracle[t, y] for t in act.offsets
+            for y in sorted(dict(maps[t]).values(), key=points.index)]
+    assert len(reps) == len(label) == act.total_dim
+    # the same partition: equal labels exactly where the representatives are equal
+    assert (label[:, None] == label).tolist() == [[a == b for b in reps] for a in reps]
+
+
+def assert_same_pivots(act: Action) -> None:
+    """``quotient_algebra`` chooses the coordinates of the reference loop."""
+    basis = null_ideal(act).basis
+    comp = null_rows(orth_rows(basis))
+    assert quotient_algebra(act, basis).coords == tuple(reference_quotient_pivots(comp))
 
 
 def rebased(action: Action, rng) -> Action:
@@ -556,9 +656,10 @@ class TestNullIdeal:
 
     def test_sim4_null_and_quotient_in_bounded_time_and_memory(self):
         # sim_4 acting on C({1..4}): D = sum over k of C(4,k)^2 k! k coordinates,
-        # and the quotient has one coordinate per germ, n^2 = 16 of them
-        code = (
-            "import resource\n"
+        # and the quotient has one coordinate per germ, n^2 = 16 of them.  The
+        # germ path took 0.13-0.14 s and 44 MiB peak in three runs on a
+        # 2-core host (the numeric path about 1.5 s and 120 MiB)
+        code = PEAK_RSS + (
             "from semicross import PartialBijection as P, PartialSetAction, generate_semigroup\n"
             "from semicross import induce_action, null_ideal, quotient_algebra\n"
             "x = (1, 2, 3, 4)\n"
@@ -568,8 +669,7 @@ class TestNullIdeal:
             "act = induce_action(PartialSetAction.tautological(sg))\n"
             "null = null_ideal(act)\n"
             "quot = quotient_algebra(act, null.basis)\n"
-            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(len(sg), act.total_dim, null.dim, quot.dim, rss)\n"
+            "print(len(sg), act.total_dim, null.dim, quot.dim, peak_kib())\n"
         )
         start = time.perf_counter()
         result = run_python([], code)
@@ -578,8 +678,38 @@ class TestNullIdeal:
         size, dim, null, quot, rss_kib = map(int, result.stdout.split())
         D = sum(comb(4, k) ** 2 * factorial(k) * k for k in range(5))
         assert (size, dim, null, quot) == (209, D, D - 16, 16)
-        assert rss_kib < 1024**2, f"peak RSS {rss_kib / 1024:.0f} MiB"
-        assert wall < 30.0, f"{wall:.1f} s"
+        assert rss_kib < 96 * 1024, f"peak RSS {rss_kib / 1024:.0f} MiB"
+        assert wall < 3.0, f"{wall:.1f} s"
+
+    def test_sim5_tensor_and_null_in_bounded_time_and_memory(self):
+        # sim_5: |S| = 1546, D = 5225, 25 germs.  A dense basis of N would be
+        # 5200 x 5225 complex numbers, about 435 MB; the germ path keeps N as
+        # its partition and builds no basis.  The tensor has 5,460,125
+        # entries (about 218 MB); the run took 0.65-0.69 s and 282 MiB peak
+        # in three runs on a 2-core host
+        code = PEAK_RSS + (
+            "from semicross import PartialBijection as P, PartialSetAction, generate_semigroup\n"
+            "from semicross import induce_action, null_ideal\n"
+            "from semicross.ell1 import structure_tensor\n"
+            "x = (1, 2, 3, 4, 5)\n"
+            "gens = [P.from_dict(x, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}),\n"
+            "        P.from_dict(x, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}), P.identity(x, x[1:])]\n"
+            "sg = generate_semigroup(gens)\n"
+            "act = induce_action(PartialSetAction.tautological(sg))\n"
+            "I, J, K, C = structure_tensor(act)\n"
+            "null = null_ideal(act)\n"
+            "print(len(sg), act.total_dim, len(C), null.dim, 'basis' in vars(null), peak_kib())\n"
+        )
+        start = time.perf_counter()
+        result = run_python([], code)
+        wall = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        size, dim, entries, null, built, rss_kib = result.stdout.split()
+        D = sum(comb(5, k) ** 2 * factorial(k) * k for k in range(6))
+        assert (int(size), int(dim), int(null), built) == (1546, D, D - 25, "False")
+        assert int(entries) == 5_460_125
+        assert int(rss_kib) < 384 * 1024, f"peak RSS {int(rss_kib) / 1024:.0f} MiB"
+        assert wall < 10.0, f"{wall:.1f} s"
 
     def test_null_is_convolution_invariant(self, semi, sim2):
         for inst in (semi, sim2):
@@ -596,6 +726,62 @@ class TestNullIdeal:
         null = null_ideal(sim2.action)
         kernel = integrate(sim2_reg, check=False).kernel()
         assert rows_equal(null.basis, kernel)
+
+
+class TestGermPath:
+    @pytest.mark.parametrize("name", GERM_CASES)
+    def test_germ_path_is_the_numeric_path(self, name):
+        assert_same_paths(GERM_CASES[name](), np.random.default_rng(29), 2)
+
+    def test_sim4_germ_path_is_the_numeric_path(self):
+        # the quotient norms are left out: the numeric program at sim4 has
+        # 528 complex z and 34,816 facet rows in the reference
+        points = (1, 2, 3, 4)
+        act = induced([{1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 3, 3: 4, 4: 1},
+                       {x: x for x in points[1:]}])
+        assert len(act.semigroup) == 209
+        assert_same_paths(act, np.random.default_rng(31), 0)
+
+    @pytest.mark.parametrize("name", GERM_CASES)
+    def test_classes_are_the_reference_germs(self, name):
+        act = GERM_CASES[name]()
+        label = _germs(act).label
+        if name.endswith("trivially"):  # theta is not injective: classes by hand
+            want = {"z2 acting trivially": [0, 1, 2, 3], "1 >= e acting trivially": [0, 1, 0, 1]}
+            assert label.tolist() == want[name]
+            return
+        assert_reference_germs(act)
+
+    def test_null_ideal_is_the_partition_until_its_basis_is_asked_for(self):
+        act = fixtures.sim2().action  # a fresh action
+        null = null_ideal(act)
+        assert null.dim == 4 and "basis" not in vars(null)
+        assert quotient_algebra(act, null.basis).dim == 4
+        assert null_ideal(act, 1e-8) is not null
+        assert null_ideal(act, 1e-8).basis is null.basis  # one partition per action
+
+    def test_rebuilt_actions_take_the_numeric_path(self, sim2, monkeypatch):
+        # a paut family rebuilt as a plain Action, as in the crafted failures
+        for args, _ in CRAFTED.values():
+            assert _germs(fixtures.flip_with_identity(*args)) is None
+        assert _germs(fixtures.plain(sim2.action)) is None
+        # and any null basis but the germ ideal's own goes through the LP and
+        # the closure check of the section coordinates
+        calls = []
+        for name in ("_dual_program", "_ideal_witness"):
+            real = getattr(ell1, name)
+            monkeypatch.setattr(ell1, name, lambda *a, real=real, name=name: (
+                calls.append(name), real(*a))[1])
+        null = null_ideal(sim2.action)
+        f = Ell1Element.from_dense(sim2.action, np.arange(8.0))
+        quotient_ell1_norm(f, null.basis)
+        quot = quotient_algebra(sim2.action, null.basis)
+        assert calls == []
+        copy = null.basis.copy()
+        assert quotient_ell1_norm(f, copy) == pytest.approx(quotient_ell1_norm(f, null.basis),
+                                                            rel=1e-12)
+        assert quotient_algebra(sim2.action, copy).coords == quot.coords
+        assert calls == ["_dual_program", "_ideal_witness"]
 
 
 class TestQuotient:
@@ -622,6 +808,24 @@ class TestQuotient:
         lhs = np.einsum("ijm,mkl->ijkl", s, s)
         rhs = np.einsum("jkm,iml->ijkl", s, s)
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+    @pytest.mark.parametrize("name", [*SAMPLES, *(f"matrix {n}" for n in MATRIX_ACTIONS)])
+    def test_pivots_are_the_reference_loop(self, name):
+        # the numeric path, also for the induced samples
+        assert_same_pivots(fixtures.plain(TENSOR_CASES[name]()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(fixtures.generator_lists, st.integers(0, 2**32 - 1))
+    def test_pivots_on_random_explicit_actions(self, gens, seed):
+        # induced actions rebuilt in random complex bases of their ideals
+        sg = generate_semigroup(gens)
+        if len(sg) > 40:
+            return
+        try:
+            act = induce_action(PartialSetAction.tautological(sg))
+        except PA2SpanDeficit:
+            return
+        assert_same_pivots(rebased(act, np.random.default_rng(seed)))
 
     def test_projection_kills_exactly_the_ideal(self, semi):
         null = null_ideal(semi.action)
@@ -655,10 +859,14 @@ class TestQuotientNorm:
     def test_semi_cosets_are_exact(self, semi, label, vec):
         # c d_id{1} has a segment of optimal z, z = 0 among them; on the side
         # of id{1,2}, z = 0 is the only optimum.  Either way the norm is |c|
-        # to the last bit, whichever optimal vertex the simplex reaches.
-        null = null_ideal(semi.action)
-        for c in (1, 2, 0.5, 3, -1, 1j, -2j, 0.25j):
-            assert quotient_ell1_norm(mono(semi, label, c * vec), null.basis) == abs(c)
+        # to the last bit, whichever optimal vertex the simplex reaches, on
+        # the germ path and on the numeric path of the same maps.
+        t = semi.semigroup.index(label)
+        for act in (semi.action, fixtures.plain(semi.action)):
+            null = null_ideal(act)
+            for c in (1, 2, 0.5, 3, -1, 1j, -2j, 0.25j):
+                f = Ell1Element.monomial(act, t, c * vec)
+                assert quotient_ell1_norm(f, null.basis) == abs(c)
 
     def test_zero_coset(self, semi):
         null = null_ideal(semi.action)
@@ -672,24 +880,17 @@ class TestQuotientNorm:
     @PYTHON_FLAGS
     def test_failed_lp_is_a_named_error(self, flags):
         # the pivot cap (status 1), then a simplex stopped at its first basis,
-        # whose dual value 0 does not certify the norm (status 4)
-        code = (
-            "import numpy, fixtures\n"
-            "from semicross import ell1\n"
-            "from semicross.errors import CheckError\n"
-            "act = fixtures.semi().action\n"
-            "f = ell1.Ell1Element.from_dense(act, numpy.ones(act.total_dim))\n"
-            "for name, value in (('_MAX_PIVOTS', 1), ('_OPT_TOL', 1e3)):\n"
-            "    saved = getattr(ell1, name)\n"
-            "    setattr(ell1, name, value)\n"
-            "    try:\n"
-            "        ell1.quotient_ell1_norm(f, ell1.null_ideal(act).basis)\n"
-            "    except CheckError as err:\n"
-            "        print(err.code, err.status)\n"
-            "    setattr(ell1, name, saved)\n"
-            "print(ell1.quotient_ell1_norm(f, ell1.null_ideal(act).basis) > 0)\n"
-        )
-        result = run_python(flags, code)
+        # whose dual value 0 does not certify the norm (status 4); semi's own
+        # null basis takes the germ program
+        result = run_python(flags, FAILED_LP.format(basis="ell1.null_ideal(act).basis"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "QuotientNormLPFailed", "1", "QuotientNormLPFailed", "4", "True"]
+
+    @PYTHON_FLAGS
+    def test_failed_section_lp_is_a_named_error(self, flags):
+        # the same on the section program, which a copy of the basis takes
+        result = run_python(flags, FAILED_LP.format(basis="ell1.null_ideal(act).basis.copy()"))
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [
             "QuotientNormLPFailed", "1", "QuotientNormLPFailed", "4", "True"]

@@ -1,8 +1,8 @@
 """Law-level properties driven by hypothesis: partial bijection algebra,
 closure invariants, the section-algebra axioms under random coefficients,
-the null ideal and the quotient norm of random induced actions, and the
-covariant-pair checks against their reference loops, with the facts those
-checks force."""
+the null ideal and the quotient norm of random induced actions, their germ
+path against their numeric path, and the covariant-pair checks against
+their reference loops, with the facts those checks force."""
 
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from semicross.reps import (
     seminorm_kernel,
 )
 from semicross.semigroups import PartialBijection, generate_semigroup
+from test_ell1 import assert_reference_germs, assert_same_paths
 
 CARRIER = ("1", "2", "3")
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -186,6 +187,17 @@ class TestNullIdealLaws:
         else:
             want = reference.reference_quotient_norm(f, N)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(partial_bijections(), min_size=1, max_size=2), st.integers(0, 2**32 - 1))
+    def test_germ_path_is_the_numeric_path(self, gens, seed):
+        # the germ classes against the union-find oracle, then the germ path
+        # against the numeric path of the same maps rebuilt as a plain Action
+        sg = generate_semigroup([PartialBijection.identity(CARRIER), *gens])
+        act = induce_action(PartialSetAction.tautological(sg))
+        assert_reference_germs(act)
+        assert_same_paths(act, np.random.default_rng(seed), 1)
 
 
 # ------------------------------------------------ covariant pairs, forced facts

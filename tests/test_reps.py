@@ -44,6 +44,7 @@ from semicross.reps import (
     integrate,
     is_normalized,
     normalize,
+    regular_rep,
     seminorm_family,
     seminorm_kernel,
     validate_rep,
@@ -291,10 +292,13 @@ class TestIntegrate:
 
         monkeypatch.setattr(semicross.ell1, "_order_differences", spy)
         inst = fixtures.sim2()  # a fresh action, nothing memoized yet
-        rep = inst.regular(2)
-        null_ideal(inst.action)
+        act = fixtures.plain(inst.action)  # the numeric path, which spans seeds
+        rep = regular_rep(inst.theta, 2, action=act)
+        null_ideal(act)
         integrate(rep, check=True)
         seminorm_kernel([rep])
+        assert seen == [DEFAULT_TOL]
+        null_ideal(inst.action)  # the germ path spans none
         assert seen == [DEFAULT_TOL]
 
     def test_null_inside_kernel(self, all_instances):

@@ -705,7 +705,7 @@ class _SectionProgram(_DualProgram):
     def coset_norms(self, dense: np.ndarray, fv: np.ndarray, pi: np.ndarray) -> tuple:
         """The polygon-model norms of f and of f + z N, z = -(pi_Re + i pi_Im)."""
         z = pi[: 2 * self.k]
-        return self.model_norm(fv), self.model_norm(fv - (self.g[0] + 1j * self.g[1]) @ z)
+        return self.model_norm(fv), self.model_norm(fv - (self.g[0] @ z + 1j * (self.g[1] @ z)))
 
 
 @dataclass(eq=False)

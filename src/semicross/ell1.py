@@ -230,12 +230,15 @@ class _Germs:
     def basis(self) -> np.ndarray:
         """Orthonormal class contrasts, in the order of their coordinates:
         for the r-th coordinate j of a class (r >= 1), the sum of the r
-        coordinates of the class before it less r e_j, over sqrt(r (r + 1))."""
+        coordinates of the class before it less r e_j, over sqrt(r (r + 1)).
+        Read-only: ``owns`` trusts it to be these rows."""
         n = len(self.label)
         earlier = (self.label[:, None] == self.label) & np.tri(n, k=-1, dtype=bool)
         rank = earlier.sum(1)
         rows = (earlier - np.diag(rank))[rank > 0]
-        return (rows / np.sqrt(rank * (rank + 1.0))[rank > 0, None]).astype(complex)
+        out = (rows / np.sqrt(rank * (rank + 1.0))[rank > 0, None]).astype(complex)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def projection(self) -> np.ndarray:

@@ -759,6 +759,8 @@ class TestGermPath:
         assert quotient_algebra(act, null.basis).dim == 4
         assert null_ideal(act, 1e-8) is not null
         assert null_ideal(act, 1e-8).basis is null.basis  # one partition per action
+        with pytest.raises(ValueError):  # read-only: the germ path trusts its rows
+            null.basis[0, 0] = 1.0
 
     def test_rebuilt_actions_take_the_numeric_path(self, sim2, monkeypatch):
         # a paut family rebuilt as a plain Action, as in the crafted failures

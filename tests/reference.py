@@ -42,6 +42,9 @@ now extends orthonormal rows by one residual per choice.
 ``reference_germ_classes`` is a union-find over partial bijections given as
 frozensets of pairs: the germ partition of an induced action's section
 coordinates, computed without semicross, as the oracle of ``ell1._Germs``.
+``reference_germ_quotient_norm`` writes the per-germ quotient-norm program
+out over those classes and solves it by HiGHS, where the section program
+is too large for the reference (sim4).
 
 ``reference_saturate`` grows the span of ``reference_order_differences``
 by rounds of products with the spanning monomials until it stops growing,
@@ -269,6 +272,36 @@ def reference_germ_classes(elements) -> dict:
                     else:
                         seen[key] = (t, x)
     return {(t, dict(m)[x]): find((t, x)) for t, m in enumerate(elements) for x, _ in m}
+
+
+def reference_germ_quotient_norm(f: Ell1Element, elements) -> float:
+    """The quotient norm of f over an induced action of the maps ``elements``
+    (as for ``reference_germ_classes``) as the per-germ program of
+    ``quotient_ell1_norm``, written out from the union-find's classes and
+    solved by HiGHS as ``reference_quotient_norm`` is: minimize the sum of
+    m_t >= 0 subject to, at each class C and facet i, the sum of m_t over
+    the t holding C >= cos(theta_i) Re c_C + sin(theta_i) Im c_C, with c_C
+    the class total of f.  (With every class a single coordinate this is the
+    polygon model of the norm, where ``quotient_ell1_norm`` returns the norm.)"""
+    from scipy.optimize import linprog
+
+    scale = ell1_norm(f)
+    if not scale:
+        return 0.0
+    points = f.action.algebra.points
+    classes = reference_germ_classes(elements)
+    index = {r: i for i, r in enumerate(sorted(set(classes.values())))}
+    total = np.zeros(len(index), dtype=complex)
+    hold = np.zeros((len(index), len(elements)))
+    for (t, y), r in classes.items():
+        total[index[r]] += f.value(t)[points.index(y)] / scale
+        hold[index[r], t] = 1.0
+    theta = 2.0 * np.pi * np.arange(N_FACETS) / N_FACETS
+    facets = np.cos(theta) * total.real[:, None] + np.sin(theta) * total.imag[:, None]
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(c=np.ones(len(elements)), A_ub=-np.repeat(hold, N_FACETS, axis=0),
+                  b_ub=-facets.ravel(), bounds=(0, None), method="highs-ipm", options=tight)
+    return scale * res.fun
 
 
 def reference_natural_order(sg: InvSemigroup) -> frozenset:

@@ -17,6 +17,7 @@ import fixtures
 from reference import (
     reference_convolve,
     reference_germ_classes,
+    reference_germ_quotient_norm,
     reference_monomial_products,
     reference_order_differences,
     reference_quotient_norm,
@@ -734,13 +735,20 @@ class TestGermPath:
         assert_same_paths(GERM_CASES[name](), np.random.default_rng(29), 2)
 
     def test_sim4_germ_path_is_the_numeric_path(self):
-        # the quotient norms are left out: the numeric program at sim4 has
-        # 528 complex z and 34,816 facet rows in the reference
+        # the section program at sim4 has 528 complex z and 34,816 facet rows
+        # in the reference, so the quotient norms are checked against the
+        # per-germ program over the union-find's classes instead
         points = (1, 2, 3, 4)
         act = induced([{1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 3, 3: 4, 4: 1},
                        {x: x for x in points[1:]}])
         assert len(act.semigroup) == 209
-        assert_same_paths(act, np.random.default_rng(31), 0)
+        rng = np.random.default_rng(31)
+        assert_same_paths(act, rng, 0)
+        maps = [frozenset(m.pairs) for m in act._theta.maps]
+        for z in rng.standard_normal((2, 2, act.total_dim)):
+            f = Ell1Element.from_dense(act, z[0] + 1j * z[1])
+            got = quotient_ell1_norm(f, null_ideal(act).basis)
+            assert got == pytest.approx(reference_germ_quotient_norm(f, maps), rel=1e-9)
 
     @pytest.mark.parametrize("name", GERM_CASES)
     def test_classes_are_the_reference_germs(self, name):

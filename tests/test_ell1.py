@@ -166,12 +166,12 @@ GERM_CASES = {
 }
 
 
-def assert_same_paths(act: Action, rng, n_norms: int) -> None:
+def assert_same_paths(act: Action, rng, n_norms: int) -> Action:
     """The germ path of an induced action against the numeric path of the
-    same maps (``fixtures.plain``): the same tensor, N by row space, the same
-    quotient coordinates and structure within 1e-12, and quotient norms of
-    random sections within 1e-12 relative, and within 1e-9 of the reference
-    program."""
+    same maps (``fixtures.plain``, which it returns): the same tensor, N by
+    row space, the same quotient coordinates and structure within 1e-12, and
+    quotient norms of random sections within 1e-12 relative, and within 1e-9
+    of the reference program."""
     plain = fixtures.plain(act)
     assert _germs(act) is not None and _germs(plain) is None
     assert_same_tensor(structure_tensor(act), structure_tensor(plain))
@@ -188,6 +188,7 @@ def assert_same_paths(act: Action, rng, n_norms: int) -> None:
         assert got == pytest.approx(quotient_ell1_norm(g, want.basis), rel=1e-12, abs=0.0)
         if want.dim:
             assert got == pytest.approx(reference_quotient_norm(g, want.basis), rel=1e-9)
+    return plain
 
 
 def assert_reference_germs(act: Action) -> None:

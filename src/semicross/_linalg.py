@@ -9,6 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+BLOCK_ENTRIES = 2**20  # entries of one temporary in a blocked check
+
+
+def blocks(count: int, width: int, budget: int = BLOCK_ENTRIES) -> list:
+    """Slices of range(count) of at most budget // width items each (at
+    least one), so that a temporary of ``width`` entries per item stays
+    within about ``budget`` entries."""
+    step = max(1, budget // max(1, width))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def as_complex(a) -> np.ndarray:
@@ -57,7 +66,10 @@ def null_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def off_rows(resid: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per row, whether |resid| > tol * max(1, |v|) (compared squared: cheap on 1-d)."""
+    """Per row, whether |resid| > tol * max(1, |v|), compared squared; one
+    vector takes two dot products."""
+    if resid.ndim == 1:
+        return np.vdot(resid, resid).real > tol**2 * max(1.0, np.vdot(v, v).real)
     return (abs(resid) ** 2).sum(-1) > tol**2 * np.maximum(1.0, (abs(v) ** 2).sum(-1))
 
 

@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, classes_by_first, first_far, null_rows
+from ._linalg import DEFAULT_TOL, as_complex, blocks, classes_by_first, first_far, null_rows
 from ._linalg import off_rows, orth_rows
 from .actions import Action, _stack
 from .errors import (
@@ -356,17 +356,27 @@ def _ideal_witness(action: Action, basis: np.ndarray, comp: np.ndarray, tol: flo
     ideal, else a spanning monomial m_i it fails for: (element label, index
     in its ideal, side).  ``comp`` holds orthonormal rows z with z @ x = 0
     on that space; it is an ideal iff comp @ (m_i * x) = 0 = comp @ (x * m_i)
-    for every row x and every m_i, one (q, rows) product per m_i and side."""
+    for every row x and every m_i, one (q, rows) product per m_i and side.
+    Those products are stacked over a block of the m_i with equal entry
+    counts at a time, as many as fit a fixed entry budget."""
     I, J, K, C = structure_tensor(action, tol)
-    basis_t = np.ascontiguousarray(basis.T)
+    D, q, r = action.total_dim, len(comp), len(basis)
+    comp_t, basis_t = np.ascontiguousarray(comp.T), np.ascontiguousarray(basis.T)
     for side, outer, inner in (("left", I, J), ("right", J, I)):
-        ends = np.cumsum(np.bincount(outer, minlength=action.total_dim))[:-1]
-        for i, e in enumerate(np.split(np.argsort(outer, kind="stable"), ends)):  # by m_i
-            # column x: comp @ (m_i * x) on the left, comp @ (x * m_i) on the right
-            off = (comp[:, K[e]] * C[e]) @ basis_t[inner[e]]
-            if np.any(np.linalg.norm(off, axis=0) > tol):
-                t = [t for t, o in action.offsets.items() if o <= i][-1]
-                return action.semigroup.labels[t], i - action.offsets[t], side
+        order, count = np.argsort(outer, kind="stable"), np.bincount(outer, minlength=D)
+        start, first = np.cumsum(count) - count, D  # first: the least failing m_i
+        for c in set(count.tolist()) - {0}:
+            mono = np.flatnonzero(count == c)
+            for part in blocks(len(mono), c * (q + r) + q * r):
+                e = order[start[mono[part], None] + np.arange(c)]  # the entries of each m_i
+                # column x: comp @ (m_i * x) on the left, comp @ (x * m_i) on the right
+                off = (comp_t[K[e]] * C[e][..., None]).swapaxes(1, 2) @ basis_t[inner[e]]
+                if (bad := (np.linalg.norm(off, axis=1) > tol).any(1)).any():
+                    first = min(first, int(mono[part][np.argmax(bad)]))
+                    break
+        if first < D:
+            t = [t for t, o in action.offsets.items() if o <= first][-1]
+            return action.semigroup.labels[t], first - action.offsets[t], side
     return None
 
 

@@ -24,14 +24,22 @@ from .reps import CovariantRep, ReprSpace, regular_rep
 from .semigroups import InvSemigroup, PartialBijection, generate_semigroup
 
 
+# The checks compare with absolute tolerances (1e-9 by default), and one
+# rounding of an entry of size 1e6 is 2e-10; far larger entries overflow
+# the squares inside an SVD, which LAPACK reports on stdout.
+MAX_MAGNITUDE = 1e6
+
+
 def _complex_in(value, where: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        value = [value, 0]
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(x, (int, float)) for x in value)
     ):
+        if max(abs(value[0]), abs(value[1])) > MAX_MAGNITUDE:
+            raise SchemaError(f"{where}: a number exceeds {MAX_MAGNITUDE:g} in magnitude")
         return complex(value[0], value[1])
     raise SchemaError(f"{where}: expected a number or [re, im] pair")
 
@@ -192,8 +200,10 @@ def _parse_algebra(block, theta):
         return function_algebra(points)
     if block["kind"] == "matrix":
         sizes = block.get("blocks")
-        if not isinstance(sizes, list) or not sizes:
-            raise SchemaError("algebra.blocks: expected a nonempty list of sizes")
+        if not isinstance(sizes, list) or not sizes or not all(
+            _is_index(n) and n > 0 for n in sizes
+        ):
+            raise SchemaError("algebra.blocks: expected a nonempty list of positive sizes")
         return matrix_algebra(sizes, _p_in(block.get("p", 2), "algebra.p"))
     raise SchemaError(f"algebra.kind: unsupported kind {block['kind']!r}")
 
@@ -293,11 +303,13 @@ def _parse_representations(blocks, action, theta, tol, notes):
         if not isinstance(pi_raw, dict) or not isinstance(v_raw, dict):
             raise SchemaError(f"representations[{i}]: need 'pi' and 'v' mappings")
         A = action.algebra
-        pi = np.zeros((A.dim, dim, dim), dtype=complex)
-        for j, lab in enumerate(A.labels):
+        # read before anything of size dim is made: a wrong dim fails on the rows
+        pi = []
+        for lab in A.labels:
             if lab not in pi_raw:
                 raise SchemaError(f"representations[{i}].pi: missing basis label {lab!r}")
-            pi[j] = _matrix_in(pi_raw[lab], (dim, dim), f"representations[{i}].pi[{lab}]")
+            pi.append(_matrix_in(pi_raw[lab], (dim, dim), f"representations[{i}].pi[{lab}]"))
+        pi = np.array(pi, dtype=complex).reshape(A.dim, dim, dim)
         sg = action.semigroup
         v = np.zeros((len(sg), dim, dim), dtype=complex)
         for lab in v_raw:

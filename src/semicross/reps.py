@@ -20,6 +20,7 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOL,
     as_complex,
+    blocks,
     first_far,
     null_rows,
     operator_norm,
@@ -99,20 +100,30 @@ class CovariantRep:
 # --------------------------------------------------------------- basic layer
 
 
+def _diagonal_bound(rep: CovariantRep, tol: float) -> float | None:
+    """For a diagonal pi over a function algebra, the largest row sum of
+    moduli r, which bounds ||pi(a)|| <= r ||a|| exactly: pi(a) is diagonal
+    with entries sum_i a_i pi_i[j, j], and ||a|| = max |a_i|.  Else None."""
+    n = rep.space.dim
+    if rep.action.algebra.kind != "function" or not np.allclose(
+        rep.pi * (1 - np.eye(n)), 0.0, atol=tol, rtol=0.0
+    ):
+        return None
+    return np.abs(np.diagonal(rep.pi, axis1=1, axis2=2)).sum(0).max(initial=0.0)
+
+
 def certify_contractive(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int = 0,
                         samples: int = 2000) -> str:
     """Certify ||pi(a)|| <= ||a||; returns the certification level.
 
     Diagonal representations of function algebras admit an exact criterion
-    (row sums of moduli); anything else is sampled on the unit sphere, with
+    (``_diagonal_bound``); anything else is sampled on the unit sphere, with
     the real sign patterns thrown in for function algebras of dimension
     <= 16 since they are the extreme points of the real unit ball.
     """
     A, d, n = rep.action.algebra, rep.action.algebra.dim, rep.space.dim
-    diagonal = np.allclose(rep.pi * (1 - np.eye(n)), 0.0, atol=tol, rtol=0.0)
-    if A.kind == "function" and diagonal:
-        rowsums = np.abs(np.diagonal(rep.pi, axis1=1, axis2=2)).sum(0)
-        if np.any(rowsums > 1.0 + tol):
+    if (bound := _diagonal_bound(rep, tol)) is not None:
+        if bound > 1.0 + tol:
             raise NotContractive("pi", "a diagonal row sum exceeds 1")
         return "exact"
     signs = np.zeros((0, d))
@@ -122,9 +133,8 @@ def certify_contractive(rep: CovariantRep, tol: float = DEFAULT_TOL, seed: int =
     a = draws[:, 0] + 1j * draws[:, 1]
     na = A.norm(a)
     trials = np.vstack([signs, a[na > tol] / na[na > tol, None]])
-    step = max(1, 2**20 // max(1, n * n))  # bounds the stack pi(trials) to 2^20 entries
-    for lo in range(0, len(trials), step):
-        chunk = trials[lo : lo + step]
+    for part in blocks(len(trials), n * n):  # bounds the stack pi(trials)
+        chunk = trials[part]
         if np.any(rep.opnorm(rep.pi_of(chunk)) > A.norm(chunk) + tol):
             raise NotContractive("pi", "it expands a sampled element")
     return "sampled"
@@ -192,20 +202,21 @@ def check_spatial(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     if bad.any():
         raise SCR2RangeMismatch(sg.labels[np.argmax(bad)])
     report.add("SCR2", "essential range of every v_t", True)
-    for s in range(len(sg)):  # v_s v_t against v_st, t over every element
-        if bad := first_far(rep.v[s] @ rep.v, rep.v[sg.table[s]], tol):
-            raise NotSemigroupHom(sg.labels[s], sg.labels[bad[0]])
+    for part in blocks(len(sg), 2 * len(sg) * n * n):  # v_s v_t against v_st, a block of s
+        if bad := first_far(rep.v[part, None] @ rep.v, rep.v[sg.table[part]], tol):
+            raise NotSemigroupHom(sg.labels[part.start + bad[0]], sg.labels[bad[1]])
     report.add("hom", "v is a semigroup homomorphism", True)
     return report
 
 
 def _check_intertwining(rep: CovariantRep, tol: float, errcls) -> None:
-    """v_t pi(a) = pi(alpha_t(a)) v_t for a over the basis of I_{t*}."""
+    """v_t pi(a) = pi(alpha_t(a)) v_t for a over the basis of I_{t*}, whose
+    images alpha_t(a) are the rows of the map's matrix."""
     act = rep.action
     dims = np.array([p.source.dim for p in act.pauts])
     owner = np.repeat(np.arange(len(dims)), dims)
     src = [np.zeros((0, act.algebra.dim))] + [p.source.basis for p in act.pauts]
-    img = [np.zeros((0, act.algebra.dim))] + [p.apply(p.source.basis, tol) for p in act.pauts]
+    img = [np.zeros((0, act.algebra.dim))] + [p.matrix for p in act.pauts]
     v = rep.v[owner]
     if bad := first_far(v @ rep.pi_of(np.vstack(src)), rep.pi_of(np.vstack(img)) @ v, tol):
         t = owner[bad[0]]
@@ -216,7 +227,7 @@ def check_algebraic(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     """Commutation, essential multiplicativity and unit laws.  Alternate
     covariance and the co-unit and left-unit laws follow from them (with
     I_t = I_tt* and alpha_e = id), so they are not checked again."""
-    act, sg = rep.action, rep.action.semigroup
+    act, sg, n = rep.action, rep.action.semigroup, rep.space.dim
     report = CheckReport("algebraic covariant representation")
     _check_intertwining(rep, tol, CR1Violation)
     report.add("CR1", "commutation on all ideal bases", True,
@@ -225,14 +236,17 @@ def check_algebraic(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     dims = np.array([act.ideal(t).dim for t in range(len(sg))])
     start, images = np.cumsum(dims) - dims, rep.pi_of(rows)
     prods = images @ rep.v[owner]
-    # pi(a) v_s v_t against pi(a) v_st, a over the basis of I_st; one s at a
-    # time, since the whole (s, t) stack would take |S|^2 blocks
-    for s in range(len(sg)):
-        k = dims[sg.table[s]]
-        t = np.repeat(np.arange(len(sg)), k)  # the rows of the block of st, t by t
-        at = start[sg.table[s]][t] + np.arange(len(t)) - (np.cumsum(k) - k)[t]
-        if bad := first_far(images[at] @ (rep.v[s] @ rep.v)[t], prods[at], tol):
-            raise CR2Violation(sg.labels[s], sg.labels[t[bad[0]]])
+    # pi(a) v_s v_t against pi(a) v_st, a over the basis of I_st, for a block
+    # of s at a time: the rows of the block of st, t by t, then s by s
+    S = len(sg)
+    for part in blocks(S, (S + 4 * dims[sg.table].sum(1).max()) * n * n):
+        k = dims[sg.table[part]].ravel()
+        pair = np.repeat(np.arange(k.size), k)  # (s, t) as s * |S| + t, local s
+        at = start[sg.table[part]].ravel()[pair] + np.arange(len(pair)) - (np.cumsum(k) - k)[pair]
+        vv = (rep.v[part, None] @ rep.v).reshape(-1, n, n)
+        if bad := first_far(images[at] @ vv[pair], prods[at], tol):
+            s, t = divmod(int(pair[bad[0]]), S)
+            raise CR2Violation(sg.labels[part.start + s], sg.labels[t])
     report.add("CR2", "all (s, t) pairs", True, f"{len(sg) ** 2} pairs")
     at = np.isin(owner, sg.idempotents)
     if bad := first_far(prods[at], images[at], tol):
@@ -302,9 +316,14 @@ def integrate(
 
     The pair need not have been checked, so with ``check`` the map is
     verified to be multiplicative (exactly, on the monomial spanning set;
-    else ``NotMultiplicative`` names the first pair), contractive on sampled
-    sections, and to kill the order-difference ideal (else
-    ``NullNotKilled`` names the first null basis row that survives).
+    else ``NotMultiplicative`` names the first pair), contractive, and to
+    kill the order-difference ideal (else ``NullNotKilled`` names the first
+    null basis row that survives).  Contractivity is exact when pi passes
+    the diagonal criterion of ``certify_contractive`` with bound r and the
+    v_t have norms at most w, with r w <= 1: then
+    ||psi(f)|| <= sum_t ||pi(f(t))|| ||v_t|| <= r w ||f||_1.  For every p,
+    ||v_t|| is at most the larger of its 1- and inf-operator norms
+    (Riesz-Thorin), and w is that bound.  Other pairs are sampled.
     """
     act, n = rep.action, rep.space.dim
     owner, rows = _section_rows(act)
@@ -312,23 +331,43 @@ def integrate(
     matrix = images.reshape(len(images), n * n).T
     out = IntegratedRep(rep, matrix)
     if check:
-        I, J, K, C = structure_tensor(act, tol)
-        got = np.zeros((len(images), len(images), n * n), dtype=complex)
-        np.add.at(got, (I, J), C[:, None] * matrix[:, K].T)  # images of m_i * m_j
-        want = np.einsum("iab,jbc->ijac", images, images).reshape(got.shape)
-        if bad := first_far(got, want, tol):
-            raise NotMultiplicative(bad)
-        draws = np.random.default_rng(seed).standard_normal((samples, 2, act.total_dim))
-        f = draws[:, 0] + 1j * draws[:, 1]
-        norms = rep.opnorm((f @ matrix.T).reshape(-1, n, n))
-        grown = np.flatnonzero(~(norms <= ell1_norms(act, f) + tol))
-        if grown.size:
-            raise NotContractive("integrated map", f"it expands sampled section {grown[0]}")
+        _check_products(images, structure_tensor(act, tol), tol)
+        bound = _diagonal_bound(rep, tol)
+        moduli = np.abs(rep.v)
+        w = max(moduli.sum(-1).max(initial=0.0), moduli.sum(-2).max(initial=0.0))
+        if bound is None or bound * w > 1.0 + tol:
+            draws = np.random.default_rng(seed).standard_normal((samples, 2, act.total_dim))
+            f = draws[:, 0] + 1j * draws[:, 1]
+            norms = rep.opnorm((f @ matrix.T).reshape(-1, n, n))
+            grown = np.flatnonzero(~(norms <= ell1_norms(act, f) + tol))
+            if grown.size:
+                raise NotContractive("integrated map", f"it expands sampled section {grown[0]}")
         kills = rep.opnorm((null_ideal(act, tol).basis @ matrix.T).reshape(-1, n, n))
         alive = ~(kills <= tol)
         if alive.any():
             raise NullNotKilled(int(np.argmax(alive)))
     return out
+
+
+def _check_products(images: np.ndarray, tensor: tuple, tol: float) -> None:
+    """images[i] @ images[j] against the image of m_i * m_j from the
+    structure tensor, for a block of i at a time; ``NotMultiplicative``
+    names the first failing (i, j)."""
+    I, J, K, C = tensor
+    D, n = images.shape[:2]
+    flat = images.reshape(D, n * n)
+    order = np.argsort(I, kind="stable")  # keeps the summation order of each (i, j)
+    ends = np.concatenate([[0], np.cumsum(np.bincount(I, minlength=D))])
+    right = images.transpose(1, 0, 2).reshape(n, D * n)  # [b, (j, c)]
+    for part in blocks(D, 3 * D * n * n):
+        e, k = order[ends[part.start] : ends[part.stop]], part.stop - part.start
+        got = np.zeros((k, D, n * n), dtype=complex)
+        np.add.at(got, (I[e] - part.start, J[e]), C[e, None] * flat[K[e]])
+        # one product for the block: [(i, a), (j, c)], then ordered as (i, j, a, c)
+        want = (images[part].reshape(k * n, n) @ right).reshape(k, n, D, n)
+        want = want.transpose(0, 2, 1, 3).reshape(got.shape)
+        if bad := first_far(got, want, tol):
+            raise NotMultiplicative((part.start + bad[0], bad[1]))
 
 
 def regular_rep(theta: PartialSetAction, p, action: Action | None = None,

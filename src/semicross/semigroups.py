@@ -6,10 +6,11 @@ into partial bijections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import classes_by_first
+from ._linalg import blocks, classes_by_first
 from .errors import (
     CarrierMismatch,
     IdempotentsDoNotCommute,
@@ -160,6 +161,12 @@ class InvSemigroup:
     def leq(self, s: int, t: int) -> bool:
         return (s, t) in self.order
 
+    @cached_property
+    def cover(self) -> tuple:
+        """Indices whose products give every element: the letters of a
+        generated semigroup, else ``_generating_cover`` of the table."""
+        return tuple(_generating_cover(self.table))
+
     @classmethod
     def from_table(cls, table, labels=None, star=None, zero=None) -> "InvSemigroup":
         """Build and fully validate an abstract inverse semigroup.
@@ -288,10 +295,9 @@ def natural_order(sg: InvSemigroup) -> frozenset:
         "natural order is not antisymmetric"
     )
     s, t = np.nonzero(leq)
-    step = max(1, 2**22 // max(n, 1))  # pairs per chunk: about 4 MB of rows
-    for k in range(0, len(s), step):
+    for part in blocks(len(s), n, 2**22):  # about 4 MB of rows per chunk
         # s <= t and t <= u give s <= u: the row of t lies in the row of s
-        below, above = s[k:k + step], t[k:k + step]
+        below, above = s[part], t[part]
         assert not (leq[above] & ~leq[below]).any(), "natural order is not transitive"
     return frozenset(zip(s.tolist(), t.tolist()))
 
@@ -452,7 +458,8 @@ def generate_semigroup(generators, cap: int = DEFAULT_CAP) -> InvSemigroup:
     empty = np.flatnonzero((elems < 0).all(axis=1))
     zero = int(empty[0]) if empty.size else None
     sg = InvSemigroup(labels, table, star, idem, frozenset(), zero, pbijs)
-    sg.order = natural_order(sg)
+    # every element is a product of letters, as _froidure_pin found it
+    sg.order, sg.cover = natural_order(sg), tuple(sorted(set(rank[letter_idx].tolist())))
     return sg
 
 
@@ -463,7 +470,21 @@ def check_homomorphism(sg: InvSemigroup, maps) -> None:
 
 
 def _check_rows(sg: InvSemigroup, rows: np.ndarray) -> None:
-    for s, r in enumerate(_undefined_column(rows)):
+    """maps[s] o maps[g] = maps[sg] for every s and each g of the cover.
+
+    On int rows that is exact and enough, by the induction of
+    ``_light_test``: if t and u pass, then for every s
+    maps[s] o maps[tu] = (maps[s] o maps[t]) o maps[u] = maps[st] o maps[u]
+    = maps[s(tu)].  Only after a failure does the row-major scan run, to
+    name the first (s, t)."""
+    ext, cover = _undefined_column(rows), np.array(sg.cover, dtype=np.intp)
+    for part in blocks(len(cover), rows.size):
+        g = cover[part]
+        if (ext[:, rows[g]] != rows[sg.table[:, g]]).any():
+            break
+    else:
+        return
+    for s, r in enumerate(ext):
         bad = (r[rows] != rows[sg.table[s]]).any(axis=1)
         if bad.any():
             raise NotAHomomorphism(sg.labels[s], sg.labels[int(np.argmax(bad))])

@@ -17,7 +17,10 @@ replaced it with a closure over int rows that registers elements in the same
 order.  ``reference_wagner_preston`` builds the regular embedding map by map.
 ``reference_assoc_witness`` scans every triple of a Cayley table one at a
 time for the first failure of associativity, which ``validate_inverse`` now
-finds by Light's test over a generating cover.
+finds by Light's test over a generating cover.  ``reference_check_rows``
+checks theta's homomorphism law on int rows at every pair (s, t) in
+row-major order, which ``semigroups._check_rows`` now checks over the
+semigroup's generating cover only.
 
 The sampled and per-pair certificates (``reference_paut_validate``,
 ``reference_ideal_validate``, ``reference_certify_contractive``,
@@ -46,6 +49,10 @@ coordinates, computed without semicross, as the oracle of ``ell1._Germs``.
 out over those classes and solves it by HiGHS, where the section program
 is too large for the reference (sim4).
 
+``reference_ideal_witness`` runs the ideal check of ``ell1._ideal_witness``
+with one (q, rows) product per spanning monomial and side, in index
+order; the check now stacks those products over blocks of monomials.
+
 ``reference_saturate`` grows the span of ``reference_order_differences``
 by rounds of products with the spanning monomials until it stops growing,
 as ``null_ideal`` did before it checked once that the span is closed.
@@ -62,7 +69,10 @@ same report lines and the same first failure.
 ``reference_grading_space``, ``reference_integrate_matrix``,
 ``reference_adjoint_check`` and ``reference_group_isometries`` are the
 per-pair and per-basis-vector loops behind the covariant-pair checks, which
-now contract stacks of pi-images and essential products.  The
+now contract stacks of pi-images and essential products.
+``reference_integrate_products`` is the multiplicativity check of
+``integrate`` as one (D, D, n^2) build of both sides, which ``integrate``
+now compares in blocks of i.  The
 ``*_consequences`` functions assert the facts that the checks of a pair, an
 inverse semigroup or a partial automorphism force, which ``semicross`` no
 longer re-proves on every call.
@@ -113,6 +123,7 @@ from semicross.errors import (
     GradingNotSaturated,
     NonzeroIdealAtZero,
     NoStarOnAlgebra,
+    NotAHomomorphism,
     NotAnIdeal,
     NotAnInvolution,
     NotAssociative,
@@ -228,6 +239,22 @@ def reference_saturate(action, seed_rows, tol: float = DEFAULT_TOL) -> np.ndarra
         if grown.shape[0] == basis.shape[0]:
             return grown
         basis = grown
+
+
+def reference_ideal_witness(action, basis: np.ndarray, comp: np.ndarray, tol: float):
+    """The ideal check, one spanning monomial m_i and side at a time: the
+    first (element label, index in its ideal, side) where comp @ (m_i * x)
+    or comp @ (x * m_i) is off zero for some row x of ``basis``, or None."""
+    I, J, K, C = structure_tensor(action, tol)
+    basis_t = np.ascontiguousarray(basis.T)
+    for side, outer, inner in (("left", I, J), ("right", J, I)):
+        for i in range(action.total_dim):
+            e = np.flatnonzero(outer == i)
+            off = (comp[:, K[e]] * C[e]) @ basis_t[inner[e]]
+            if np.any(np.linalg.norm(off, axis=0) > tol):
+                t = [t for t, o in action.offsets.items() if o <= i][-1]
+                return action.semigroup.labels[t], i - action.offsets[t], side
+    return None
 
 
 def reference_quotient_pivots(comp: np.ndarray, tol: float = DEFAULT_TOL) -> list:
@@ -365,6 +392,16 @@ def reference_assoc_witness(table) -> tuple | None:
                 if table[table[i][j]][k] != table[i][table[j][k]]:
                     return (i, j, k)
     return None
+
+
+def reference_check_rows(sg: InvSemigroup, rows: np.ndarray) -> None:
+    """NotAHomomorphism at the first (s, t) in row-major order where the
+    int rows fail rows[s] o rows[t] = rows[st] (-1 where undefined)."""
+    for s in range(len(sg)):
+        for t in range(len(sg)):
+            composed = [rows[s][y] if y >= 0 else -1 for y in rows[t]]
+            if composed != list(rows[sg.mul(s, t)]):
+                raise NotAHomomorphism(sg.labels[s], sg.labels[t])
 
 
 def reference_wagner_preston(sg: InvSemigroup) -> list[PartialBijection]:
@@ -694,6 +731,21 @@ def reference_integrate_matrix(rep) -> np.ndarray:
         for a in act.ideal(t).basis:
             cols.append((rep.pi_of(a) @ rep.v[t]).ravel())
     return np.array(cols).T.reshape(n * n, act.total_dim)
+
+
+def reference_integrate_products(rep, tol=DEFAULT_TOL) -> None:
+    """NotMultiplicative at the first (i, j) where psi(m_i) psi(m_j) differs
+    from psi(m_i * m_j), with every pair built at once."""
+    I, J, K, C = structure_tensor(rep.action, tol)
+    matrix = reference_integrate_matrix(rep)
+    D, n = matrix.shape[1], rep.space.dim
+    images = matrix.T.reshape(D, n, n)
+    got = np.zeros((D, D, n * n), dtype=complex)
+    np.add.at(got, (I, J), C[:, None] * matrix[:, K].T)
+    want = np.einsum("iab,jbc->ijac", images, images).reshape(got.shape)
+    far = ~np.all(np.abs(got - want) <= tol, axis=-1)
+    if far.any():
+        raise NotMultiplicative(tuple(int(x) for x in np.argwhere(far)[0]))
 
 
 def reference_adjoint_check(rep, tol=DEFAULT_TOL) -> None:

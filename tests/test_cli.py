@@ -461,7 +461,24 @@ MALFORMED_VALUES = {
         "semi_table", _set(("action", "ideals", "1"), 5), 2, "SchemaError"
     ),
     "maps given as a list": ("semi_table", _set(("action", "maps"), []), 2, "SchemaError"),
+    # a zero-dimensional algebra left space.dim unbounded by any matrix
+    "matrix block of size 0": ("m2", _set(("algebra", "blocks"), [0]), 2, "SchemaError"),
 }
+# each once ended in a traceback: a space.dim that no given matrix has made
+# the loader allocate (4, dim, dim) first, and a finite 1e300 overflowed an
+# SVD, whose LAPACK message then went to stdout before the --json document
+HUGE_VALUES = {
+    "space.dim beyond the given matrices": (
+        "m2_swap", _set(("representations", 0, "space", "dim"), 1_000_000), 2, "SchemaError"
+    ),
+    "finite number of size 1e300": (
+        "m2_swap", _literal(("action", "ideals", "g", 0, 3, 0), "1e300"), 2, "SchemaError"
+    ),
+    "integer with 400 digits": (
+        "m2_swap", _literal(("action", "maps", "g", 0, 0, 0), "1" + "0" * 400), 2, "SchemaError"
+    ),
+}
+MALFORMED_VALUES.update(HUGE_VALUES)
 
 
 def _fails_with_a_named_code(tmp_path, flags, name, edit, exit_code, code):
@@ -508,6 +525,26 @@ class TestMalformedValues:
         for cmd in (["build", "--null", "--quotient"], ["report"]):
             assert main(["--json", *cmd, str(bad)]) == exit_code
             assert json.loads(capsys.readouterr().out)["error"]["code"] == code
+
+
+class TestHugeValues:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("case", list(HUGE_VALUES))
+    def test_eval_names_it_in_parsable_json(self, tmp_path, case, flags):
+        name, edit, exit_code, code = HUGE_VALUES[case]
+        doc = json.loads((INSTANCES / f"{name}.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(doc) or json.dumps(doc))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        for argv in (["validate", str(bad)], ["eval", str(bad), "norm1(conv(a, b))"]):
+            result = subprocess.run(
+                [sys.executable, *flags, "-m", "semicross.cli", "--json", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert result.returncode == exit_code, result.stderr
+            assert json.loads(result.stdout)["error"]["code"] == code  # nothing else on stdout
+            assert "Traceback" not in result.stderr
 
 
 class TestLazyScipy:

@@ -17,6 +17,7 @@ import fixtures
 from reference import (
     reference_convolve,
     reference_germ_classes,
+    reference_ideal_witness,
     reference_germ_quotient_norm,
     reference_monomial_products,
     reference_order_differences,
@@ -25,6 +26,7 @@ from reference import (
     reference_saturate,
     reference_structure_tensor,
 )
+from semicross import _linalg
 from semicross._linalg import in_rowspace, null_rows, orth_rows, rows_equal, rows_leq
 from semicross.actions import Action, PartialSetAction, induce_action, validate_action
 from semicross.algebras import Ideal, PartialAut
@@ -373,6 +375,31 @@ class TestStructureTensor:
             assert closed == (witness is None)
             assert _ideal_witness(act, basis, null_rows(basis), 1e-9) == witness
         assert [len(orth_rows(rows)) for _, rows, _ in cases] == [4, 0, 4, 1, 16]
+
+    @pytest.mark.parametrize("budget", [1, 2000, None], ids=["one", "a few", "default"])
+    def test_blocked_ideal_check_names_what_the_loop_names(
+        self, budget, sim2, sim3, semi, m2_swap, monkeypatch
+    ):
+        # budget: the entries of one block, so 1 takes one monomial at a time
+        if budget is not None:
+            monkeypatch.setattr(ell1, "blocks", lambda c, w: _linalg.blocks(c, w, budget))
+        rng = np.random.default_rng(11)
+        actions = [sim2.action, sim3.action, semi.action, m2_swap.action,
+                   fixtures.twisted_sim2(), matrix_action(MATRIX_ACTIONS["swap_e3"])]
+        witnesses = set()
+        for act in actions:
+            D = act.total_dim
+            spans = [np.eye(D), np.zeros((0, D)), reference_order_differences(act)]
+            # spans of random coordinate sets fail at many different monomials
+            spans += [np.eye(D)[rng.random(D) < rng.random()] for _ in range(6)]
+            spans += [rng.standard_normal((k, D)) for k in (1, D - 1)]
+            for rows in spans:
+                basis = orth_rows(rows)
+                comp = null_rows(basis)
+                want = reference_ideal_witness(act, basis, comp, 1e-9)
+                assert _ideal_witness(act, basis, comp, 1e-9) == want
+                witnesses.add(want)
+        assert None in witnesses and len(witnesses) >= 8
 
     def test_sim3_tensor_is_the_induced_partial_action(self, sim3):
         # m_(s,x) * m_(t,y) = m_(st,x) exactly when y = theta_{s*}(x), from the

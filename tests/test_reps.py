@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,16 @@ import reference
 from fixtures import cr_perturbations, padded, with_v_at
 import semicross.ell1
 import semicross.reps
+from semicross import _linalg
 from semicross._linalg import DEFAULT_TOL, rows_equal, rows_leq
-from semicross.ell1 import Ell1Element, convolve, ell1_norm, null_ideal, quotient_ell1_norm
+from semicross.ell1 import (
+    Ell1Element,
+    convolve,
+    ell1_norm,
+    null_ideal,
+    quotient_ell1_norm,
+    structure_tensor,
+)
 from semicross.errors import (
     CheckError,
     CR1Violation,
@@ -52,6 +62,7 @@ from semicross.reps import (
 from semicross.actions import Action, PartialSetAction, induce_action
 from semicross.algebras import PartialAut
 from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
+from test_ell1 import PEAK_RSS, run_python
 
 D1 = np.array([1, 0], dtype=complex)
 D2 = np.array([0, 1], dtype=complex)
@@ -300,6 +311,72 @@ class TestIntegrate:
         assert seen == [DEFAULT_TOL]
         null_ideal(inst.action)  # the germ path spans none
         assert seen == [DEFAULT_TOL]
+
+    def test_exact_contractivity_samples_nothing(self, all_instances, monkeypatch):
+        # pi diagonal with row sums 1 and every v_t a partial permutation: the
+        # triangle inequality certifies psi, and no section is sampled
+        def no_samples(*args):
+            raise AssertionError("the sampled contractivity check ran")
+
+        monkeypatch.setattr(semicross.reps, "ell1_norms", no_samples)
+        for inst in all_instances:
+            for p in (1, 2, np.inf):
+                integrate(inst.regular(p), check=True)
+        with pytest.raises(AssertionError, match="sampled"):
+            integrate(_expanding_v_pair(), check=True)
+
+    @pytest.mark.parametrize("budget", [1, 64, None], ids=["one", "a few", "default"])
+    def test_blocked_products_name_what_the_one_shot_build_names(
+        self, budget, all_instances, sim3, monkeypatch
+    ):
+        # budget: the entries of one block, so 1 takes one i at a time
+        if budget is not None:
+            monkeypatch.setattr(semicross.reps, "blocks",
+                                lambda c, w: _linalg.blocks(c, w, budget))
+        rng = np.random.default_rng(17)
+        witnesses = set()
+        for inst in [*all_instances, sim3]:
+            reg = inst.regular(2)
+            for k in range(6):  # the pair as it is, then one entry of pi or of v moved
+                pi, v = reg.pi.copy(), reg.v.copy()
+                if k:
+                    moved = pi if k % 2 else v
+                    moved[tuple(rng.integers(moved.shape))] += 0.5
+                rep = CovariantRep(reg.action, reg.space, pi, v)
+                want = outcome(reference.reference_integrate_products, rep)
+                ir = integrate(rep, check=False)
+                images = ir.matrix.T.reshape(-1, rep.space.dim, rep.space.dim)
+                got = outcome(semicross.reps._check_products, images,
+                              structure_tensor(rep.action), DEFAULT_TOL)
+                assert got == want
+                witnesses.add(want)
+        assert None in witnesses and len(witnesses) >= 8
+
+    def test_sim4_integrate_and_kernel_in_bounded_time_and_memory(self):
+        # the regular pair of sim_4 on C({1..4}): D = 544 sections, n = 4.
+        # Built as two (D, D, n^2) arrays at once, the multiplicativity check
+        # took 0.27-0.29 s and 290 MiB peak on a 2-core host; in blocks of i it
+        # took 0.11 s and 72 MiB, and seminorm_kernel 0.4-0.5 s
+        code = PEAK_RSS + (
+            "from semicross import PartialBijection as P, PartialSetAction, generate_semigroup\n"
+            "from semicross import integrate, regular_rep, seminorm_kernel\n"
+            "x = (1, 2, 3, 4)\n"
+            "gens = [P.from_dict(x, {1: 2, 2: 1, 3: 3, 4: 4}),\n"
+            "        P.from_dict(x, {1: 2, 2: 3, 3: 4, 4: 1}), P.identity(x, (2, 3, 4))]\n"
+            "rep = regular_rep(PartialSetAction.tautological(generate_semigroup(gens)), 2)\n"
+            "psi = integrate(rep, check=True)\n"
+            "kernel = seminorm_kernel([rep])\n"
+            "print(*psi.matrix.shape, *kernel.shape, peak_kib())\n"
+        )
+        start = time.perf_counter()
+        result = run_python([], code)
+        wall = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        rows, D, null, cols, rss_kib = map(int, result.stdout.split())
+        assert D == cols == sum(comb(4, k) ** 2 * factorial(k) * k for k in range(5))
+        assert (rows, null) == (16, D - 16)
+        assert rss_kib < 128 * 1024, f"peak RSS {rss_kib / 1024:.0f} MiB"
+        assert wall < 6.0, f"{wall:.1f} s"
 
     def test_null_inside_kernel(self, all_instances):
         for inst in all_instances:
@@ -638,6 +715,43 @@ def test_stacked_checks_raise_what_the_loops_raise(name):
         assert np.allclose(got, want, atol=1e-12, rtol=0.0)
 
 
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_one_s_a_block_raises_what_the_loops_raise(name, monkeypatch):
+    # a block budget of one entry takes the blocked checks one s at a time
+    monkeypatch.setattr(semicross.reps, "blocks", lambda c, w: _linalg.blocks(c, w, 1))
+    rep = CRAFTED[name]()
+    for new, old in (
+        (check_spatial, reference.reference_check_spatial),
+        (check_algebraic, reference.reference_check_algebraic),
+    ):
+        assert outcome(new, rep) == outcome(old, rep), new.__name__
+
+
+@pytest.mark.parametrize("budget", [1, 300, None], ids=["one", "a few", "default"])
+def test_blocked_laws_name_the_pair_the_loops_name(budget, monkeypatch):
+    # the regular pair of a semigroup with idempotents first, with a phase on
+    # v at one element t at a time: v_s v_t = v_st first fails at many s
+    if budget is not None:
+        monkeypatch.setattr(semicross.reps, "blocks", lambda c, w: _linalg.blocks(c, w, budget))
+    x = ("1", "2", "3")
+    gens = [PartialBijection.identity(x, ("2",)), PartialBijection.identity(x, ("3",)),
+            PartialBijection.from_dict(x, {"1": "2", "2": "3"})]
+    reg = regular_rep(PartialSetAction.tautological(generate_semigroup(gens)), 2)
+    first_s = set()
+    for t in range(len(reg.v)):
+        rep = with_v_at(reg, reg.action.semigroup.labels[t], 1j * reg.v[t])
+        for new, old in (
+            (check_spatial, reference.reference_check_spatial),
+            (check_algebraic, reference.reference_check_algebraic),
+        ):
+            assert outcome(new, rep) == outcome(old, rep), new.__name__
+        try:
+            check_algebraic(rep)
+        except CR2Violation as err:
+            first_s.add(err.pair[0])
+    assert len(first_s) >= 3
+
+
 # ----------------------------------------- input checks raise named errors
 
 
@@ -659,6 +773,16 @@ def _expanding_pair():
     sg = generate_semigroup([PartialBijection.identity(("x",))])
     act = induce_action(PartialSetAction.tautological(sg))
     return CovariantRep(act, ReprSpace(2, 2), np.array([[[1.0, 2.0], [0.0, 0.0]]]), np.eye(2))
+
+
+def _expanding_v_pair():
+    """The trivial action on C({x}), pi = 1 and v_e a non-orthogonal
+    idempotent: multiplicative, pi passes the diagonal criterion, but
+    ||v_e|| > 1, so the sampled check must find that psi expands."""
+    sg = generate_semigroup([PartialBijection.identity(("x",))])
+    act = induce_action(PartialSetAction.tautological(sg))
+    v = np.array([[[1.0, 2.0], [0.0, 0.0]]])
+    return CovariantRep(act, ReprSpace(2, 2), np.eye(2)[None], v)
 
 
 def _surviving_pair():
@@ -732,6 +856,8 @@ INPUT_CHECKS = {
                                       "NotMultiplicative", "witness", (0, 1)),
     "integrate, expanding": (lambda: integrate(_expanding_pair()),
                              "NotContractive", "what", "integrated map"),
+    "integrate, v expands beside a diagonal pi": (lambda: integrate(_expanding_v_pair()),
+                                                   "NotContractive", "what", "integrated map"),
     "integrate, order difference survives": (lambda: integrate(_surviving_pair()),
                                              "NullNotKilled", "row", 0),
     "seminorm, not multiplicative": (_one_point_seminorm, "NotMultiplicative", "witness", (0, 1)),
@@ -785,6 +911,6 @@ def test_input_checks_survive_python_flags(flags):
 
 
 def test_integrate_expands_the_sample_the_loop_finds():
-    rep = _expanding_pair()
-    want = outcome(reference.reference_integrate_contractive, integrate(rep, check=False))
-    assert want is not None and outcome(integrate, rep) == want
+    for rep in (_expanding_pair(), _expanding_v_pair()):
+        want = outcome(reference.reference_integrate_contractive, integrate(rep, check=False))
+        assert want is not None and outcome(integrate, rep) == want

@@ -9,6 +9,7 @@ import sys
 import time
 from math import comb, factorial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import fixtures
 
 from reference import (
     reference_assoc_witness,
+    reference_check_rows,
     reference_generate_semigroup,
     reference_natural_order,
     reference_wagner_preston,
@@ -33,7 +35,7 @@ from semicross.errors import (
     SizeCapExceeded,
     ZeroNotAbsorbing,
 )
-from semicross import semigroups
+from semicross import _linalg, semigroups
 from semicross.io_json import load_instance
 from semicross.semigroups import (
     InvSemigroup,
@@ -538,3 +540,47 @@ class TestHomomorphismCheck:
             if (maps[s] * maps[u]).pairs != maps[sg.mul(s, u)].pairs
         )
         assert err.value.pair == (sg.labels[want[0]], sg.labels[want[1]])
+
+    def test_covers_generate_the_semigroup(self):
+        sg = generate_semigroup(sim_generators(4))
+        # the letters: the transposition, the 4-cycle and its inverse, and the
+        # idempotent, each its own letter
+        assert len(sg.cover) == 4
+        rebuilt = InvSemigroup.from_table(sg.table)
+        assert list(rebuilt.cover) == semigroups._generating_cover(sg.table) == [0, 1, 2]
+        for cover in (sg.cover, rebuilt.cover):
+            reached = set(cover)
+            while True:
+                more = {int(sg.table[a, b]) for a in reached for b in cover} - reached
+                if not more:
+                    break
+                reached |= more
+            assert reached == set(range(len(sg)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_generator_lists, st.data())
+    def test_cover_check_names_what_the_full_scan_names(self, gens, data):
+        sg = generate_semigroup(gens)
+        rows = semigroups._pbij_rows(gens[0].carrier, sg.pbijs)
+        if data.draw(st.booleans(), label="mutate"):  # one entry of one row changed
+            s = data.draw(st.integers(0, len(sg) - 1), label="s")
+            x = data.draw(st.integers(0, rows.shape[1] - 1), label="x")
+            other = data.draw(st.integers(-1, rows.shape[1] - 2), label="other")
+            rows[s, x] = other + (other >= rows[s, x])
+        want = _raised(reference_check_rows, sg, rows)
+        one_at_a_time = mock.patch.object(
+            semigroups, "blocks", lambda count, width: _linalg.blocks(count, width, 1)
+        )
+        for semigroup in (sg, InvSemigroup.from_table(sg.table, labels=sg.labels)):
+            assert _raised(semigroups._check_rows, semigroup, rows) == want
+            with one_at_a_time:
+                assert _raised(semigroups._check_rows, semigroup, rows) == want
+
+
+def _raised(check, *args):
+    """None when the check passes, else the pair its NotAHomomorphism names."""
+    try:
+        check(*args)
+    except NotAHomomorphism as err:
+        return err.pair
+    return None

@@ -27,29 +27,38 @@ from .semigroups import InvSemigroup, PartialBijection, generate_semigroup
 # The checks compare with absolute tolerances (1e-9 by default), and one
 # rounding of an entry of size 1e6 is 2e-10; far larger entries overflow
 # the squares inside an SVD, which LAPACK reports on stdout.
-MAX_MAGNITUDE = 1e6
+MAX_MAGNITUDE = 10**6
 
 
 def _complex_in(value, where: str) -> complex:
     if isinstance(value, (int, float)):
-        value = [value, 0]
+        return complex(value)
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(x, (int, float)) for x in value)
     ):
-        if max(abs(value[0]), abs(value[1])) > MAX_MAGNITUDE:
-            raise SchemaError(f"{where}: a number exceeds {MAX_MAGNITUDE:g} in magnitude")
         return complex(value[0], value[1])
     raise SchemaError(f"{where}: expected a number or [re, im] pair")
 
 
 def _finite(text: str) -> float:
     """A JSON number, or the NaN and Infinity that ``json`` also reads,
-    rejected unless finite: a NaN residual would pass every check."""
+    rejected unless finite (a NaN residual would pass every check) and at
+    most ``MAX_MAGNITUDE`` in size."""
     value = float(text)
     if not math.isfinite(value):
         raise SchemaError(f"non-finite number {text} in the instance file")
+    if abs(value) > MAX_MAGNITUDE:
+        raise SchemaError(f"number {text} in the instance file exceeds {MAX_MAGNITUDE:g}")
+    return value
+
+
+def _integer(text: str) -> int:
+    """A JSON integer of at most ``MAX_MAGNITUDE`` in size, judged by its
+    digits before they are read."""
+    if len(text.lstrip("-")) > len(str(MAX_MAGNITUDE)) or abs(value := int(text)) > MAX_MAGNITUDE:
+        raise SchemaError(f"number {text[:20]} in the instance file exceeds {MAX_MAGNITUDE:g}")
     return value
 
 
@@ -101,7 +110,7 @@ def parse_instance(text: str, cap: int = 10_000, tol: float = 1e-9) -> ParsedIns
     """Parse, build and cross-link all blocks; raises SchemaError on shape
     problems and the named axiom errors on semantic ones."""
     try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        doc = json.loads(text, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except json.JSONDecodeError as err:
         raise SchemaError(
             f"not valid JSON at line {err.lineno}, column {err.colno}: {err.msg}"

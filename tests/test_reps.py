@@ -356,7 +356,7 @@ class TestIntegrate:
         # the regular pair of sim_4 on C({1..4}): D = 544 sections, n = 4.
         # Built as two (D, D, n^2) arrays at once, the multiplicativity check
         # took 0.27-0.29 s and 290 MiB peak on a 2-core host; in blocks of i it
-        # took 0.11 s and 72 MiB, and seminorm_kernel 0.4-0.5 s
+        # took 0.09-0.11 s and 70-72 MiB, and seminorm_kernel 0.4-0.5 s
         code = PEAK_RSS + (
             "from semicross import PartialBijection as P, PartialSetAction, generate_semigroup\n"
             "from semicross import integrate, regular_rep, seminorm_kernel\n"

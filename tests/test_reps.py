@@ -715,18 +715,6 @@ def test_stacked_checks_raise_what_the_loops_raise(name):
         assert np.allclose(got, want, atol=1e-12, rtol=0.0)
 
 
-@pytest.mark.parametrize("name", sorted(CRAFTED))
-def test_one_s_a_block_raises_what_the_loops_raise(name, monkeypatch):
-    # a block budget of one entry takes the blocked checks one s at a time
-    monkeypatch.setattr(semicross.reps, "blocks", lambda c, w: _linalg.blocks(c, w, 1))
-    rep = CRAFTED[name]()
-    for new, old in (
-        (check_spatial, reference.reference_check_spatial),
-        (check_algebraic, reference.reference_check_algebraic),
-    ):
-        assert outcome(new, rep) == outcome(old, rep), new.__name__
-
-
 @pytest.mark.parametrize("budget", [1, 300, None], ids=["one", "a few", "default"])
 def test_blocked_laws_name_the_pair_the_loops_name(budget, monkeypatch):
     # the regular pair of a semigroup with idempotents first, with a phase on

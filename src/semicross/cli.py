@@ -32,7 +32,7 @@ from .ell1 import (
     quotient_ell1_norm,
 )
 from .errors import CheckError, EvalError, SchemaError
-from .io_json import ParsedInstance, load_instance
+from .io_json import MAX_MAGNITUDE, ParsedInstance, load_instance
 from .reporting import CheckReport
 from .reps import (
     check_algebraic,
@@ -169,7 +169,7 @@ def _run_build(args, inst: ParsedInstance, out: dict, everything: bool = False) 
             for row in null.basis:
                 _say(args, f"  null basis row: {np.round(row, 6)}")
     if want_quotient and null is not None:
-        quot = quotient_algebra(action, null.basis, tol=args.tol)
+        quot = quotient_algebra(action, null, tol=args.tol)
         build["dim_quotient"] = quot.dim
         build["quotient_structure"] = [
             [[[float(z.real), float(z.imag)] for z in row] for row in plane]
@@ -278,8 +278,7 @@ def eval_expression(text: str, inst: ParsedInstance, tol: float = 1e-9):
             return ell1_norm(argv[0])
         if func == "qnorm":
             need(1, ["elem"])
-            null = null_ideal(action, tol=tol)
-            return quotient_ell1_norm(argv[0], null.basis, tol=tol)
+            return quotient_ell1_norm(argv[0], null_ideal(action, tol=tol), tol=tol)
         if func == "snorm":
             need(1, ["elem"])
             if not inst.representations:
@@ -290,12 +289,18 @@ def eval_expression(text: str, inst: ParsedInstance, tol: float = 1e-9):
         raise EvalError(f"unknown function {func!r}", node.col_offset)
 
     def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
+        value = step(node)
+        if not np.isfinite(value.to_dense() if isinstance(value, Ell1Element) else value).all():
+            raise EvalError("the value is not finite", node.col_offset)
+        return value
+
+    def step(node):
         if isinstance(node, ast.Name):
             return lookup(node.id, node)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float, complex)):
+                if abs(node.value) > MAX_MAGNITUDE:  # 1e400 reads as inf
+                    raise EvalError(f"number exceeds {MAX_MAGNITUDE:g}", node.col_offset)
                 return complex(node.value)
             raise EvalError("only numeric literals are allowed", node.col_offset)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -329,7 +334,8 @@ def eval_expression(text: str, inst: ParsedInstance, tol: float = 1e-9):
             f"unsupported syntax {type(node).__name__}", getattr(node, "col_offset", None)
         )
 
-    return walk(tree)
+    with np.errstate(over="ignore", invalid="ignore"):  # named by walk instead
+        return walk(tree.body)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ a delta_s - a delta_t for s <= t, and quotients by such ideals.
 
 Every product contracts one sparse structure tensor per (action, tol); that
 each summand lands in the ideal of its product element is checked once, when
-the tensor is built.  For an action that ``induce_action`` built from a
-partial set action theta, the tensor, the order-difference ideal, the
-quotient and the quotient norm come from theta and its germ partition
-(``_Germs``), exactly and with no numerical linear algebra.
+the tensor is built; that a ``NullIdeal`` is an ideal, once, when it is.
+For an action that ``induce_action`` built from a partial set action theta,
+the tensor, the order-difference ideal, the quotient and the quotient norm
+come from theta and its germ partition (``_Germs``), exactly and with no
+numerical linear algebra.
 """
 
 from __future__ import annotations
@@ -222,21 +223,20 @@ class _Germs:
     def count(self) -> int:
         return len(self.first)
 
-    def owns(self, rows) -> bool:
-        """Whether ``rows`` is this partition's ``basis`` (not built here)."""
-        return self.__dict__.get("basis") is rows
-
     @cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal class contrasts, in the order of their coordinates:
         for the r-th coordinate j of a class (r >= 1), the sum of the r
         coordinates of the class before it less r e_j, over sqrt(r (r + 1)).
-        Read-only: ``owns`` trusts it to be these rows."""
-        n = len(self.label)
-        earlier = (self.label[:, None] == self.label) & np.tri(n, k=-1, dtype=bool)
-        rank = earlier.sum(1)
-        rows = (earlier - np.diag(rank))[rank > 0]
-        out = (rows / np.sqrt(rank * (rank + 1.0))[rank > 0, None]).astype(complex)
+        Built one class at a time, and read-only."""
+        n, size = len(self.label), np.bincount(self.label)
+        # coordinate j, unless first in its class, has row j less the firsts up to j
+        row = np.arange(n) - np.searchsorted(self.first, np.arange(n), side="right")
+        out = np.zeros((n - self.count, n), dtype=complex)
+        for members in np.split(np.argsort(self.label, kind="stable"), np.cumsum(size)[:-1]):
+            r = np.arange(1, len(members))[:, None]
+            block = np.tri(len(r), len(members)) - r * np.eye(len(r), len(members), 1)
+            out[row[members[1:], None], members] = block / np.sqrt(r * (r + 1.0))
         out.flags.writeable = False
         return out
 
@@ -246,18 +246,6 @@ class _Germs:
         out = np.zeros((self.count, len(self.label)), dtype=complex)
         out[self.label, np.arange(len(self.label))] = 1.0
         return out
-
-    @cached_property
-    def program(self):
-        """The ``_GermProgram`` of the quotient norm; None when every class
-        is a single coordinate."""
-        if self.count == len(self.label):
-            return None
-        n_el = len(self.action.offsets)
-        hold = np.zeros((n_el, self.count))
-        hold[self.owner, self.label] = 1.0
-        return _GermProgram(self, hold, np.eye(n_el), np.ones(n_el),
-                            _PERTURB * (1 + np.random.default_rng(0).random(n_el)))
 
     def tensor(self) -> tuple:
         """``structure_tensor`` from theta: m_(s,y) * m_(t,x) = m_(st,y) with
@@ -381,17 +369,23 @@ def _ideal_witness(action: Action, basis: np.ndarray, comp: np.ndarray, tol: flo
 
 
 class NullIdeal:
-    """The ideal generated by the differences a delta_s - a delta_t, s <= t.
+    """A two-sided ideal N of the section algebra, checked once when built.
 
-    ``basis`` holds orthonormal rows in the dense coordinates of the section
-    space.  For an induced action, ``germs`` is its germ partition, and
-    ``basis`` is built from it on first use.
+    From ``rows``, ``basis`` is their orthonormal span and ``comp`` that of
+    its complement, and the span is checked at ``tol`` to be closed under
+    the monomials (else ``NotAnIdeal``).  From ``germs``, an induced
+    action's own N (exact, see ``null_ideal``), ``basis`` is the class
+    contrasts, built on first use.  ``basis`` is read-only either way.
     """
 
-    def __init__(self, action: Action, basis: np.ndarray | None = None, germs=None):
-        self.action, self.germs = action, germs
-        if basis is not None:
-            self.basis = basis
+    def __init__(self, action: Action, rows=None, tol: float = DEFAULT_TOL, germs=None):
+        self.action, self.tol, self.germs = action, tol, germs
+        if germs is None:
+            self.basis = orth_rows(rows, tol)
+            self.comp = null_rows(self.basis, tol)
+            if witness := _ideal_witness(action, self.basis, self.comp, tol):
+                raise NotAnIdeal(witness)
+            self.basis.flags.writeable = False
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -402,6 +396,34 @@ class NullIdeal:
         if self.germs is None:
             return self.basis.shape[0]
         return len(self.germs.label) - self.germs.count
+
+    @cached_property
+    def program(self):
+        """The ``_SectionProgram`` or ``_GermProgram`` of the quotient norm,
+        kept with its last optimal basis; None when N is zero."""
+        if self.dim == 0:
+            return None
+        if self.germs is None:
+            return _dual_program(self.action, self.basis)
+        n_el, g = len(self.action.offsets), self.germs
+        hold = np.zeros((n_el, g.count))
+        hold[g.owner, g.label] = 1.0
+        return _GermProgram(g, hold, np.eye(n_el), np.ones(n_el),
+                            _PERTURB * (1 + np.random.default_rng(0).random(n_el)))
+
+
+def _resolve(action: Action, null, tol: float) -> NullIdeal:
+    """``null`` if it is a ``NullIdeal`` of ``action``.  Rows are the
+    ``null_ideal`` of ``action`` whose ``basis`` they are (by identity: it
+    is read-only), or else a new ``NullIdeal``, checked at ``tol``."""
+    if isinstance(null, NullIdeal):
+        if null.action is not action:
+            raise ActionMismatch("a null ideal of a different section algebra")
+        return null
+    for known in list(getattr(action, "_null", {}).values()):
+        if vars(known).get("basis") is null:
+            return known
+    return NullIdeal(action, null, tol)
 
 
 def _order_differences(action: Action, tol: float) -> np.ndarray:
@@ -468,13 +490,8 @@ def null_ideal(action: Action, tol: float = DEFAULT_TOL) -> NullIdeal:
         action._null = {}
     if tol not in action._null:
         germs = _germs(action)
-        if germs is not None:
-            action._null[tol] = NullIdeal(action, germs=germs)
-            return action._null[tol]
-        basis = orth_rows(_order_differences(action, tol), tol)
-        if witness := _ideal_witness(action, basis, null_rows(basis, tol), tol):
-            raise NotAnIdeal(witness)
-        action._null[tol] = NullIdeal(action, basis)
+        rows = _order_differences(action, tol) if germs is None else None
+        action._null[tol] = NullIdeal(action, rows, tol, germs)
     return action._null[tol]
 
 
@@ -488,7 +505,7 @@ class QuotientAlgebra:
     """
 
     action: Action
-    null_basis: np.ndarray
+    null: NullIdeal
     coords: tuple
     structure: np.ndarray
     projection: np.ndarray
@@ -501,26 +518,19 @@ class QuotientAlgebra:
         return self.projection @ f.to_dense()
 
 
-def quotient_algebra(
-    action: Action, null_basis: np.ndarray, tol: float = DEFAULT_TOL
-) -> QuotientAlgebra:
-    """Verify the subspace is a convolution ideal, then quotient by it.
+def quotient_algebra(action: Action, null, tol: float = DEFAULT_TOL) -> QuotientAlgebra:
+    """The quotient by N, a ``NullIdeal`` or rows as ``_resolve`` takes them.
 
     The complement coordinates are the greedy choice in coordinate order:
-    e_j joins unless it lies in N + span(the e chosen so far).  For the
-    basis of an induced action's own ``null_ideal`` that is the first
-    coordinate of each germ class, and the projection is the class sums;
-    no check is needed (see ``null_ideal``)."""
-    germs = _germs(action)
-    if germs is not None and germs.owns(null_basis):
-        chosen, proj = germs.first, germs.projection
+    e_j joins unless it lies in N + span(the e chosen so far).  For an
+    induced action's own null ideal that is the first coordinate of each
+    germ class, and the projection is the class sums."""
+    null = _resolve(action, null, tol)
+    if null.germs is not None:
+        chosen, proj = null.germs.first, null.germs.projection
     else:
-        null_basis = orth_rows(null_basis, tol)
-        comp = null_rows(null_basis, tol)
-        if witness := _ideal_witness(action, null_basis, comp, tol):
-            raise NotAnIdeal(witness)
-        chosen = _pivots(comp, tol)
-        proj = np.linalg.solve(comp[:, chosen], comp)  # x - proj(x) . e_chosen lies in N
+        chosen = _pivots(null.comp, tol)
+        proj = np.linalg.solve(null.comp[:, chosen], null.comp)  # x - proj(x) . e_chosen lies in N
     q = len(chosen)
     I, J, K, C = structure_tensor(action, tol)
     pos = np.full(action.total_dim, -1)
@@ -528,7 +538,7 @@ def quotient_algebra(
     keep = (pos[I] >= 0) & (pos[J] >= 0)  # products of the chosen monomials
     structure = np.zeros((q, q, q), dtype=complex)
     np.add.at(structure, (pos[I[keep]], pos[J[keep]]), C[keep, None] * proj[:, K[keep]].T)
-    return QuotientAlgebra(action, null_basis, tuple(map(int, chosen)), structure, proj)
+    return QuotientAlgebra(action, null, tuple(map(int, chosen)), structure, proj)
 
 
 def _pivots(comp: np.ndarray, tol: float) -> list:
@@ -550,10 +560,9 @@ def _pivots(comp: np.ndarray, tol: float) -> list:
     return chosen
 
 
-def quotient_ell1_norm(
-    f: Ell1Element, null_basis: np.ndarray, tol: float = DEFAULT_TOL
-) -> float:
-    """inf over the coset f + N of the section norm, via a linear program.
+def quotient_ell1_norm(f: Ell1Element, null, tol: float = DEFAULT_TOL) -> float:
+    """inf over the coset f + N of the section norm, via a linear program;
+    N is a ``NullIdeal`` or rows as ``_resolve`` takes them.
 
     Complex moduli are modeled by a 64-facet polygon, so the result can
     undershoot the exact infimum by at most a factor cos(pi/64), a relative
@@ -567,7 +576,7 @@ def quotient_ell1_norm(
     rounding) is within tol * max(1, hi) of the dual value lo of a basis
     with lambda >= -tol, else ``QuotientNormLPFailed``.
 
-    For the basis of an induced action's own ``null_ideal`` the program has
+    For an induced action's own ``null_ideal`` the program has
     one coordinate per germ class C instead of one per section coordinate
     (``_GermProgram``): minimize the sum of m_t subject to
     rho(c_C) <= sum of m_t over the t holding C, with rho the polygon model
@@ -581,11 +590,7 @@ def quotient_ell1_norm(
     and rho(w_j) = m_t rho(c_C) / M_C <= m_t, as rho is positively
     homogeneous (if M_C = 0, then rho(c_C) <= 0 and c_C = 0).
     """
-    germs = _germs(f.action)
-    if germs is not None and germs.owns(null_basis):
-        lp = germs.program
-    else:
-        lp = _dual_program(f.action, null_basis, tol)
+    lp = _resolve(f.action, null, tol).program
     if lp is None:
         return ell1_norm(f)
     return _dual_simplex(lp, f.to_dense(), tol)
@@ -760,19 +765,9 @@ class _GermProgram(_DualProgram):
         return self.model_norm(dense), self.model_norm(fv[label] * share)
 
 
-def _dual_program(action: Action, null_basis: np.ndarray, tol: float):
-    """The ``_SectionProgram`` of the null rows, once per (action, tol, bytes
-    of ``null_basis``), with the last optimal basis to start the next solve
-    from; None when the null ideal is zero."""
-    if not hasattr(action, "_dual"):
-        action._dual = {}
-    key = (tol, null_basis.shape, as_complex(null_basis).tobytes())
-    if key in action._dual:
-        return action._dual[key]
-    null, A = orth_rows(null_basis, tol), action.algebra
-    if null.shape[0] == 0:
-        action._dual[key] = None
-        return None
+def _dual_program(action: Action, null: np.ndarray) -> _SectionProgram:
+    """The ``_SectionProgram`` of nonzero orthonormal null rows."""
+    A = action.algebra
     if A.p == 2 and any(idx.size > 1 for idx in A.blocks):
         raise QuotientNormNotLP("quotient norm over operator-2-norm blocks is not LP-representable")
     k2, n_el = 2 * null.shape[0], len(action.offsets)
@@ -792,11 +787,10 @@ def _dual_program(action: Action, null_basis: np.ndarray, tol: float):
     lines[k2 + n_el :] -= (el[is_u, None] == e) & (big[line][:, coord[is_u]].T > 0)
     units, rhs = np.eye(n_rows), np.zeros(n_rows)
     rhs[k2 : k2 + n_el] = 1.0
-    action._dual[key] = _SectionProgram(
+    return _SectionProgram(
         action, null, el, coord, bound, np.hstack([lines, units[:, k2:], units[:, :k2]]),
         norm_lines, rhs, _PERTURB * (1 + np.random.default_rng(0).random(n_rows)),
     )
-    return action._dual[key]
 
 
 def _inverse(mat: np.ndarray) -> np.ndarray:

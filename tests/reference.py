@@ -45,7 +45,9 @@ now extends orthonormal rows by one residual per choice.
 ``reference_germ_classes`` is a union-find over partial bijections given as
 frozensets of pairs: the germ partition of an induced action's section
 coordinates, computed without semicross, as the oracle of ``ell1._Germs``.
-``reference_germ_quotient_norm`` writes the per-germ quotient-norm program
+``reference_germ_basis`` builds the class contrasts of that partition
+through (D, D) masks, as ``_Germs.basis`` did before it built them one
+class at a time.  ``reference_germ_quotient_norm`` writes the per-germ quotient-norm program
 out over those classes and solves it by HiGHS, where the section program
 is too large for the reference (sim4).
 
@@ -299,6 +301,18 @@ def reference_germ_classes(elements) -> dict:
                     else:
                         seen[key] = (t, x)
     return {(t, dict(m)[x]): find((t, x)) for t, m in enumerate(elements) for x, _ in m}
+
+
+def reference_germ_basis(label: np.ndarray) -> np.ndarray:
+    """The class contrasts of ``ell1._Germs.basis`` from the labels of a
+    partition, through (D, D) masks: row i, for a coordinate with r >= 1
+    earlier coordinates in its class, is their sum less r e_i, over
+    sqrt(r (r + 1))."""
+    n = len(label)
+    earlier = (label[:, None] == label) & np.tri(n, k=-1, dtype=bool)
+    rank = earlier.sum(1)
+    rows = (earlier - np.diag(rank))[rank > 0]
+    return (rows / np.sqrt(rank * (rank + 1.0))[rank > 0, None]).astype(complex)
 
 
 def reference_germ_quotient_norm(f: Ell1Element, elements) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
@@ -46,6 +46,14 @@ try:
 except CheckError as err:
     print(err.code, *err.pair)
 """
+
+# fixtures.generator_lists live on at most 4 points, so a closure has at most
+# |sim_4| = sum over k of C(4, k)^2 k! = 209 elements; these three reach it
+SIM4_SIZE = 209
+SIM4_GENERATORS = [
+    PartialBijection.from_dict((1, 2, 3, 4), m)
+    for m in ({1: 1, 2: 2, 3: 4, 4: 3}, {1: 1, 2: 2, 3: 3}, {1: 2, 2: 3, 3: 1, 4: 4})
+]
 
 
 def replace_paut(action, t, paut):
@@ -180,8 +188,9 @@ class TestStackedAgainstReference:
         st.sampled_from(["none", "scale", "mix", "permute"]),
         st.integers(0, 2**32 - 1),
     )
+    @example(SIM4_GENERATORS, "none", 0)
     def test_random_actions_with_one_perturbed_map(self, gens, kind, seed):
-        sg = generate_semigroup(gens, cap=200)
+        sg = generate_semigroup(gens, cap=SIM4_SIZE)
         if len(sg) > 40:  # the reference takes about a millisecond per pair
             return
         try:
@@ -350,9 +359,10 @@ class TestInduce:
 
     @settings(max_examples=25, deadline=None)
     @given(fixtures.generator_lists)
+    @example(SIM4_GENERATORS)
     def test_numeric_oracle_passes_on_random_induced_actions(self, gens):
         # the exact certificate of induce_action against the numeric PA1 check
-        sg = generate_semigroup(gens, cap=200)
+        sg = generate_semigroup(gens, cap=SIM4_SIZE)
         theta = PartialSetAction.tautological(sg)
         try:
             action = induce_action(theta)

@@ -334,7 +334,7 @@ class TestQuotientLP:
         n_cases = n_dead = 0
         for f, N in self.cases(samples):
             act, k = f.action, N.shape[0]
-            lp = _dual_program(act, N, 1e-9)  # z in the coordinates of its rows lp.null
+            lp = _dual_program(act, N)  # z in the coordinates of the orthonormal rows N
             _, ref_ub, ref_b, _ = reference.reference_quotient_lp(f, lp.null)
             facet = ~(ref_ub[:, 2 * k :] > 0).any(1)
             v = rng.standard_normal(2 * k)  # (Re z, Im z)

@@ -546,6 +546,24 @@ class TestHugeValues:
             assert json.loads(result.stdout)["error"]["code"] == code  # nothing else on stdout
             assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("expression, message", [
+        ("norm1(conv(1e200*a, 1e200*b))", "number exceeds 1e+06 at column 11"),
+        ("1e400*a", "number exceeds 1e+06 at column 0"),  # the literal reads as inf
+        ("norm1(" + "1e6*" * 52 + "a)", "the value is not finite at column 6"),
+    ])
+    def test_eval_bounds_its_literals_and_values(self, expression, message, flags):
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "semicross.cli", "--json", "eval",
+             str(INSTANCES / "m2_swap.json"), expression],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 1 and result.stderr == ""  # no overflow warnings
+        error = json.loads(result.stdout)["error"]
+        assert error == {"code": "EvalError", "message": message}
+
 
 class TestLazyScipy:
     def test_no_command_imports_scipy(self):

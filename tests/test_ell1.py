@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import fixtures
 from reference import (
     reference_convolve,
+    reference_germ_basis,
     reference_germ_classes,
     reference_ideal_witness,
     reference_germ_quotient_norm,
@@ -168,6 +169,21 @@ GERM_CASES = {
 }
 
 
+def sim4() -> Action:
+    """sim_4 on C({1, 2, 3, 4}), from a transposition, a 4-cycle and id{2,3,4}."""
+    return induced([{1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 3, 3: 4, 4: 1}, {2: 2, 3: 3, 4: 4}])
+
+
+def spy(monkeypatch, *names) -> list:
+    """The calls of the named ``ell1`` functions from now on, in order."""
+    calls = []
+    for name in names:
+        real = getattr(ell1, name)
+        monkeypatch.setattr(ell1, name, lambda *a, real=real, name=name: (
+            calls.append(name), real(*a))[1])
+    return calls
+
+
 def assert_same_paths(act: Action, rng, n_norms: int) -> Action:
     """The germ path of an induced action against the numeric path of the
     same maps (``fixtures.plain``, which it returns): the same tensor, N by
@@ -180,13 +196,13 @@ def assert_same_paths(act: Action, rng, n_norms: int) -> Action:
     null, want = null_ideal(act), null_ideal(plain)
     assert null.dim == want.dim and rows_equal(null.basis, want.basis)
     assert np.allclose(null.basis @ null.basis.conj().T, np.eye(null.dim), atol=1e-12)
-    quot, quot_want = quotient_algebra(act, null.basis), quotient_algebra(plain, want.basis)
+    quot, quot_want = quotient_algebra(act, null), quotient_algebra(plain, want.basis)
     assert quot.coords == quot_want.coords
     assert np.allclose(quot.structure, quot_want.structure, atol=1e-12, rtol=0.0)
     assert np.allclose(quot.projection, quot_want.projection, atol=1e-12, rtol=0.0)
     for z in rng.standard_normal((n_norms, 2, act.total_dim)):
         f, g = (Ell1Element.from_dense(a, z[0] + 1j * z[1]) for a in (act, plain))
-        got = quotient_ell1_norm(f, null.basis)
+        got = quotient_ell1_norm(f, null)
         assert got == pytest.approx(quotient_ell1_norm(g, want.basis), rel=1e-12, abs=0.0)
         if want.dim:
             assert got == pytest.approx(reference_quotient_norm(g, want.basis), rel=1e-9)
@@ -740,6 +756,47 @@ class TestNullIdeal:
         assert int(rss_kib) < 384 * 1024, f"peak RSS {int(rss_kib) / 1024:.0f} MiB"
         assert wall < 10.0, f"{wall:.1f} s"
 
+    @PYTHON_FLAGS
+    def test_sim5_quotient_and_norm_in_bounded_time_and_memory(self, flags):
+        # sim_5 through the quotient: the germ path passes N as its object, so
+        # neither quotient_algebra nor quotient_ell1_norm builds the dense
+        # basis (5200 x 5225, about 415 MiB).  The norm lies within the
+        # 64-gon's factor cos(pi/64) below the exact quotient norm, the
+        # largest row or column sum of the class totals |c_(y,x)| (germ
+        # (y, x): the map x -> y).  Three runs on a 2-core host took 2.2-2.6 s
+        # at 430 MiB peak; passing null.basis instead peaked at 845 MiB
+        code = PEAK_RSS + (
+            "import numpy as np\n"
+            "from semicross import PartialBijection as P, PartialSetAction, generate_semigroup\n"
+            "from semicross import Ell1Element, induce_action, null_ideal, quotient_algebra\n"
+            "from semicross import quotient_ell1_norm\n"
+            "from semicross.ell1 import _germs\n"
+            "x = (1, 2, 3, 4, 5)\n"
+            "gens = [P.from_dict(x, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}),\n"
+            "        P.from_dict(x, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}), P.identity(x, x[1:])]\n"
+            "act = induce_action(PartialSetAction.tautological(generate_semigroup(gens)))\n"
+            "null = null_ideal(act)\n"
+            "quot = quotient_algebra(act, null)\n"
+            "z = np.random.default_rng(7).standard_normal((2, act.total_dim))\n"
+            "f = Ell1Element.from_dense(act, z[0] + 1j * z[1])\n"
+            "got = quotient_ell1_norm(f, null)\n"
+            "germs = _germs(act)\n"
+            "el, y = np.nonzero(germs.at[:, :-1] >= 0)\n"
+            "totals = np.zeros((5, 5), dtype=complex)\n"
+            "np.add.at(totals, (y, germs.back[el, y]), f.to_dense())\n"
+            "exact = max(abs(totals).sum(0).max(), abs(totals).sum(1).max())\n"
+            "print(quot.dim, got / exact, 'basis' in vars(null), peak_kib())\n"
+        )
+        start = time.perf_counter()
+        result = run_python(flags, code)
+        wall = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        dim, ratio, built, rss_kib = result.stdout.split()
+        assert (int(dim), built) == (25, "False")
+        assert np.cos(np.pi / 64) - 1e-9 <= float(ratio) <= 1 + 1e-9
+        assert int(rss_kib) < 640 * 1024, f"peak RSS {int(rss_kib) / 1024:.0f} MiB"
+        assert wall < 20.0, f"{wall:.1f} s"
+
     def test_null_is_convolution_invariant(self, semi, sim2):
         for inst in (semi, sim2):
             null = null_ideal(inst.action)
@@ -762,16 +819,18 @@ class TestGermPath:
     def test_germ_path_is_the_numeric_path(self, name):
         assert_same_paths(GERM_CASES[name](), np.random.default_rng(29), 2)
 
-    def test_sim4_germ_path_is_the_numeric_path(self):
+    def test_sim4_germ_path_is_the_numeric_path(self, monkeypatch):
         # the section program at sim4 has 528 complex z and 34,816 facet rows
         # in the reference, so the quotient norms are checked against the
-        # per-germ program over the union-find's classes instead
-        points = (1, 2, 3, 4)
-        act = induced([{1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 3, 3: 4, 4: 1},
-                       {x: x for x in points[1:]}])
+        # per-germ program over the union-find's classes instead.  The plain
+        # rebuild's N is checked once, by null_ideal; quotient_algebra given
+        # its basis checks nothing again
+        act = sim4()
         assert len(act.semigroup) == 209
         rng = np.random.default_rng(31)
+        calls = spy(monkeypatch, "_ideal_witness")
         assert_same_paths(act, rng, 0)
+        assert calls == ["_ideal_witness"]
         maps = [frozenset(m.pairs) for m in act._theta.maps]
         for z in rng.standard_normal((2, 2, act.total_dim)):
             f = Ell1Element.from_dense(act, z[0] + 1j * z[1])
@@ -792,34 +851,62 @@ class TestGermPath:
         act = fixtures.sim2().action  # a fresh action
         null = null_ideal(act)
         assert null.dim == 4 and "basis" not in vars(null)
-        assert quotient_algebra(act, null.basis).dim == 4
+        assert quotient_algebra(act, null).dim == 4
+        quotient_ell1_norm(Ell1Element.from_dense(act, np.arange(8.0)), null)
+        assert "basis" not in vars(null)
+        assert quotient_algebra(act, null.basis).null is null
         assert null_ideal(act, 1e-8) is not null
         assert null_ideal(act, 1e-8).basis is null.basis  # one partition per action
-        with pytest.raises(ValueError):  # read-only: the germ path trusts its rows
+        with pytest.raises(ValueError):  # read-only: the quotient layer trusts its rows
             null.basis[0, 0] = 1.0
+
+    def test_numeric_and_checked_bases_are_read_only(self):
+        act = fixtures.plain(fixtures.sim2().action)
+        copy = null_ideal(act).basis.copy()
+        for null in (null_ideal(act), quotient_algebra(act, copy).null):
+            assert null.germs is None and null.dim == 4
+            with pytest.raises(ValueError):
+                null.basis[0, 0] = 1.0
+        assert copy.flags.writeable  # the caller's rows are left alone
+
+    @pytest.mark.parametrize("name", [*(n for n in SAMPLES if n in GERM_CASES), "sim3", "sim4"])
+    def test_germ_basis_is_the_reference_build(self, name):
+        # the class-at-a-time build against the (D, D) masked build
+        act = sim4() if name == "sim4" else GERM_CASES[name]()
+        germs = _germs(act)
+        got, want = germs.basis, reference_germ_basis(germs.label)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_rebuilt_actions_take_the_numeric_path(self, sim2, monkeypatch):
         # a paut family rebuilt as a plain Action, as in the crafted failures
         for args, _ in CRAFTED.values():
             assert _germs(fixtures.flip_with_identity(*args)) is None
-        assert _germs(fixtures.plain(sim2.action)) is None
-        # and any null basis but the germ ideal's own goes through the LP and
-        # the closure check of the section coordinates
-        calls = []
-        for name in ("_dual_program", "_ideal_witness"):
-            real = getattr(ell1, name)
-            monkeypatch.setattr(ell1, name, lambda *a, real=real, name=name: (
-                calls.append(name), real(*a))[1])
-        null = null_ideal(sim2.action)
-        f = Ell1Element.from_dense(sim2.action, np.arange(8.0))
-        quotient_ell1_norm(f, null.basis)
-        quot = quotient_algebra(sim2.action, null.basis)
-        assert calls == []
+        act = fixtures.plain(sim2.action)
+        assert _germs(act) is None
+        # null_ideal checks its rows once; given that object or its basis, the
+        # quotient layer checks nothing again and builds the section program
+        # once.  Any other array is checked and gives the same values
+        calls = spy(monkeypatch, "_dual_program", "_ideal_witness")
+        null = null_ideal(act)
+        assert calls == ["_ideal_witness"]
+        f = Ell1Element.from_dense(act, np.arange(8.0))
+        norms = [quotient_ell1_norm(f, given) for given in (null, null.basis, null)]
+        quots = [quotient_algebra(act, given) for given in (null, null.basis)]
+        assert norms == pytest.approx([norms[0]] * 3, rel=1e-12)
+        assert all(quot.null is null for quot in quots)
+        assert quots[0].coords == quots[1].coords
+        assert calls == ["_ideal_witness", "_dual_program"]
         copy = null.basis.copy()
-        assert quotient_ell1_norm(f, copy) == pytest.approx(quotient_ell1_norm(f, null.basis),
-                                                            rel=1e-12)
-        assert quotient_algebra(sim2.action, copy).coords == quot.coords
-        assert calls == ["_dual_program", "_ideal_witness"]
+        assert quotient_ell1_norm(f, copy) == pytest.approx(norms[0], rel=1e-12)
+        quot = quotient_algebra(act, copy)
+        assert quot.null is not null and quot.coords == quots[0].coords
+        assert np.allclose(quot.projection, quots[0].projection, atol=1e-12, rtol=0.0)
+        assert calls[2:] == ["_ideal_witness", "_dual_program", "_ideal_witness"]
+
+    def test_a_null_ideal_of_another_action_is_refused(self, sim2):
+        f = Ell1Element.zero(sim2.action)
+        with pytest.raises(ActionMismatch):
+            quotient_ell1_norm(f, null_ideal(fixtures.plain(sim2.action)))
 
 
 class TestQuotient:
@@ -838,6 +925,8 @@ class TestQuotient:
         probe = mono(semi, "id{1,2}", D1).to_dense()[None, :]
         with pytest.raises(NotAnIdeal):
             quotient_algebra(semi.action, probe)
+        with pytest.raises(NotAnIdeal):  # the quotient norm checks an array the same way
+            quotient_ell1_norm(mono(semi, "id{1,2}", D2), probe)
 
     def test_quotient_structure_is_associative(self, sim2):
         null = null_ideal(sim2.action)

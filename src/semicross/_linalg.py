@@ -57,19 +57,26 @@ def orth_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def null_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal row basis of {x : m @ x = 0} for ``m`` of shape (k, d)."""
+    return split_rows(m, tol)[1]
+
+
+def split_rows(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """Orthonormal rows spanning the row space of ``m`` (k, d), and those of
+    ``null_rows``, from one SVD under the same rank rule."""
     m = np.atleast_2d(as_complex(m))
-    d = m.shape[1]
     if m.shape[0] == 0:
-        return np.eye(d, dtype=complex)
+        return np.zeros((0, m.shape[1]), dtype=complex), np.eye(m.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    return vh[int(_kept(s, tol).sum()) :].conj()
+    rank = int(_kept(s, tol).sum())
+    return vh[:rank], vh[rank:].conj()
 
 
 def off_rows(resid: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per row, whether |resid| > tol * max(1, |v|), compared squared; one
-    vector takes two dot products."""
+    vector takes one dot product, and a second only if |resid| > tol."""
     if resid.ndim == 1:
-        return np.vdot(resid, resid).real > tol**2 * max(1.0, np.vdot(v, v).real)
+        far = np.vdot(resid, resid).real
+        return far > tol**2 and far > tol**2 * np.vdot(v, v).real
     return (abs(resid) ** 2).sum(-1) > tol**2 * np.maximum(1.0, (abs(v) ** 2).sum(-1))
 
 

@@ -76,7 +76,9 @@ class Action:
 
     @property
     def total_dim(self) -> int:
-        return sum(self.ideal(t).dim for t in self.nonzero_elements)
+        if not hasattr(self, "_total_dim"):
+            self._total_dim = sum(self.ideal(t).dim for t in self.nonzero_elements)
+        return self._total_dim
 
     def __repr__(self):
         return (

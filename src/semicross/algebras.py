@@ -204,19 +204,23 @@ class Ideal:
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return in_rowspace(self._orth, x, tol)
 
-    @property
+    @cached_property
     def pinv(self) -> np.ndarray:
         """The pseudo-inverse of ``basis``, computed once: x @ pinv are the
         coordinates of x when x lies in the subspace."""
-        if not hasattr(self, "_pinv"):
-            self._pinv = np.linalg.pinv(self.basis)
-        return self._pinv
+        return np.linalg.pinv(self.basis)
+
+    @cached_property
+    def _resid(self) -> np.ndarray:
+        """I - pinv @ basis: x @ _resid is x less the image of its coordinates."""
+        return np.eye(self.parent.dim) - self.pinv @ self.basis
 
     def coords(self, x, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Basis coefficients (of each row, if 2-d); rejects vectors off the subspace."""
         x = as_complex(x)
         c = x @ self.pinv
-        if off_rows(x - c @ self.basis, x, tol).any():
+        off = off_rows(x @ self._resid, x, tol)
+        if off if x.ndim == 1 else off.any():
             raise np.linalg.LinAlgError("vector not in the ideal subspace")
         return c
 
@@ -241,7 +245,7 @@ class Ideal:
             basis[r, i] = 1.0
             unit[i] = 1.0
         ideal = cls(parent, basis, unit)
-        ideal._pinv = ideal.basis.T.copy()
+        ideal.pinv = ideal.basis.T.copy()
         return ideal
 
     @property

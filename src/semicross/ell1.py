@@ -57,7 +57,7 @@ class Ell1Element:
             dim = self.action.ideal(t).dim
             if v.shape != (dim,):
                 raise ValueError(f"coefficient at {t} has wrong length")
-            if dim and v.any():
+            if dim and np.count_nonzero(v):  # cheaper than v.any() on short rows
                 clean[t] = v
         self.coeffs = clean
 
@@ -240,6 +240,22 @@ class _Germs:
         out.flags.writeable = False
         return out
 
+    def contrasts(self, cols: np.ndarray) -> np.ndarray:
+        """``basis @ cols`` up to rounding, for rows ``cols`` (D, k), with no
+        basis built: running sums of each class's rows, one rank at a time."""
+        order, size = np.argsort(self.label, kind="stable"), np.bincount(self.label)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
+        by_rank, ends = np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))
+        run = cols[self.first].astype(complex, copy=False)  # rank 0: the first of each class
+        out = np.empty((len(rank) - self.count, cols.shape[1]), dtype=complex)
+        for r in range(1, len(ends)):
+            j = by_rank[ends[r - 1] : ends[r]]  # in coordinate order
+            row = j - np.searchsorted(self.first, j, side="right")  # as in ``basis``
+            out[row] = (run[self.label[j]] - r * cols[j]) / np.sqrt(r * (r + 1.0))
+            run[self.label[j]] += cols[j]
+        return out
+
     @cached_property
     def projection(self) -> np.ndarray:
         """(class, coordinate): the class sums."""
@@ -390,6 +406,11 @@ class NullIdeal:
     @cached_property
     def basis(self) -> np.ndarray:
         return self.germs.basis
+
+    def basis_times(self, m: np.ndarray) -> np.ndarray:
+        """``basis @ m`` for m (D, k); a germ ideal takes ``_Germs.contrasts``,
+        O(D k) work with no basis built."""
+        return self.basis @ m if self.germs is None else self.germs.contrasts(m)
 
     @property
     def dim(self) -> int:

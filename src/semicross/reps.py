@@ -27,8 +27,9 @@ from ._linalg import (
     orth_rows,
     same_spans,
     span_basis,
+    split_rows,
 )
-from .actions import Action, PartialSetAction
+from .actions import Action, PartialSetAction, induce_action
 from .ell1 import Ell1Element, _ideal_witness, ell1_norms, null_ideal, structure_tensor
 from .errors import (
     AdjointFormulaViolation,
@@ -54,6 +55,7 @@ from .errors import (
     StarNotPreserved,
 )
 from .reporting import CheckReport
+from .semigroups import _pbij_rows
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,9 @@ def integrate(
     v_t have norms at most w, with r w <= 1: then
     ||psi(f)|| <= sum_t ||pi(f(t))|| ||v_t|| <= r w ||f||_1.  For every p,
     ||v_t|| is at most the larger of its 1- and inf-operator norms
-    (Riesz-Thorin), and w is that bound.  Other pairs are sampled.
+    (Riesz-Thorin), and w is that bound.  Other pairs are sampled.  The
+    check reads no certificate.  For an induced action, psi of N's class
+    contrasts comes from sums within germ classes, with no basis of N built.
     """
     act, n = rep.action, rep.space.dim
     owner, rows = _section_rows(act)
@@ -342,11 +346,18 @@ def integrate(
             grown = np.flatnonzero(~(norms <= ell1_norms(act, f) + tol))
             if grown.size:
                 raise NotContractive("integrated map", f"it expands sampled section {grown[0]}")
-        kills = rep.opnorm((null_ideal(act, tol).basis @ matrix.T).reshape(-1, n, n))
-        alive = ~(kills <= tol)
-        if alive.any():
-            raise NullNotKilled(int(np.argmax(alive)))
+        _check_null_killed(out, tol)
     return out
+
+
+def _check_null_killed(psi: IntegratedRep, tol: float) -> None:
+    """psi of every null basis row has norm at most tol, else
+    ``NullNotKilled`` names the first row that survives."""
+    n = psi.rep.space.dim
+    images = null_ideal(psi.rep.action, tol).basis_times(psi.matrix.T).reshape(-1, n, n)
+    alive = ~(psi.rep.opnorm(images) <= tol)
+    if alive.any():
+        raise NullNotKilled(int(np.argmax(alive)))
 
 
 def _check_products(images: np.ndarray, tensor: tuple, tol: float) -> None:
@@ -372,33 +383,54 @@ def _check_products(images: np.ndarray, tensor: tuple, tol: float) -> None:
 
 def regular_rep(theta: PartialSetAction, p, action: Action | None = None,
                 tol: float = DEFAULT_TOL) -> CovariantRep:
-    """Canonical spatial pair on functions over the carrier: pi multiplies,
-    v_t relocates coordinates along theta_{t*} on the image of theta_t."""
-    from .actions import induce_action
+    """Canonical spatial pair on functions over the carrier, scattered from
+    theta's int rows: pi(delta_x) = e_x e_x^T and v_t = sum of
+    e_{theta_t x} e_x^T over the domain of theta_t.
 
+    On theta's own induced action (``action._theta is theta``) the pair is
+    certified exactly from theta, as ``induce_action`` certified theta:
+    v_s v_t = v_st, because theta is a homomorphism;
+    v_t pi(delta_x) = e_{theta_t x} e_x^T = pi(alpha_t delta_x) v_t;
+    ran v_t = span{e_y : y in the image of theta_t} = pi(I_t)E; and
+    pi(A)E = E.  So it is spatial, hence algebraic, normalized and
+    nondegenerate, and pi(delta_x) are orthogonal projections, so pi is
+    multiplicative.  Then pi and v are read-only and the pair keeps the
+    certificate (``_certified``).  Any other action gets ``check_spatial``.
+    """
     act = action if action is not None else induce_action(theta)
-    points = act.algebra.points
-    n = len(points)
+    n = len(act.algebra.points)
+    rows = _pbij_rows(act.algebra.points, theta.maps)
     pi = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        pi[i, i, i] = 1.0
+    pi[np.arange(n), np.arange(n), np.arange(n)] = 1.0
     v = np.zeros((len(theta.maps), n, n), dtype=complex)
-    for t, m in enumerate(theta.maps):
-        inv = m.invert()
-        for x in inv.domain:  # x ranges over the image set of theta_t
-            v[t, points.index(x), points.index(inv(x))] = 1.0
+    t, x = np.nonzero(rows >= 0)
+    v[t, rows[t, x], x] = 1.0
     rep = CovariantRep(act, ReprSpace(n, p), pi, v)
-    check_spatial(rep, tol)
+    if getattr(act, "_theta", None) is not theta:
+        check_spatial(rep, tol)
+        return rep
+    rep.pi.flags.writeable = rep.v.flags.writeable = False
+    rep._exact = (act, rep.pi, rep.v)
     return rep
+
+
+def _certified(rep: CovariantRep) -> bool:
+    """Whether ``regular_rep`` certified the pair and it still holds that action, pi and v."""
+    cert = getattr(rep, "_exact", None)
+    return cert is not None and all(a is b for a, b in zip(cert, (rep.action, rep.pi, rep.v)))
 
 
 # ------------------------------------------------------- families, seminorms
 
 
 def _require_family(family, tol: float, require_nondegenerate: bool) -> None:
+    """Every pair is algebraic, and nondegenerate if asked; a pair that
+    ``regular_rep`` certified exactly is both, and is not checked again."""
     if not family:
         raise EmptyFamily()
     for i, rep in enumerate(family):
+        if _certified(rep):
+            continue
         check_algebraic(rep, tol)
         if require_nondegenerate and not rep.is_nondegenerate(tol):
             raise DegenerateRepresentation(i)
@@ -415,7 +447,8 @@ def seminorm_family(
     is not a seminorm."""
     _require_family(family, tol, require_nondegenerate)
     for rep in family:
-        _check_multiplicative(rep, tol)
+        if not _certified(rep):
+            _check_multiplicative(rep, tol)
     return max(
         rep.opnorm(integrate(rep, tol, check=False).apply(f)) for rep in family
     )
@@ -434,8 +467,8 @@ def seminorm_kernel(
     _require_family(family, tol, require_nondegenerate)
     act = family[0].action
     stacked = np.vstack([integrate(rep, tol, check=False).matrix for rep in family])
-    kernel = null_rows(stacked, tol)
-    if witness := _ideal_witness(act, kernel, orth_rows(stacked, tol), tol):
+    comp, kernel = split_rows(stacked, tol)
+    if witness := _ideal_witness(act, kernel, comp, tol):
         raise NotAnIdeal(witness)
     return kernel
 

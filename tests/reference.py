@@ -74,7 +74,12 @@ per-pair and per-basis-vector loops behind the covariant-pair checks, which
 now contract stacks of pi-images and essential products.
 ``reference_integrate_products`` is the multiplicativity check of
 ``integrate`` as one (D, D, n^2) build of both sides, which ``integrate``
-now compares in blocks of i.  The
+now compares in blocks of i.  ``reference_null_images`` and
+``reference_null_not_killed`` are its kills-N check as the dense product of
+the null basis, which an induced action's own null ideal replaced with
+running sums within its germ classes (``_Germs.contrasts``).
+``reference_regular_rep`` builds the regular pair point by point, as
+``regular_rep`` did before it scattered theta's int rows.  The
 ``*_consequences`` functions assert the facts that the checks of a pair, an
 inverse semigroup or a partial automorphism force, which ``semicross`` no
 longer re-proves on every call.
@@ -139,6 +144,7 @@ from semicross.errors import (
     NotSemigroupHom,
     NotSubmultiplicative,
     NoUnit,
+    NullNotKilled,
     PA1Violation,
     PA2SpanDeficit,
     SCR1Violation,
@@ -745,6 +751,37 @@ def reference_integrate_matrix(rep) -> np.ndarray:
         for a in act.ideal(t).basis:
             cols.append((rep.pi_of(a) @ rep.v[t]).ravel())
     return np.array(cols).T.reshape(n * n, act.total_dim)
+
+
+def reference_null_images(rep, basis: np.ndarray) -> np.ndarray:
+    """psi of every row of a null basis, ``basis @ matrix.T`` as (rows, n, n):
+    the dense product that ``integrate``'s kills-N check takes on the
+    numeric path, and took on the germ path before it summed within classes."""
+    n = rep.space.dim
+    return (basis @ reference_integrate_matrix(rep).T).reshape(-1, n, n)
+
+
+def reference_null_not_killed(rep, basis: np.ndarray, tol=DEFAULT_TOL) -> None:
+    """NullNotKilled at the first basis row whose image has norm above tol."""
+    alive = ~(rep.opnorm(reference_null_images(rep, basis)) <= tol)
+    if alive.any():
+        raise NullNotKilled(int(np.argmax(alive)))
+
+
+def reference_regular_rep(theta, action) -> tuple:
+    """pi and v of ``regular_rep`` by the per-point loop it replaced with one
+    scatter from theta's int rows: v_t moves e_x to e_{theta_t x}."""
+    points = action.algebra.points
+    n = len(points)
+    pi = np.zeros((n, n, n), dtype=complex)
+    for i in range(n):
+        pi[i, i, i] = 1.0
+    v = np.zeros((len(theta.maps), n, n), dtype=complex)
+    for t, m in enumerate(theta.maps):
+        inv = m.invert()
+        for x in inv.domain:  # x ranges over the image set of theta_t
+            v[t, points.index(x), points.index(inv(x))] = 1.0
+    return pi, v
 
 
 def reference_integrate_products(rep, tol=DEFAULT_TOL) -> None:

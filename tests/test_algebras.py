@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reference import compose_paut, intersect_rows, pauts_equal
-from semicross._linalg import operator_norm
+from semicross._linalg import off_rows, operator_norm
 
 from semicross.algebras import (
     Ideal,
@@ -167,6 +167,35 @@ class TestIdeal:
         products = [big.mul(x, y) for x in i1.basis for y in i2.basis]
         inter = intersect_rows(i1.basis, i2.basis)
         assert rows_equal(np.array(products), inter)
+
+    @pytest.mark.parametrize("ideal", [
+        Ideal.from_support(function_algebra(("a", "b", "c")), ["a", "c"]),
+        Ideal(M2, [m2_unit(0, 0) + m2_unit(1, 0), m2_unit(0, 1) + m2_unit(1, 1)], np.zeros(4)),
+        Ideal(M2, np.eye(4), m2_unit(0, 0) + m2_unit(1, 1)),
+        Ideal.zero(M2),
+    ], ids=["support", "rows", "full", "zero"])
+    def test_coords_are_the_pinv_product_and_reject_off_the_span(self, ideal):
+        # against c = x @ pinv and the residual x - c @ basis, row by row
+        rng, d = np.random.default_rng(5), ideal.parent.dim
+        inside = rng.standard_normal((20, ideal.dim)) @ ideal.basis
+        off = rng.standard_normal((20, d)) + 1j * rng.standard_normal((20, d))
+        for x in [*inside, *off, inside, off, inside[:0]]:
+            c = x @ ideal.pinv
+            rejected = off_rows(x - c @ ideal.basis, x).any()
+            try:
+                got = ideal.coords(x)
+            except np.linalg.LinAlgError:
+                assert rejected
+            else:
+                assert not rejected and got.tobytes() == c.tobytes()
+
+    def test_one_row_off_rows_is_the_max_rule(self):
+        rng = np.random.default_rng(9)
+        for scale in (1e-10, 1e-9, 1e-8, 1.0):
+            for _ in range(200):
+                resid, v = rng.standard_normal((2, 3)) * [[scale], [rng.choice([0.1, 1, 10])]]
+                want = np.vdot(resid, resid).real > 1e-9**2 * max(1.0, np.vdot(v, v).real)
+                assert off_rows(resid, v, 1e-9) == want
 
 
 class TestPartialAut:

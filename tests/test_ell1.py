@@ -877,6 +877,23 @@ class TestGermPath:
         got, want = germs.basis, reference_germ_basis(germs.label)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", [*(n for n in SAMPLES if n in GERM_CASES), "sim3", "sim4"])
+    def test_germ_contrasts_are_the_basis_product(self, name):
+        # running sums within classes against the masked basis times rows that
+        # are equal within each class but at one coordinate, so few rows survive
+        act = sim4() if name == "sim4" else GERM_CASES[name]()
+        null, germs, rng = null_ideal(act), _germs(act), np.random.default_rng(41)
+        basis = reference_germ_basis(germs.label)
+        for j in range(0, len(germs.label), max(1, len(germs.label) // 7)):
+            per_class = rng.standard_normal((2, germs.count, 3))
+            cols = (per_class[0] + 1j * per_class[1])[germs.label]
+            cols[j] += 0.5
+            got, want = null.basis_times(cols), basis @ cols
+            assert np.allclose(got, want, atol=1e-12, rtol=0.0)
+            alive = np.linalg.norm(want, axis=1) > 1e-9
+            assert (np.linalg.norm(got, axis=1) > 1e-9).tolist() == alive.tolist()
+        assert "basis" not in vars(null)
+
     def test_rebuilt_actions_take_the_numeric_path(self, sim2, monkeypatch):
         # a paut family rebuilt as a plain Action, as in the crafted failures
         for args, _ in CRAFTED.values():

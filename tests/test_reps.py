@@ -12,16 +12,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import fixtures
 import reference
 from fixtures import cr_perturbations, padded, with_v_at
+from reference import reference_germ_basis
 import semicross.ell1
 import semicross.reps
 from semicross import _linalg
 from semicross._linalg import DEFAULT_TOL, rows_equal, rows_leq
 from semicross.ell1 import (
     Ell1Element,
+    _germs,
     convolve,
     ell1_norm,
     null_ideal,
@@ -39,9 +42,10 @@ from semicross.errors import (
     NotContractive,
     NotMultiplicative,
     NotSemigroupHom,
+    PA2SpanDeficit,
     SCR2RangeMismatch,
 )
-from semicross.io_json import parse_instance
+from semicross.io_json import load_instance, parse_instance
 from semicross.reps import (
     CovariantRep,
     ReprSpace,
@@ -62,7 +66,7 @@ from semicross.reps import (
 from semicross.actions import Action, PartialSetAction, induce_action
 from semicross.algebras import PartialAut
 from semicross.semigroups import InvSemigroup, PartialBijection, generate_semigroup
-from test_ell1 import PEAK_RSS, run_python
+from test_ell1 import PEAK_RSS, run_python, sim4
 
 D1 = np.array([1, 0], dtype=complex)
 D2 = np.array([0, 1], dtype=complex)
@@ -119,6 +123,125 @@ class TestRegularRep:
         with pytest.raises(NotContractive) as err:
             validate_rep(broken)
         assert err.value.what == "v at (1>2)"
+
+
+SAMPLES = ["flip", "m2", "m2_swap", "semi", "semi_table", "sim2", "z2"]
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def counting(monkeypatch, name) -> list:
+    """The pairs that ``semicross.reps.<name>`` is called on from now on."""
+    calls, real = [], getattr(semicross.reps, name)
+    monkeypatch.setattr(semicross.reps, name,
+                        lambda rep, *a: (calls.append(rep), real(rep, *a))[1])
+    return calls
+
+
+def assert_numeric_checks_pass(rep):
+    check_spatial(rep)
+    check_algebraic(rep)
+    assert rep.is_nondegenerate()
+
+
+class TestCertifiedRegularPair:
+    def test_scatter_is_the_reference_loop(self, all_instances, sim3):
+        for inst in [*all_instances, sim3]:
+            rep = inst.regular(2)
+            pi, v = reference.reference_regular_rep(inst.theta, inst.action)
+            assert rep.pi.tobytes() == pi.tobytes() and rep.v.tobytes() == v.tobytes()
+            assert semicross.reps._certified(rep)
+            assert not (rep.pi.flags.writeable or rep.v.flags.writeable)
+            assert_numeric_checks_pass(rep)
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_sample_pairs_pass_the_numeric_checks(self, name):
+        # the regular blocks are certified; the pairs written out are not
+        inst = load_instance(INSTANCES / f"{name}.json")
+        for block, rep in zip(json.loads((INSTANCES / f"{name}.json").read_text())
+                              ["representations"], inst.representations.values()):
+            assert semicross.reps._certified(rep) == bool(block.get("regular"))
+            if block.get("regular"):
+                assert_numeric_checks_pass(rep)
+
+    @settings(max_examples=30, deadline=None)
+    @given(fixtures.generator_lists)
+    def test_certified_pairs_pass_the_numeric_checks(self, gens):
+        theta = PartialSetAction.tautological(generate_semigroup(gens))
+        try:
+            action = induce_action(theta)
+        except PA2SpanDeficit:  # the idempotent images miss a point
+            return
+        rep = regular_rep(theta, 2, action=action)
+        pi, v = reference.reference_regular_rep(theta, action)
+        assert rep.pi.tobytes() == pi.tobytes() and rep.v.tobytes() == v.tobytes()
+        assert semicross.reps._certified(rep)
+        assert_numeric_checks_pass(rep)
+
+    def test_family_checks_read_the_certificate(self, sim2, monkeypatch):
+        algebraic = counting(monkeypatch, "check_algebraic")
+        multiplicative = counting(monkeypatch, "_check_multiplicative")
+        reg = sim2.regular(2)
+        kernel = seminorm_kernel([reg])
+        f = Ell1Element.from_dense(sim2.action, np.arange(sim2.action.total_dim))
+        value = seminorm_family(f, [reg])
+        assert algebraic == [] and multiplicative == []
+        copy = reg.with_v(reg.v)
+        assert not semicross.reps._certified(copy)
+        assert seminorm_kernel([copy]).tobytes() == kernel.tobytes()
+        assert algebraic == [copy]
+        assert seminorm_family(f, [copy]) == value
+        assert algebraic == [copy, copy] and multiplicative == [copy]
+
+    def test_the_certificate_is_of_the_arrays_it_was_made_for(self, sim2):
+        reg = sim2.regular(2)
+        rebuilt = CovariantRep(reg.action, reg.space, reg.pi, reg.v)
+        assert not semicross.reps._certified(rebuilt)
+        reg2 = sim2.regular(2)
+        reg2.v = reg2.v.copy()
+        assert not semicross.reps._certified(reg2)
+        with pytest.raises(ValueError):  # read-only
+            reg.v[0, 0, 0] = 2.0
+
+    def test_other_actions_are_checked_numerically(self, sim2, monkeypatch):
+        spatial = counting(monkeypatch, "check_spatial")
+        sim2.regular(2)
+        assert spatial == []
+        # the same maps with no theta, and theta's twin, are not theta's action
+        twin = PartialSetAction(sim2.theta.semigroup, sim2.theta.carrier, sim2.theta.maps)
+        for theta, act in ((sim2.theta, fixtures.plain(sim2.action)),
+                           (twin, sim2.action), (sim2.theta, induce_action(twin))):
+            rep = regular_rep(theta, 2, action=act)
+            assert spatial[-1] is rep and not semicross.reps._certified(rep)
+            assert rep.v.flags.writeable
+        assert len(spatial) == 3
+
+    def test_sim4_kills_check_builds_no_basis(self):
+        act = sim4()
+        integrate(regular_rep(act._theta, 2, action=act), check=True)
+        assert "basis" not in vars(null_ideal(act))
+
+    def test_kills_check_names_the_row_the_dense_product_names(self):
+        # on fresh induced actions, whose germ bases are never built here
+        rng = np.random.default_rng(23)
+        witnesses = set()
+        for make in [*fixtures.ALL.values(), fixtures.sim3]:
+            inst = make()
+            reg, basis = inst.regular(2), reference_germ_basis(_germs(inst.action).label)
+            for k in range(8):  # the pair as it is, then one entry of pi or of v moved
+                pi, v = reg.pi.copy(), reg.v.copy()
+                if k:
+                    moved = pi if k % 2 else v
+                    moved[tuple(rng.integers(moved.shape))] += 0.5
+                rep = CovariantRep(reg.action, reg.space, pi, v)
+                psi = integrate(rep, check=False)
+                images = reference.reference_null_images(rep, basis)
+                got = null_ideal(rep.action).basis_times(psi.matrix.T)
+                assert np.allclose(got.reshape(images.shape), images, atol=1e-12, rtol=0.0)
+                want = outcome(reference.reference_null_not_killed, rep, basis)
+                assert outcome(semicross.reps._check_null_killed, psi, DEFAULT_TOL) == want
+                witnesses.add(want)
+            assert "basis" not in vars(null_ideal(inst.action))
+        assert None in witnesses and len(witnesses) >= 4
 
 
 class TestSpatial:
@@ -415,6 +538,22 @@ class TestSeminorm:
         )
         with pytest.raises(DegenerateRepresentation):
             seminorm_kernel([zero_rep])
+
+    def test_kernel_takes_one_svd(self, all_instances, sim3, monkeypatch):
+        # the kernel is null_rows' bit for bit, and its complement orth_rows' span
+        for inst in [*all_instances, sim3]:
+            family = [inst.regular(2), inst.regular(1)]
+            stacked = np.vstack([integrate(rep, check=False).matrix for rep in family])
+            shapes, svd = [], np.linalg.svd
+            monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: (
+                shapes.append(m.shape), svd(m, *a, **k))[1])
+            kernel = seminorm_kernel(family)
+            monkeypatch.undo()
+            assert shapes == [stacked.shape]
+            assert kernel.tobytes() == _linalg.null_rows(stacked).tobytes()
+            comp = _linalg.split_rows(stacked)[0]
+            assert rows_equal(comp, _linalg.orth_rows(stacked)) and len(comp) + len(kernel) == (
+                stacked.shape[1])
 
     def test_flip_kernel_trivial(self, flip, flip_reg):
         kernel = seminorm_kernel([flip_reg])
@@ -851,6 +990,13 @@ INPUT_CHECKS = {
     "seminorm, not multiplicative": (_one_point_seminorm, "NotMultiplicative", "witness", (0, 1)),
     "seminorm kernel, not an ideal": (lambda: seminorm_kernel([_one_point_pair()]),
                                       "NotAnIdeal", "witness", ("id{x,y}", 0, "left")),
+    # copies of a certified regular pair with one v_t replaced carry no certificate
+    "seminorm kernel, CR1 on a copy": (lambda: seminorm_kernel([CRAFTED["CR1"]()]),
+                                       "CR1Violation", "element", "(1>2)"),
+    "seminorm kernel, CR2 on a copy": (lambda: seminorm_kernel([CRAFTED["CR2"]()]),
+                                       "CR2Violation", "pair", ("(1>2)", "(2>1)")),
+    "seminorm kernel, CR3 on a copy": (lambda: seminorm_kernel([CRAFTED["CR3"]()]),
+                                       "CR3Violation", "element", "id{1}"),
     "quotient norm over operator-2-norm blocks": (_trivial_m2_qnorm, "QuotientNormNotLP",
                                                   None, None),
     "tautological action of a table": (

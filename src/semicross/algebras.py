@@ -238,12 +238,13 @@ class Ideal:
         """span{delta_x : x in points} inside a function algebra.  Its basis
         rows are distinct unit vectors, so its pseudo-inverse is the transpose."""
         assert parent.kind == "function"
-        idxs = sorted(parent.points.index(p) for p in points)
+        pos = {x: i for i, x in enumerate(parent.points)}
+        # an unknown point raises the ValueError of tuple.index
+        idxs = sorted(pos[p] if p in pos else parent.points.index(p) for p in points)
         basis = np.zeros((len(idxs), parent.dim), dtype=complex)
         unit = np.zeros(parent.dim, dtype=complex)
         for r, i in enumerate(idxs):
-            basis[r, i] = 1.0
-            unit[i] = 1.0
+            basis[r, i] = unit[i] = 1.0
         ideal = cls(parent, basis, unit)
         ideal.pinv = ideal.basis.T.copy()
         return ideal
@@ -316,44 +317,30 @@ class PartialAut:
         return f"PartialAut<{self.source.dim} -> {self.target.dim}>"
 
 
-def _is_delta_permutation(phi: PartialAut, tol: float) -> bool:
-    """Exact isometry witness for function algebras: every minimal idempotent
-    of the source maps to a single minimal idempotent with coefficient 1."""
+def _is_block_relabeling(phi: PartialAut, tol: float) -> bool:
+    """Exact isometry witness: the source is a sum of whole blocks, and each
+    entry of a source block maps with coefficient 1 to the same (row, column)
+    of one target block of its size.  A bijective such map relabels blocks,
+    so it keeps every block norm.  The blocks of C(X) are 1x1, and there the
+    witness says that phi permutes the points of its source."""
     A = phi.parent
-    pts = [A.points.index(x) for x in phi.source.support]
-    img = phi.apply(np.eye(A.dim, dtype=complex)[pts], tol)
-    hot = np.abs(img) > tol
-    return bool(np.all(hot.sum(-1) == 1) and np.allclose(img[hot], 1.0, atol=tol))
-
-
-def _is_block_permutation(phi: PartialAut, tol: float) -> bool:
-    """Exact isometry witness for matrix sums: the map relabels whole blocks
-    entry-by-entry."""
-    A = phi.parent
+    place = np.empty((4, A.dim), dtype=np.intp)  # block, row, column, block size
+    for b, idx in enumerate(A.blocks):
+        place[:, idx] = np.broadcast_arrays(b, *np.indices(idx.shape), len(idx))
     eye = np.eye(A.dim, dtype=complex)
-    src_blocks = [
-        idx for idx in A.blocks if idx.size and phi.source.contains(eye[idx.ravel()], tol)
-    ]
-    if sum(idx.size for idx in src_blocks) != phi.source.dim:
+    src = np.flatnonzero(~off_rowspace(phi.source._orth, eye, tol))
+    block = place[0, src]
+    # the source holds these coordinates only, and with each one its whole block
+    if len(src) != phi.source.dim or (np.bincount(block)[block] != place[3, src] ** 2).any():
         return False
-    for idx in src_blocks:
-        images = [phi.apply(eye[i], tol) for i in idx.flat]
-        target_block = None
-        for tix, img in zip(idx.flat, images):
-            hot = np.flatnonzero(np.abs(img) > tol)
-            if hot.size != 1 or not np.isclose(img[hot[0]], 1.0, atol=tol):
-                return False
-            for bidx in A.blocks:
-                if hot[0] in bidx:
-                    pos = np.argwhere(bidx == hot[0])[0]
-                    src_pos = np.argwhere(idx == tix)[0]
-                    if not np.array_equal(pos, src_pos):
-                        return False
-                    if target_block is None:
-                        target_block = bidx[0, 0]
-                    elif target_block != bidx[0, 0]:
-                        return False
-    return True
+    img = phi.apply(eye[src], tol)
+    hot = np.abs(img) > tol
+    to = hot.argmax(-1)  # each entry's image, if it has exactly one
+    if (hot.sum(-1) != 1).any() or not np.isclose(img[hot], 1.0, atol=tol).all():
+        return False
+    target = np.zeros(len(A.blocks), dtype=np.intp)
+    target[block] = place[0, to]  # some target of each source block: all must be it
+    return bool((place[1:, to] == place[1:, src]).all() and (target[block] == place[0, to]).all())
 
 
 @dataclass
@@ -366,7 +353,8 @@ class PautCertificate:
 def paut_validate(
     phi: PartialAut, tol: float = DEFAULT_TOL, seed: int = 0, samples: int = 2000
 ) -> PautCertificate:
-    """Bijectivity, isometry, multiplicativity, unit preservation."""
+    """Bijectivity, isometry and multiplicativity, which force phi(1_s) = 1_t
+    (the test suite proves it rather than this function)."""
     ideal_validate(phi.source, tol)
     ideal_validate(phi.target, tol)
     A = phi.parent
@@ -383,22 +371,14 @@ def paut_validate(
     B, img = phi.source.basis, phi.apply(phi.source.basis, tol)
     if bad := first_far(phi.apply(A.mul(B[:, None], B), tol), A.mul(img[:, None], img), tol):
         raise NotMultiplicative(bad)
-    # forced: the homomorphic image of the unit is the (unique) target unit
-    assert np.allclose(
-        phi.apply(phi.source.unit, tol), phi.target.unit, atol=tol, rtol=0.0
-    ), "unit does not map to the target unit"
     return cert
 
 
 def _certify_isometry(phi: PartialAut, tol, seed, samples) -> PautCertificate:
-    """Exact for recognizable shapes, randomized unit-sphere sampling
-    (both inequality directions) otherwise."""
+    """Exact for a block relabeling (``_is_block_relabeling``; the zero map is
+    one), randomized unit-sphere sampling (both inequality directions) otherwise."""
     A = phi.parent
-    if phi.source.dim == 0:
-        return PautCertificate("exact")
-    if A.kind == "function" and _is_delta_permutation(phi, tol):
-        return PautCertificate("exact")
-    if A.kind == "matrix" and _is_block_permutation(phi, tol):
+    if _is_block_relabeling(phi, tol):
         return PautCertificate("exact")
     draws = np.random.default_rng(seed).standard_normal((samples, 2, phi.source.dim))
     x = phi.source.to_parent(draws[:, 0] + 1j * draws[:, 1])

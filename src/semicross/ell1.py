@@ -224,34 +224,38 @@ class _Germs:
         return len(self.first)
 
     @cached_property
+    def ranks(self) -> list:
+        """The partition grouped once, by rank in class: item r holds the
+        (r+1)-th coordinates j of the classes that have one, in class order,
+        and for r >= 1 their rows in ``basis``: j less the firsts up to j."""
+        order, size = np.argsort(self.label, kind="stable"), np.bincount(self.label)
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
+        groups = np.split(order[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank))[:-1])
+        return [(j, j - np.searchsorted(self.first, j, side="right")) for j in groups]
+
+    @cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal class contrasts, in the order of their coordinates:
-        for the r-th coordinate j of a class (r >= 1), the sum of the r
+        for a coordinate j of rank r >= 1 in its class, the sum of the r
         coordinates of the class before it less r e_j, over sqrt(r (r + 1)).
-        Built one class at a time, and read-only."""
-        n, size = len(self.label), np.bincount(self.label)
-        # coordinate j, unless first in its class, has row j less the firsts up to j
-        row = np.arange(n) - np.searchsorted(self.first, np.arange(n), side="right")
+        Built one rank at a time, and read-only."""
+        n = len(self.label)
+        below = np.empty((len(self.ranks), self.count), dtype=np.intp)  # [rank, class]
         out = np.zeros((n - self.count, n), dtype=complex)
-        for members in np.split(np.argsort(self.label, kind="stable"), np.cumsum(size)[:-1]):
-            r = np.arange(1, len(members))[:, None]
-            block = np.tri(len(r), len(members)) - r * np.eye(len(r), len(members), 1)
-            out[row[members[1:], None], members] = block / np.sqrt(r * (r + 1.0))
+        for r, (j, row) in enumerate(self.ranks):
+            below[r, self.label[j]] = j
+            if r:  # the r coordinates of the class before j, then j
+                weights = np.append(np.ones(r), -r) / np.sqrt(r * (r + 1.0))
+                out[row, below[: r + 1, self.label[j]]] = weights[:, None]
         out.flags.writeable = False
         return out
 
     def contrasts(self, cols: np.ndarray) -> np.ndarray:
         """``basis @ cols`` up to rounding, for rows ``cols`` (D, k), with no
         basis built: running sums of each class's rows, one rank at a time."""
-        order, size = np.argsort(self.label, kind="stable"), np.bincount(self.label)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
-        by_rank, ends = np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))
         run = cols[self.first].astype(complex, copy=False)  # rank 0: the first of each class
-        out = np.empty((len(rank) - self.count, cols.shape[1]), dtype=complex)
-        for r in range(1, len(ends)):
-            j = by_rank[ends[r - 1] : ends[r]]  # in coordinate order
-            row = j - np.searchsorted(self.first, j, side="right")  # as in ``basis``
+        out = np.empty((len(self.label) - self.count, cols.shape[1]), dtype=complex)
+        for r, (j, row) in enumerate(self.ranks[1:], 1):
             out[row] = (run[self.label[j]] - r * cols[j]) / np.sqrt(r * (r + 1.0))
             run[self.label[j]] += cols[j]
         return out

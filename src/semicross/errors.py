@@ -54,12 +54,6 @@ class NonUniqueInverse(CheckError):
         )
 
 
-class IdempotentsDoNotCommute(CheckError):
-    def __init__(self, pair):
-        self.pair = pair
-        super().__init__(f"idempotents {pair} do not commute")
-
-
 class ZeroNotAbsorbing(CheckError):
     def __init__(self, element):
         self.element = element

@@ -23,6 +23,7 @@ from ._linalg import (
     blocks,
     first_far,
     null_rows,
+    off_rows,
     operator_norm,
     orth_rows,
     same_spans,
@@ -535,6 +536,9 @@ def group_case_check(
         # in (x * y)(r) = sum_h x(h) alpha_h(y(h^-1 r)) with x = a delta_s only
         # h = s survives, so x * b delta_t = a alpha_s(b) delta_st
         a = P[off : off + action.ideal(s).dim]
+        outside = off_rows(P @ action.paut(s).source._resid, P, tol)  # alpha_s needs I_s* = A
+        if outside.any():
+            raise GroupConvolutionMismatch(sg.labels[s], sg.labels[owner[np.argmax(outside)]])
         want = np.einsum("ai,bj,ijk->abk", a, action.apply(s, P, tol), A.structure)
         if bad := first_far(got[off : off + len(a)], want, tol):
             raise GroupConvolutionMismatch(sg.labels[s], sg.labels[owner[bad[1]]])

@@ -22,6 +22,15 @@ checks theta's homomorphism law on int rows at every pair (s, t) in
 row-major order, which ``semigroups._check_rows`` now checks over the
 semigroup's generating cover only.
 
+``reference_from_support`` fills a support ideal with one ``points.index``
+lookup per point, which ``Ideal.from_support`` replaced with one position
+map per call.
+
+``_is_delta_permutation`` and ``_is_block_permutation`` are the two exact
+isometry witnesses, for function algebras and for matrix sums, that
+``algebras._is_block_relabeling`` replaced with one witness over blocks
+(the points of C(X) are its 1x1 blocks).
+
 The sampled and per-pair certificates (``reference_paut_validate``,
 ``reference_ideal_validate``, ``reference_certify_contractive``,
 ``reference_validate_algebra``, ``reference_integrate_contractive``) are the
@@ -82,7 +91,10 @@ running sums within its germ classes (``_Germs.contrasts``).
 ``regular_rep`` did before it scattered theta's int rows.  The
 ``*_consequences`` functions assert the facts that the checks of a pair, an
 inverse semigroup or a partial automorphism force, which ``semicross`` no
-longer re-proves on every call.
+longer re-proves on every call: ``inverse_consequences`` (commuting
+idempotents and a partial natural order), ``embedding_consequences`` (the
+Wagner-Preston embedding is an injective star-compatible homomorphism) and
+``paut_consequences`` (phi(1_s) = 1_t).
 """
 
 from __future__ import annotations
@@ -105,8 +117,6 @@ from semicross.algebras import (
     PartialAut,
     PautCertificate,
     ideal_validate,
-    _is_block_permutation,
-    _is_delta_permutation,
 )
 from semicross.ell1 import (
     N_FACETS,
@@ -351,6 +361,18 @@ def reference_germ_quotient_norm(f: Ell1Element, elements) -> float:
     return scale * res.fun
 
 
+def reference_from_support(parent, points) -> Ideal:
+    """``Ideal.from_support`` with one ``points.index`` lookup and one write
+    per point, as it was built before it kept a position map."""
+    idxs = sorted(parent.points.index(p) for p in points)
+    basis = np.zeros((len(idxs), parent.dim), dtype=complex)
+    unit = np.zeros(parent.dim, dtype=complex)
+    for r, i in enumerate(idxs):
+        basis[r, i] = 1.0
+        unit[i] = 1.0
+    return Ideal(parent, basis, unit)
+
+
 def reference_natural_order(sg: InvSemigroup) -> frozenset:
     """Pairs (s, t) with t (s* s) = s, one product at a time."""
     pairs = set()
@@ -454,6 +476,46 @@ def reference_ideal_validate(ideal, tol: float = DEFAULT_TOL) -> None:
             raise NoUnit(("left", r))
         if not np.allclose(A.mul(x, ideal.unit), x, atol=tol, rtol=0.0):
             raise NoUnit(("right", r))
+
+
+def _is_delta_permutation(phi: PartialAut, tol: float) -> bool:
+    """Exact isometry witness for function algebras: every minimal idempotent
+    of the source maps to a single minimal idempotent with coefficient 1."""
+    A = phi.parent
+    pts = [A.points.index(x) for x in phi.source.support]
+    img = phi.apply(np.eye(A.dim, dtype=complex)[pts], tol)
+    hot = np.abs(img) > tol
+    return bool(np.all(hot.sum(-1) == 1) and np.allclose(img[hot], 1.0, atol=tol))
+
+
+def _is_block_permutation(phi: PartialAut, tol: float) -> bool:
+    """Exact isometry witness for matrix sums: the map relabels whole blocks
+    entry-by-entry."""
+    A = phi.parent
+    eye = np.eye(A.dim, dtype=complex)
+    src_blocks = [
+        idx for idx in A.blocks if idx.size and phi.source.contains(eye[idx.ravel()], tol)
+    ]
+    if sum(idx.size for idx in src_blocks) != phi.source.dim:
+        return False
+    for idx in src_blocks:
+        images = [phi.apply(eye[i], tol) for i in idx.flat]
+        target_block = None
+        for tix, img in zip(idx.flat, images):
+            hot = np.flatnonzero(np.abs(img) > tol)
+            if hot.size != 1 or not np.isclose(img[hot[0]], 1.0, atol=tol):
+                return False
+            for bidx in A.blocks:
+                if hot[0] in bidx:
+                    pos = np.argwhere(bidx == hot[0])[0]
+                    src_pos = np.argwhere(idx == tix)[0]
+                    if not np.array_equal(pos, src_pos):
+                        return False
+                    if target_block is None:
+                        target_block = bidx[0, 0]
+                    elif target_block != bidx[0, 0]:
+                        return False
+    return True
 
 
 def reference_certify_isometry(phi, tol=DEFAULT_TOL, seed=0, samples=2000):
@@ -923,6 +985,44 @@ def tensor_consequences(action, tol=DEFAULT_TOL) -> None:
     owner = np.repeat(list(action.offsets), [action.ideal(t).dim for t in action.offsets])
     assert np.all(action.semigroup.table[owner[I], owner[J]] == owner[K]), "a product lands off st"
 
+
+
+def inverse_consequences(sg: InvSemigroup) -> None:
+    """Forced for a semigroup from ``from_table`` or ``generate_semigroup``:
+    its idempotents commute, and its natural order is a partial order (the
+    checks ``validate_inverse`` and ``natural_order`` once ran)."""
+    for e, f in itertools.product(sg.idempotents, repeat=2):
+        assert sg.mul(e, f) == sg.mul(f, e), f"idempotents {(e, f)} do not commute"
+    leq = np.zeros((len(sg), len(sg)), dtype=int)  # [s, t]: s <= t
+    leq[tuple(zip(*sg.order))] = 1
+    assert leq.diagonal().all(), "natural order is not reflexive"
+    assert (leq * leq.T == np.eye(len(sg))).all(), "natural order is not antisymmetric"
+    assert ((leq @ leq > 0) <= leq).all(), "natural order is not transitive"
+
+
+def embedding_consequences(sg: InvSemigroup, maps) -> None:
+    """Forced for ``maps = wagner_preston_embed(sg)`` (the Wagner-Preston
+    theorem, which the embedding once asserted): the maps are distinct, they
+    compose as the semigroup, and the map of t* is the inverse of that of t."""
+    assert len({m.pairs for m in maps}) == len(sg), "embedding is not injective"
+    carrier = maps[0].carrier
+    pos = {x: i for i, x in enumerate(carrier)}
+    rows = np.full((len(maps), len(carrier)), -1, dtype=np.intp)
+    for r, m in enumerate(maps):
+        for x, y in m.pairs:
+            rows[r, pos[x]] = pos[y]
+    reference_check_rows(sg, rows)
+    for t, m in enumerate(maps):
+        assert maps[sg.inv(t)].pairs == m.invert().pairs, "embedding does not commute with star"
+
+
+def paut_consequences(phi, tol=DEFAULT_TOL) -> None:
+    """Forced for a partial automorphism that passed ``paut_validate``: a
+    multiplicative bijection maps the unit of its source to that of its
+    target, which ``paut_validate`` once asserted."""
+    assert np.allclose(
+        phi.apply(phi.source.unit, tol), phi.target.unit, atol=tol, rtol=0.0
+    ), "unit does not map to the target unit"
 
 
 def intersect_rows(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

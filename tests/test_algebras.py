@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reference import compose_paut, intersect_rows, pauts_equal
+import fixtures
+from reference import compose_paut, intersect_rows, pauts_equal, reference_from_support
 from semicross._linalg import off_rows, operator_norm
 
 from semicross.algebras import (
@@ -143,6 +144,22 @@ class TestIdeal:
         ideal = Ideal.from_support(C2, ["2"])
         ideal_validate(ideal)
         assert ideal.support == ("2",)
+
+    @pytest.mark.parametrize("name", ["flip", "semi", "sim2", "z2", "sim3"])
+    def test_from_support_is_the_reference_build(self, name):
+        # the position map against one points.index lookup per point, on the
+        # domain and image of every theta_t, and on a list out of order
+        theta = getattr(fixtures, name)().theta
+        A = function_algebra(theta.maps[0].carrier)
+        supports = [s for m in theta.maps for s in (m.domain, m.image)]
+        for points in [*supports, list(A.points[::-1])]:
+            got, want = Ideal.from_support(A, points), reference_from_support(A, points)
+            for a, b in ((got.basis, want.basis), (got.unit, want.unit)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_from_support_of_an_unknown_point(self):
+        with pytest.raises(ValueError):
+            Ideal.from_support(C2, ["1", "3"])
 
     def test_function_ideals_are_support_spans(self):
         # every validated ideal of C(X) is spanned by the deltas it touches

@@ -2,10 +2,13 @@
 they replaced (``tests/reference.py``): the same certificate level on every
 sample instance and on the section-matrix actions, the same first-failure
 payload on crafted failures, the same LP optimum, closed-form facet pricing
-that reaches the maximum of the reference's 64 facet rows, and a count of
-``FinAlgebra.norm`` calls that does not grow with the number of samples."""
+that reaches the maximum of the reference's 64 facet rows, a count of
+``FinAlgebra.norm`` calls that does not grow with the number of samples,
+the one block-relabeling isometry witness against the two it replaced, and
+the unit law that a validated partial automorphism obeys."""
 
 import dataclasses
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -14,12 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fixtures
 import reference
-from semicross.actions import Action
+from semicross.actions import Action, PartialSetAction, induce_action
 from semicross.algebras import (
     FinAlgebra,
     Ideal,
     PartialAut,
+    _is_block_relabeling,
     function_algebra,
     ideal_validate,
     matrix_algebra,
@@ -38,6 +43,7 @@ from semicross.ell1 import (
 )
 from semicross.errors import (
     NotAnIdeal,
+    NotBijective,
     NotAnInvolution,
     NotAssociative,
     NotContractive,
@@ -169,6 +175,109 @@ class TestSameCertificates:
             for rep in inst.representations.values():
                 ir = integrate(rep, seed=4, samples=150, check=True)
                 reference.reference_integrate_contractive(ir, seed=4, samples=150)
+
+
+def old_witness(phi, tol=1e-9) -> bool:
+    """The exact isometry witness of the algebra's kind, as two witnesses
+    served function and matrix algebras."""
+    if phi.parent.kind == "function":
+        return reference._is_delta_permutation(phi, tol)
+    return reference._is_block_permutation(phi, tol)
+
+
+def block_ideal(A: FinAlgebra, *blocks: int) -> Ideal:
+    """The sum of the named whole blocks of A, with its unit."""
+    eye = np.eye(A.dim, dtype=complex)
+    idx = [int(i) for b in blocks for i in A.blocks[b].flat]
+    return Ideal(A, eye[idx], eye[[int(i) for b in blocks for i in np.diag(A.blocks[b])]].sum(0))
+
+
+def entrywise(A: FinAlgebra, source: tuple, send) -> PartialAut:
+    """The map of the whole blocks ``source`` that sends entry (i, j) of
+    block b to ``send(b, i, j)``, a (coefficient, block, row, column)."""
+    rows = []
+    for b in source:
+        n = len(A.blocks[b])
+        for i, j in itertools.product(range(n), repeat=2):
+            coeff, tb, ti, tj = send(b, i, j)
+            row = np.zeros(A.dim, dtype=complex)
+            row[A.blocks[tb][ti, tj]] = coeff
+            rows.append(row)
+    targets = sorted({send(b, 0, 0)[1] for b in source})
+    return PartialAut(block_ideal(A, *source), block_ideal(A, *targets), np.array(rows))
+
+
+BLOCKS = matrix_algebra([2, 2, 2, 3], 2)
+POINTS = function_algebra(("x", "y", "z"))
+# (map, the new witness, the old pair): every map but the first is no relabeling
+CRAFTED = {
+    "blocks swapped": (entrywise(BLOCKS, (0, 1), lambda b, i, j: (1, 1 - b, i, j)), True, True),
+    "points permuted": (entrywise(POINTS, (0, 1), lambda b, i, j: (1, 2 - b, 0, 0)), True, True),
+    "transposed block": (entrywise(BLOCKS, (0,), lambda b, i, j: (1, 1, j, i)), False, False),
+    "block split over two": (
+        entrywise(BLOCKS, (0,), lambda b, i, j: (1, 1 + i, i, j)), False, False
+    ),
+    "coefficient -1": (
+        entrywise(BLOCKS, (0,), lambda b, i, j: (-1 if (i, j) == (0, 1) else 1, 1, i, j)),
+        False, False,
+    ),
+    "coefficient 1j": (entrywise(BLOCKS, (0,), lambda b, i, j: (1j, 1, i, j)), False, False),
+    "point to -1": (entrywise(POINTS, (0,), lambda b, i, j: (-1, 1, 0, 0)), False, False),
+    "point to 1j": (entrywise(POINTS, (0,), lambda b, i, j: (1j, 1, 0, 0)), False, False),
+    # the old pair took a 2x2 block into the corner of a 3x3 one; paut_validate
+    # rejects such a map as NotBijective before it certifies isometry
+    "target of another size": (
+        entrywise(BLOCKS, (0,), lambda b, i, j: (1, 3, i, j)), False, True
+    ),
+    "source not whole blocks": (
+        PartialAut(Ideal(BLOCKS, np.eye(BLOCKS.dim)[[0]], np.eye(BLOCKS.dim)[0]),
+                   Ideal(BLOCKS, np.eye(BLOCKS.dim)[[4]], np.eye(BLOCKS.dim)[4]),
+                   np.eye(BLOCKS.dim)[[4]]),
+        False, False,
+    ),
+}
+
+
+class TestBlockRelabeling:
+    """``_is_block_relabeling`` against the two witnesses it replaced."""
+
+    def test_agrees_with_the_old_pair_on_every_action(self, actions):
+        sim4 = [{1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 3, 3: 4, 4: 1}, {2: 2, 3: 3, 4: 4}]
+        sg = generate_semigroup([PartialBijection.from_dict((1, 2, 3, 4), g) for g in sim4])
+        acts = {**actions, "sim3": fixtures.sim3().action,
+                "sim4": induce_action(PartialSetAction.tautological(sg))}
+        seen = set()
+        for name, act in acts.items():
+            for t, phi in enumerate(act.pauts):
+                got = _is_block_relabeling(phi, 1e-9)
+                assert got == old_witness(phi), (name, t)
+                seen.add(got)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("case", list(CRAFTED))
+    def test_crafted_maps(self, case):
+        phi, new, old = CRAFTED[case]
+        assert _is_block_relabeling(phi, 1e-9) is new
+        assert old_witness(phi) is old
+        if new != old:
+            with pytest.raises(NotBijective):
+                paut_validate(phi)
+
+    def test_source_off_the_points(self):
+        # span{d_x + d_y} is no sum of points; the old witness raised on it
+        eye = np.eye(3, dtype=complex)
+        line = Ideal(POINTS, eye[[0]] + eye[[1]], eye[0] + eye[1])
+        phi = PartialAut(line, line, line.basis)
+        assert _is_block_relabeling(phi, 1e-9) is False
+        with pytest.raises(np.linalg.LinAlgError):
+            reference._is_delta_permutation(phi, 1e-9)
+
+    def test_units_map_to_units(self, actions):
+        # forced for every partial automorphism that paut_validate accepts
+        for act in actions.values():
+            for phi in act.pauts:
+                paut_validate(phi)
+                reference.paut_consequences(phi)
 
 
 class TestStackedNorms:

@@ -1,6 +1,9 @@
 """The command-line driver, the instance file format and the expression
-evaluator."""
+evaluator, with a sweep of one-leaf mutations of the samples through every
+command."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fixtures
+from semicross import errors
 from semicross.cli import eval_expression, main
-from semicross.errors import EvalError, SchemaError
+from semicross.errors import CheckError, EvalError, SchemaError
 from semicross.io_json import load_instance, parse_instance, serialize_instance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -565,6 +570,29 @@ class TestHugeValues:
         assert error == {"code": "EvalError", "message": message}
 
 
+class TestGroupCheckOfAnInvalidAction:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_ideal_short_of_the_algebra(self, tmp_path, flags):
+        # semi_table with e e = 1 is the group Z2, but I_e is still one point:
+        # build, which does not validate the action, raised LinAlgError from
+        # alpha_e on the monomial d_2 of I_1, which lies outside I_e
+        doc = json.loads((INSTANCES / "semi_table.json").read_text())
+        doc["semigroup"]["table"][1][1] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "semicross.cli", "--json", "build", str(bad)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 1, result.stderr
+        assert json.loads(result.stdout)["error"] == {
+            "code": "GroupConvolutionMismatch",
+            "message": "group and semigroup convolutions disagree at (e, 1)",
+        }
+
+
 class TestLazyScipy:
     def test_no_command_imports_scipy(self):
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
@@ -600,3 +628,134 @@ class TestLazyScipy:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False"] * 23
+
+
+# ------------------------------------------------- one-leaf mutation sweep
+
+SAMPLE_DOCS = {name: json.loads((INSTANCES / f"{name}.json").read_text()) for name in (
+    "flip", "m2", "m2_swap", "semi", "semi_table", "sim2", "z2")}
+NAMED_CHECKS = {
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, CheckError) and cls not in (CheckError, SchemaError)
+}
+# the command after its instance path: every subcommand, each eval function
+# and a seminorm family of the file's own representations
+SWEEP_COMMANDS = {
+    "validate": ["validate"],
+    "report": ["report"],
+    "build": ["build", "--null", "--quotient"],
+    "build --seminorm": ["build", "--seminorm", "@reps@"],
+    "eval conv star": ["eval", "norm1(conv(a, star(a)) - 2 * a)"],
+    "eval qnorm": ["eval", "qnorm(a)"],
+    "eval snorm": ["eval", "snorm(a)"],
+}
+LEAF_VALUES = [-1, 0, 1, 2, 5, 0.5, -2.5, 1e7, 1e300, float("nan"), float("inf"),
+               None, True, "x", [], {}, [[0, 0]]]
+
+
+def _leaves(doc, path=()) -> list:
+    """The path of every number, string, bool or null in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+    return [path]
+
+
+def _mutant(name: str, path: tuple, value) -> str:
+    doc = json.loads(json.dumps(SAMPLE_DOCS[name]))
+    _set(path, value)(doc)
+    return json.dumps(doc)
+
+
+def _argv(command: str, name: str, path) -> list:
+    reps = [r["name"] for r in SAMPLE_DOCS[name]["representations"]]
+    head, *rest = SWEEP_COMMANDS[command]
+    rest = [arg for r in rest for arg in (reps if r == "@reps@" else [r])]
+    return ["--json", head, str(path), *rest]
+
+
+def _no_constant(text):
+    raise ValueError(f"{text} in a --json document")
+
+
+def _in_process(argv) -> tuple:
+    """The exit code of ``main`` and the error code of its --json document."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, json.loads(out.getvalue(), parse_constant=_no_constant).get("error", {}).get("code")
+
+
+def _allowed(outcome) -> bool:
+    code, error = outcome
+    return (outcome in ((0, None), (2, "SchemaError"))) or (code == 1 and error in NAMED_CHECKS)
+
+
+# a fixed subset, run in-process and under python -O: table entries (the
+# inverse-semigroup and order checks; the third made the group check of
+# ``build`` raise LinAlgError), a generator, an ideal basis and a map entry
+# (the partial-automorphism checks), a representation entry and an element
+OPTIMIZED_CASES = [
+    ("semi_table", ("semigroup", "table", 0, 0), 1),
+    ("semi_table", ("semigroup", "table", 1, 0), 0),
+    ("semi_table", ("semigroup", "table", 1, 1), 0),
+    ("flip", ("semigroup", "generators", 0, "1"), "1"),
+    ("m2_swap", ("action", "maps", "g", 0, 0, 0), 0.5),
+    ("m2", ("action", "ideals", "1", 0, 0, 0), 2),
+    ("semi", ("representations", 0, "p"), 1),
+    ("z2", ("elements", "a", 0, 1, 0, 0), 1e7),
+]
+OPTIMIZED_RUN = """
+import contextlib, io, json, sys
+from semicross.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, json.loads(out.getvalue()).get("error", {}).get("code")]))
+"""
+
+
+class TestOneLeafSweep:
+    """ROADMAP item 4: every one-leaf mutation of a sample, under every
+    command, exits 0, or 1 with a named CheckError, or 2 with SchemaError,
+    and prints one --json document that parses."""
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(name=st.sampled_from(sorted(SAMPLE_DOCS)), data=st.data())
+    @pytest.mark.parametrize("command", list(SWEEP_COMMANDS))
+    def test_mutations_fail_with_named_codes(self, tmp_path_factory, command, name, data):
+        doc = SAMPLE_DOCS[name]
+        section = data.draw(st.sampled_from(sorted(doc)), label="section")
+        path = data.draw(st.sampled_from(_leaves(doc[section], (section,))), label="path")
+        strings = sorted({v for p in _leaves(doc) if isinstance(v := _get(doc, p), str)})
+        value = data.draw(st.sampled_from(LEAF_VALUES + strings), label="value")
+        bad = tmp_path_factory.mktemp("sweep") / "bad.json"
+        bad.write_text(_mutant(name, path, value))
+        outcome = _in_process(_argv(command, name, bad))
+        assert _allowed(outcome), outcome
+
+    def test_fixed_subset_under_python_O(self, tmp_path):
+        argvs, plain = [], []
+        for i, (name, path, value) in enumerate(OPTIMIZED_CASES):
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_text(_mutant(name, path, value))
+            for command in SWEEP_COMMANDS:
+                argvs.append(_argv(command, name, bad))
+                plain.append(_in_process(argvs[-1]))
+        assert all(map(_allowed, plain)), plain
+        assert {code for code, _ in plain} == {0, 1, 2}
+        env_path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_RUN, json.dumps(argvs)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, env_path))},
+        )
+        assert result.returncode == 0, result.stderr
+        assert [tuple(json.loads(line)) for line in result.stdout.splitlines()] == plain
+
+
+def _get(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc

@@ -894,6 +894,24 @@ class TestGermPath:
             assert (np.linalg.norm(got, axis=1) > 1e-9).tolist() == alive.tolist()
         assert "basis" not in vars(null)
 
+    @pytest.mark.parametrize("name", ["semi", "sim3"])
+    def test_germ_partition_is_grouped_once(self, name, monkeypatch):
+        # basis and contrasts read the rank groups of _Germs.ranks; once those
+        # are built, neither sorts the partition again
+        act = fixtures.sim3().action if name == "sim3" else GERM_CASES[name]()
+        germs = _germs(act)
+        cols = np.random.default_rng(43).standard_normal((len(germs.label), 2)) + 0j
+        germs.ranks
+
+        def argsort(*args, **kwargs):
+            raise AssertionError("the partition was sorted again")
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        got, basis = germs.contrasts(cols), germs.basis
+        monkeypatch.undo()
+        assert basis.tobytes() == reference_germ_basis(germs.label).tobytes()
+        assert np.allclose(got, basis @ cols, atol=1e-12, rtol=0.0)
+
     def test_rebuilt_actions_take_the_numeric_path(self, sim2, monkeypatch):
         # a paut family rebuilt as a plain Action, as in the crafted failures
         for args, _ in CRAFTED.values():

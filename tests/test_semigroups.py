@@ -1,5 +1,7 @@
 """Partial bijections, generated closures, Cayley-table validation, the
-natural order, and the regular embedding."""
+natural order, and the regular embedding, with the facts a checked table
+forces (commuting idempotents, a partial order, Wagner-Preston) proved on
+every table of size at most 3 and on random closures."""
 
 import contextlib
 import itertools
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 import fixtures
 
 from reference import (
+    embedding_consequences,
+    inverse_consequences,
     reference_assoc_witness,
     reference_check_rows,
     reference_generate_semigroup,
@@ -519,6 +523,36 @@ class TestWagnerPreston:
         got = wagner_preston_embed(sg)
         want = reference_wagner_preston(sg)
         assert [(m.carrier, m.pairs) for m in got] == [(m.carrier, m.pairs) for m in want]
+
+
+class TestForcedFacts:
+    """What ``validate_inverse``, ``natural_order`` and ``wagner_preston_embed``
+    no longer re-check at run time: commuting idempotents, a partial order,
+    and the Wagner-Preston embedding."""
+
+    def test_on_every_table_of_size_at_most_3(self):
+        # 1 + 2**4 + 3**9 = 19,700 tables, of which 29 are inverse semigroups
+        accepted = 0
+        for n in (1, 2, 3):
+            for entries in itertools.product(range(n), repeat=n * n):
+                table = np.array(entries).reshape(n, n)
+                try:
+                    validate_inverse(table)
+                except (NotAssociative, NoGeneralizedInverse, NonUniqueInverse):
+                    continue
+                accepted += 1
+                sg = InvSemigroup.from_table(table)
+                inverse_consequences(sg)
+                embedding_consequences(sg, wagner_preston_embed(sg))
+        assert accepted == 29
+
+    @settings(max_examples=40, deadline=None)
+    @given(fixtures.generator_lists)
+    def test_on_random_closures(self, gens):
+        sg = generate_semigroup(gens)
+        for semigroup in (sg, InvSemigroup.from_table(sg.table, labels=sg.labels)):
+            inverse_consequences(semigroup)
+            embedding_consequences(semigroup, wagner_preston_embed(semigroup))
 
 
 class TestHomomorphismCheck:

@@ -148,6 +148,13 @@ class TestSameCertificates:
                 levels.add(got[1].isometry_level)
         assert levels == {"exact", "sampled"}
 
+    def test_units_map_to_units(self, actions):
+        # forced for every partial automorphism that paut_validate accepts
+        for act in actions.values():
+            for phi in act.pauts:
+                paut_validate(phi)
+                reference.paut_consequences(phi)
+
     def test_ideals(self, actions):
         for act in actions.values():
             for phi in act.pauts:
@@ -271,13 +278,6 @@ class TestBlockRelabeling:
         assert _is_block_relabeling(phi, 1e-9) is False
         with pytest.raises(np.linalg.LinAlgError):
             reference._is_delta_permutation(phi, 1e-9)
-
-    def test_units_map_to_units(self, actions):
-        # forced for every partial automorphism that paut_validate accepts
-        for act in actions.values():
-            for phi in act.pauts:
-                paut_validate(phi)
-                reference.paut_consequences(phi)
 
 
 class TestStackedNorms:

@@ -138,10 +138,12 @@ def induce_action(theta: PartialSetAction) -> Action:
     algebra = function_algebra(maps[0].carrier)
     eye = np.eye(algebra.dim, dtype=complex)
     pos = {x: i for i, x in enumerate(algebra.points)}
+    # one ideal per support: the source of alpha_t is the target of alpha_t*
+    supports = {s for m in maps for s in (m.domain, m.image)}
+    ideals = {s: Ideal.from_support(algebra, s) for s in supports}
     pauts = []
     for m in maps:
-        src = Ideal.from_support(algebra, m.domain)
-        tgt = Ideal.from_support(algebra, m.image)
+        src, tgt = ideals[m.domain], ideals[m.image]
         # delta_x o theta_{t*} = delta_{theta_t(x)}, rows in the order of the domain
         pauts.append(PartialAut(src, tgt, eye[[pos[y] for _, y in m.pairs]]))
     action = Action(sg, algebra, tuple(pauts))
@@ -169,7 +171,9 @@ def _paut_stacks(action: Action) -> tuple:
 
 def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check the zero convention, unital ideals with full idempotent span,
-    and the composition law, in that order; reports every checked pair."""
+    and the composition law, in that order; reports every checked pair.
+    The action records that it passed at ``tol``: ``ell1`` then reads its
+    null ideal and quotient norm off the natural order (``ell1._germs``)."""
     sg = action.semigroup
     report = CheckReport("action axioms")
     if sg.zero is not None:
@@ -216,6 +220,7 @@ def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
         ):
             raise PA1Violation(sg.labels[t], sg.labels[sg.inv(t)], "source is not I_{t*}")
     report.add("sources", "every alpha_t starts at I_{t*}", True)
+    vars(action).setdefault("_valid", set()).add(tol)
     return report
 
 

@@ -11,9 +11,11 @@ Every product contracts one sparse structure tensor per (action, tol); that
 each summand lands in the ideal of its product element is checked once, when
 the tensor is built; that a ``NullIdeal`` is an ideal, once, when it is.
 For an action that ``induce_action`` built from a partial set action theta,
-the tensor, the order-difference ideal, the quotient and the quotient norm
-come from theta and its germ partition (``_Germs``), exactly and with no
-numerical linear algebra.
+the tensor comes from theta.  For it, and for an action that
+``validate_action`` passed whose ideal bases are distinct identity rows, the
+order-difference ideal is a partition of the section coordinates
+(``_Germs``), found with no numerical linear algebra, and the quotient norm
+is exact: one covering program with one row per class.
 """
 
 from __future__ import annotations
@@ -152,12 +154,12 @@ def structure_tensor(action: Action, tol: float = DEFAULT_TOL) -> tuple:
     ``Ideal.coords``; if one does not, ``ConvolutionEscapesIdeal`` names the
     first failing t of the first failing s, or (s, the first nonzero t) when
     I_s is off the source of alpha_{s*}.  An induced action takes its
-    tensor from theta instead (``_Germs.tensor``), with the same entries."""
+    tensor from theta instead (``_theta_tensor``), with the same entries."""
     if not hasattr(action, "_tensor"):
         action._tensor = {}
     if tol not in action._tensor:
-        germs = _germs(action)
-        tensor = _numeric_tensor(action, tol) if germs is None else germs.tensor()
+        induced = getattr(action, "_theta", None) is not None
+        tensor = _theta_tensor(action) if induced else _numeric_tensor(action, tol)
         for arr in tensor:
             arr.flags.writeable = False
         action._tensor[tol] = tensor
@@ -200,24 +202,58 @@ def _numeric_tensor(action: Action, tol: float) -> tuple:
     return tuple(map(np.concatenate, zip(*entries)))
 
 
+def _theta_rows(action: Action) -> tuple:
+    """(at, back) of an induced action, once: at[t, y] is the coordinate of
+    (t, y), else -1 (also in one padding column), and back[t, y] is
+    theta_t^-1(y), else the padding point n."""
+    if not hasattr(action, "_rows"):
+        points, maps = action.algebra.points, action._theta.maps
+        back = _inverse_rows(_pbij_rows(points, maps))
+        el, y = np.nonzero(back >= 0)  # the coordinates (t, y), in dense order
+        at = np.full((len(maps), len(points) + 1), -1, dtype=np.intp)
+        at[el, y] = np.arange(len(el))
+        action._rows = at, np.where(back >= 0, back, len(points))
+    return action._rows
+
+
+def _theta_tensor(action: Action) -> tuple:
+    """``structure_tensor`` from theta: m_(s,y) * m_(t,x) = m_(st,y) with
+    coefficient 1 when x = theta_s^-1(y) lies in the image of theta_t, in
+    the order of (s, t, y), which is that of (s, t, a, b, k)."""
+    (at, back), table = _theta_rows(action), action.semigroup.table
+    nz = np.array(action.nonzero_elements, dtype=np.intp)
+    # s has one entry per t and x in the domain of theta_s and the image of theta_t
+    held = np.append((at[nz, :-1] >= 0).sum(0), 0)
+    ends = np.cumsum(held[back[nz]].sum(1))
+    I, J, K = np.empty((3, ends[-1] if len(nz) else 0), dtype=np.intp)
+    step = max(1, 2**18 // max(1, len(nz) * back.shape[1]))
+    for lo in range(0, len(nz), step):
+        s = nz[lo : lo + step]
+        b = at[nz][:, back[s]].swapaxes(0, 1)  # (s, t, y): the coordinate of (t, x)
+        a, t, y = np.nonzero(b >= 0)
+        part = slice(ends[lo - 1] if lo else 0, ends[lo + len(s) - 1])
+        I[part], J[part], K[part] = at[s[a], y], b[a, t, y], at[table[s[a], nz[t]], y]
+    return I, J, K, np.ones(len(I), dtype=complex)
+
+
 @dataclass(eq=False)
 class _Germs:
-    """The germ partition of an action that ``induce_action`` built from
-    theta (Exel, "Inverse semigroups and combinatorial C*-algebras", 2008).
-
-    The coordinate (t, y) of the section space, y in the image of theta_t,
-    is the germ [t, x] at x = theta_t^-1(y), and [s, x] = [t, x] iff
-    s e = t e for an idempotent e whose domain holds x, iff s e_x = t e_x
-    for the least such e_x.  So (t e_x, x) keys the class of (t, y).
-    Classes are numbered in the order of their first coordinates.
+    """The partition of the section coordinates whose within-class
+    differences span N (see ``null_ideal``).  The members of a class are
+    one algebra coordinate i at several elements t, and the classes of the
+    entries of one block of the algebra make up one block class, whose
+    members (t, block) hold the whole block.  For C(X) the two coincide, and
+    for an induced action they are Exel's germs ("Inverse semigroups and
+    combinatorial C*-algebras", 2008).  Classes and block classes are
+    numbered in the order of their first coordinates.
     """
 
     action: Action
-    at: np.ndarray  # (element, point + 1): the coordinate of (t, y), else -1
-    back: np.ndarray  # (element, point): theta_t^-1(y), else the padding point
     label: np.ndarray  # the class of each coordinate
     first: np.ndarray  # the first coordinate of each class
     owner: np.ndarray  # the position in offsets of each coordinate's element
+    group: np.ndarray  # the block class of each class
+    coord: np.ndarray  # the algebra coordinate of each class
 
     @property
     def count(self) -> int:
@@ -267,47 +303,77 @@ class _Germs:
         out[self.label, np.arange(len(self.label))] = 1.0
         return out
 
-    def tensor(self) -> tuple:
-        """``structure_tensor`` from theta: m_(s,y) * m_(t,x) = m_(st,y) with
-        coefficient 1 when x = theta_s^-1(y) lies in the image of theta_t,
-        in the order of (s, t, y), which is that of (s, t, a, b, k)."""
-        at, back, table = self.at, self.back, self.action.semigroup.table
-        nz = np.array(self.action.nonzero_elements, dtype=np.intp)
-        # s has one entry per t and x in the domain of theta_s and the image of theta_t
-        held = np.append((at[nz, :-1] >= 0).sum(0), 0)
-        ends = np.cumsum(held[back[nz]].sum(1))
-        I, J, K = np.empty((3, ends[-1] if len(nz) else 0), dtype=np.intp)
-        step = max(1, 2**18 // max(1, len(nz) * back.shape[1]))
-        for lo in range(0, len(nz), step):
-            s = nz[lo : lo + step]
-            b = at[nz][:, back[s]].swapaxes(0, 1)  # (s, t, y): the coordinate of (t, x)
-            a, t, y = np.nonzero(b >= 0)
-            part = slice(ends[lo - 1] if lo else 0, ends[lo + len(s) - 1])
-            I[part], J[part], K[part] = at[s[a], y], b[a, t, y], at[table[s[a], nz[t]], y]
-        return I, J, K, np.ones(len(I), dtype=complex)
+    @cached_property
+    def hold(self) -> np.ndarray:
+        """(block class, element): 1 where the element holds a member."""
+        out = np.zeros((self.group.max(initial=-1) + 1, len(self.action.offsets)))
+        out[self.group[self.label], self.owner] = 1.0
+        return out
 
 
-def _germs(action: Action):
-    """The ``_Germs`` of an action that ``induce_action`` built, once; None
-    for any other action."""
+def _germs(action: Action, tol: float = DEFAULT_TOL):
+    """The ``_Germs`` of an action, once: from theta for an action that
+    ``induce_action`` built, and from the natural order for one that
+    ``validate_action`` passed at ``tol`` whose ideal bases are distinct
+    identity rows.  None for any other action."""
     theta = getattr(action, "_theta", None)
-    if theta is None:
+    if theta is None and tol not in getattr(action, "_valid", ()):
         return None
     if not hasattr(action, "_germ"):
-        sg, n = action.semigroup, len(action.algebra.points)
-        back = _inverse_rows(_pbij_rows(action.algebra.points, theta.maps))
-        el, y = np.nonzero(back >= 0)  # the coordinates (t, y), in dense order
-        at = np.full((len(sg), n + 1), -1, dtype=np.intp)
-        at[el, y] = np.arange(len(el))
-        idem = np.array(sg.idempotents, dtype=np.intp)
-        least = np.empty(n, dtype=np.intp)  # e_x: the product of the e with x in their domain
-        for x in range(n):
-            least[x] = reduce(lambda e, f: sg.table[e, f], idem[back[idem, x] >= 0])
-        x = back[el, y]
-        label, first = classes_by_first(sg.table[el, least[x]] * n + x)
-        owner = np.searchsorted(np.array(action.nonzero_elements), el)
-        action._germ = _Germs(action, at, np.where(back >= 0, back, n), label, first, owner)
+        action._germ = _block_germs(action) if theta is None else _theta_germs(action)
     return action._germ
+
+
+def _theta_germs(action: Action) -> _Germs:
+    """The coordinate (t, y), y in the image of theta_t, is the germ [t, x]
+    at x = theta_t^-1(y), and [s, x] = [t, x] iff s e = t e for an
+    idempotent e whose domain holds x, iff s e_x = t e_x for the least such
+    e_x.  So (t e_x, x) keys the class of (t, y)."""
+    sg, n = action.semigroup, len(action.algebra.points)
+    at, back = _theta_rows(action)
+    el, y = np.nonzero(at[:, :-1] >= 0)
+    idem = np.array(sg.idempotents, dtype=np.intp)
+    least = np.empty(n, dtype=np.intp)  # e_x: the product of the e with x in their domain
+    for x in range(n):
+        least[x] = reduce(lambda e, f: sg.table[e, f], idem[back[idem, x] < n])
+    x = back[el, y]
+    label, first = classes_by_first(sg.table[el, least[x]] * n + x)
+    owner = np.searchsorted(np.array(action.nonzero_elements), el)
+    return _Germs(action, label, first, owner, np.arange(len(first)), y[first])
+
+
+def _block_germs(action: Action):
+    """The classes of a valid action whose ideal bases are distinct identity
+    rows, else None.  The seed a delta_s - a delta_t at a = e_i is
+    e_(s,i) - e_(t,i), and I_s is a sum of whole blocks, so the classes of
+    the pairs (t, block) linked by s <= t, both holding the block, give
+    those of the coordinates (t, i).  The class of (t, b) has a least
+    member (r, b) with r <= t: r = t e for the least idempotent e whose
+    ideal holds alpha_t*(b), as alpha_t(I_t* & I_e) = I_te.  So r is the
+    element below t holding b with the fewest elements below it."""
+    sg, A = action.semigroup, action.algebra
+    dims = [action.ideal(t).dim for t in action.offsets]
+    rows = np.vstack([action.ideal(t).basis for t in action.offsets] + [np.zeros((0, A.dim))])
+    j, alg = np.nonzero(rows)
+    owner = np.repeat(np.arange(len(dims)), dims)
+    keys = np.sort(owner[j] * A.dim + alg)  # one unit vector per row, none twice in an ideal
+    if not np.array_equal(j, np.arange(len(rows))) or (rows[j, alg] != 1).any() \
+            or (keys[1:] == keys[:-1]).any():
+        return None
+    block = np.empty(A.dim, dtype=np.intp)
+    for b, idx in enumerate(A.blocks):
+        block[idx] = b
+    n, nb, el = len(sg), len(A.blocks), np.array(action.nonzero_elements)[owner]
+    holds = np.zeros((n, nb), dtype=bool)
+    holds[el, block[alg]] = True
+    s, t = np.array(sorted(sg.order), dtype=np.intp).reshape(-1, 2).T
+    pair, b = np.nonzero(holds[s])
+    below = np.bincount(t, minlength=n)  # the elements below each element
+    least = np.full(n * nb, np.iinfo(np.intp).max)  # per (t, b): fewest below, then least index
+    np.minimum.at(least, t[pair] * nb + b, below[s[pair]] * n + s[pair])
+    group_key = least[el * nb + block[alg]] % n * nb + block[alg]
+    label, first = classes_by_first(group_key * A.dim + alg)
+    return _Germs(action, label, first, owner, classes_by_first(group_key)[0][first], alg[first])
 
 
 def convolve(f: Ell1Element, g: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1Element:
@@ -393,8 +459,8 @@ class NullIdeal:
 
     From ``rows``, ``basis`` is their orthonormal span and ``comp`` that of
     its complement, and the span is checked at ``tol`` to be closed under
-    the monomials (else ``NotAnIdeal``).  From ``germs``, an induced
-    action's own N (exact, see ``null_ideal``), ``basis`` is the class
+    the monomials (else ``NotAnIdeal``).  From ``germs``, an action's own
+    N as a partition (exact, see ``null_ideal``), ``basis`` is the class
     contrasts, built on first use.  ``basis`` is read-only either way.
     """
 
@@ -424,17 +490,9 @@ class NullIdeal:
 
     @cached_property
     def program(self):
-        """The ``_SectionProgram`` or ``_GermProgram`` of the quotient norm,
-        kept with its last optimal basis; None when N is zero."""
-        if self.dim == 0:
-            return None
-        if self.germs is None:
-            return _dual_program(self.action, self.basis)
-        n_el, g = len(self.action.offsets), self.germs
-        hold = np.zeros((n_el, g.count))
-        hold[g.owner, g.label] = 1.0
-        return _GermProgram(g, hold, np.eye(n_el), np.ones(n_el),
-                            _PERTURB * (1 + np.random.default_rng(0).random(n_el)))
+        """The ``_SectionProgram`` of the quotient norm of rows, kept with
+        its last optimal basis."""
+        return _dual_program(self.action, self.basis)
 
 
 def _resolve(action: Action, null, tol: float) -> NullIdeal:
@@ -502,19 +560,22 @@ def null_ideal(action: Action, tol: float = DEFAULT_TOL) -> NullIdeal:
     span to be closed under the monomials (else ``NotAnIdeal``, as when PA1
     fails).
 
-    For an action induced by theta, the seeds at a = delta_y are the
-    differences e_(s,y) - e_(t,y), s <= t, of coordinates with equal germs,
-    and every two coordinates with equal germs [s, x] = [t, x] are linked
-    through e_(r,y), r = s e_x = t e_x <= s, t.  So N is the span of the
-    differences within the classes of ``_Germs``: it is kept as that
-    partition, of dimension D less the number of classes, and its basis is
-    the class contrasts.  No seed, SVD or closure check is needed: theta
-    was certified exactly when the action was built.
+    N depends only on the ideals and the natural order.  When every ideal
+    basis is distinct identity rows, the seeds at a = e_i are differences
+    e_(s,i) - e_(t,i) of coordinates, so N is the span of the differences
+    within the classes of the relation they generate (``_Germs``).  It is
+    kept as that partition, of dimension D less the number of classes, and
+    its basis is the class contrasts.  For an action induced by theta the
+    classes are the germs: every two coordinates with equal germs
+    [s, x] = [t, x] are linked through e_(r,y), r = s e_x = t e_x <= s, t.
+    No seed, SVD or closure check is needed when the action is certified:
+    induced actions by theta, when they are built, and any other action
+    once ``validate_action`` has passed at ``tol``.
     """
     if not hasattr(action, "_null"):
         action._null = {}
     if tol not in action._null:
-        germs = _germs(action)
+        germs = _germs(action, tol)
         rows = _order_differences(action, tol) if germs is None else None
         action._null[tol] = NullIdeal(action, rows, tol, germs)
     return action._null[tol]
@@ -589,36 +650,119 @@ def quotient_ell1_norm(f: Ell1Element, null, tol: float = DEFAULT_TOL) -> float:
     """inf over the coset f + N of the section norm, via a linear program;
     N is a ``NullIdeal`` or rows as ``_resolve`` takes them.
 
-    Complex moduli are modeled by a 64-facet polygon, so the result can
-    undershoot the exact infimum by at most a factor cos(pi/64), a relative
-    error below 0.2 percent.  Supported for algebras whose block norms are
+    When N is an action's own ``null_ideal`` kept as a partition (an induced
+    action, or one that ``validate_action`` passed with ideal bases of
+    distinct identity rows), the answer is exact for every block norm rho,
+    p = 1, 2 and inf alike.  Each class of ``_Germs`` keeps one entry of one
+    block, so a block class C (members (t, b)) has a class total c_C, a
+    matrix on block b, and the coset f + N is the set of sections w whose
+    blocks w_(t,b) add up to c_C over every C.  The norm is the optimum of
+    the covering program (``_cover``): minimize the sum of m_t >= 0 subject
+    to rho(c_C) <= the sum of m_t over the t holding C, for every C.  A
+    section w of the coset with m_t = ||w_t|| is feasible, as
+    rho(c_C) <= the sum over C of rho(w_(t,b)) <= the sum of m_t over the t
+    holding C: rho is subadditive, rho(w_(t,b)) <= ||w_t||, and each t holds
+    at most one member of C.
+    Conversely, for a feasible m the split w_(t,b) = c_C m_t / M_C, with M_C
+    the sum of m_t over the t holding C, lies in the coset and has
+    ||w_t|| = the largest over its blocks of m_t rho(c_C) / M_C <= m_t, as
+    rho is positively homogeneous (if M_C = 0, then rho(c_C) <= 0 and
+    c_C = 0).  The answer is certified before it is returned: hi, the exact
+    section norm of that split (or of f itself, when that is no higher up to
+    rounding), is within tol * max(1, hi) of lo = the sum of y_C rho(c_C)
+    for the program's dual point y, scaled down until the sum of y_C over
+    the C that each t holds is at most 1; lo is then no more than the norm
+    of any section of the coset.  Else ``QuotientNormLPFailed``.
+
+    Any other N takes the section program over the null rows, where complex
+    moduli are modeled by a 64-facet polygon, so the result can undershoot
+    the exact infimum by at most a factor cos(pi/64), a relative error below
+    0.2 percent.  It supports algebras whose block norms are
     max-of-absolute-sums (all 1x1 blocks, and larger blocks with p in
-    {1, inf}); operator-2-norm blocks of size > 1 have no LP model and raise
-    ``QuotientNormNotLP``.  The dual of the program is solved by the simplex
-    method of ``_dual_simplex``, and its answer is certified before it is
-    returned: the polygon-model norm hi of a point of the coset that the
-    optimal multipliers give (or of f itself, when that is no higher up to
+    {1, inf}); operator-2-norm blocks of size > 1 have no LP model there and
+    raise ``QuotientNormNotLP``.  The dual of that program is solved by the
+    simplex method of ``_dual_simplex``, and its answer is certified: the
+    polygon-model norm hi of a point of the coset that the optimal
+    multipliers give (or of f itself, when that is no higher up to
     rounding) is within tol * max(1, hi) of the dual value lo of a basis
     with lambda >= -tol, else ``QuotientNormLPFailed``.
-
-    For an induced action's own ``null_ideal`` the program has
-    one coordinate per germ class C instead of one per section coordinate
-    (``_GermProgram``): minimize the sum of m_t subject to
-    rho(c_C) <= sum of m_t over the t holding C, with rho the polygon model
-    of the modulus and c_C the class total of f.  Both programs have the
-    same optimum.  The coset f + N is the set of sections w with class
-    totals c_C, and a feasible (w, m) of the section program has
-    rho(c_C) <= sum over j in C of rho(w_j) <= sum of m_t over the t holding
-    C, since rho is subadditive and each t holds at most one coordinate of
-    C.  Conversely, for a feasible m the split w_j = c_C m_t / M_C, with
-    M_C the sum of m_t over C and t the element of j, has class totals c_C,
-    and rho(w_j) = m_t rho(c_C) / M_C <= m_t, as rho is positively
-    homogeneous (if M_C = 0, then rho(c_C) <= 0 and c_C = 0).
     """
-    lp = _resolve(f.action, null, tol).program
-    if lp is None:
+    null = _resolve(f.action, null, tol)
+    if null.dim == 0:
         return ell1_norm(f)
-    return _dual_simplex(lp, f.to_dense(), tol)
+    if null.germs is not None:
+        return _class_norm(null.germs, f.to_dense(), tol)
+    return _dual_simplex(null.program, f.to_dense(), tol)
+
+
+def _class_norm(germs: _Germs, dense: np.ndarray, tol: float) -> float:
+    """The certified optimum of the covering program at the dense section f
+    (see ``quotient_ell1_norm``)."""
+    act, label = germs.action, germs.label
+    total = germs.projection @ dense  # the class totals
+    cells = np.zeros((len(germs.hold), act.algebra.dim), dtype=complex)
+    cells[germs.group, germs.coord] = total  # each c_C on its block
+    rho = np.atleast_1d(act.algebra.norm(cells))
+    m, y = _cover(germs.hold, rho)
+    held = (germs.hold @ m)[germs.group[label]]  # M_C at each coordinate
+    first = np.zeros(len(label))
+    first[germs.first] = 1.0
+    split = total[label] * np.divide(m[germs.owner], held, out=first, where=held > 0)
+    at_zero, at_opt = ell1_norms(act, np.stack([dense, split]))
+    # f wins a tie within the rounding of the norm: it is read without the
+    # rounding of the split
+    hi = float(at_zero if at_zero <= at_opt * (1 + 4 * np.finfo(float).eps) else at_opt)
+    y = np.maximum(y, 0.0)
+    lo = float(rho @ y) / max(1.0, (y @ germs.hold).max())
+    if hi - lo > tol * max(1.0, hi):
+        raise QuotientNormLPFailed(4, f"no certified optimum: [lo, hi] = [{lo}, {hi}]")
+    return hi
+
+
+def _cover(hold: np.ndarray, rho: np.ndarray) -> tuple:
+    """An optimal m of: minimize the sum of m >= 0 subject to hold @ m >= rho,
+    and the dual point y, by a dual simplex on the tableau.
+
+    With a surplus s_C per row, hold @ m - s = rho, the all-surplus basis
+    is dual feasible, because every cost is 1, and primal feasible only at
+    rho = 0.  Each pivot takes out the row of the most negative basic value
+    and brings in the column of the least ratio of reduced cost to the
+    modulus of its negative entry there (of ties within _FEAS_TOL, the
+    largest entry), which keeps every reduced cost nonnegative.  Once more
+    pivots in a row than there are rows leave the dual objective where it
+    was, both choices fall to the least index (Bland's rule), which cannot
+    cycle.  y is the reduced costs of the surpluses."""
+    n_rows, n_el = hold.shape
+    # the rows over the basis -I with the basic values last, then the reduced costs
+    tab = np.zeros((n_rows + 1, n_el + n_rows + 1))
+    tab[:-1, :n_el], tab[:-1, n_el:-1], tab[:-1, -1], tab[-1, :n_el] = -hold, np.eye(n_rows), -rho, 1
+    x, d, basis = tab[:-1, -1], tab[-1, :-1], n_el + np.arange(n_rows)  # views of tab
+    eps = _OPT_TOL * max(1.0, rho.max(initial=0.0))
+    stalled = 0
+    for _ in range(_MAX_PIVOTS):
+        low = np.flatnonzero(x < -eps)
+        if not len(low):
+            break
+        bland = stalled > n_rows
+        r = low[np.argmin(basis[low])] if bland else np.argmin(x)
+        on = np.flatnonzero(tab[r, :-1] < -_PIVOT_TOL)
+        if not len(on):
+            raise QuotientNormLPFailed(3, "the dual program is unbounded")
+        ratio = d[on] / -tab[r, on]
+        tied = on[ratio <= ratio.min() + _FEAS_TOL]
+        q = tied[0] if bland else tied[np.argmin(tab[r, tied])]
+        stalled = stalled + 1 if d[q] <= _FEAS_TOL else 0
+        tab[r] /= tab[r, q]
+        col = tab[:, q].copy()
+        col[r] = 0.0
+        tab -= np.outer(col, tab[r])
+        basis[r] = q
+    else:
+        raise QuotientNormLPFailed(1, f"no optimum within {_MAX_PIVOTS} pivots")
+    m = np.zeros(n_el)
+    on = basis < n_el
+    m[basis[on]] = np.maximum(x[on], 0.0)
+    return m, d[n_el:].copy()
 
 
 # facet i of the 64-gon |w| <= bound reads cos(theta_i) Re w + sin(theta_i) Im w <= bound
@@ -637,26 +781,43 @@ def _nearest_facet(w: np.ndarray) -> tuple:
     return i, _COS[i] * w.real + _SIN[i] * w.imag
 
 
-class _DualProgram:
-    """The part of a dual quotient-norm program that f does not enter.
+@dataclass(eq=False)
+class _SectionProgram:
+    """The dual of the quotient-norm program over the section coordinates
+    and the null rows, less the part that f enters.
 
     The primal minimizes the sum of m_t over z in C^k, subject to
     cos(theta_i) Re w_j + sin(theta_i) Im w_j <= the sum of the bounds that
-    ``hold`` coordinate j, for every facet i at every coordinate j of the
-    program, w_j = f_j + g_j . z.  The dual has one row per primal variable,
-    z rows first (equalities with right-hand side 0), with ``rhs`` its
-    right-hand side.  Its columns are the facets, never stored (``columns``
-    builds those a basis needs; facet i of coordinate j has id
-    N_FACETS j + i), and then the ``explicit`` ones, the last 2k of them an
-    artificial per z row.  A program also holds ``delta``, the perturbation
-    of the basic solution, and ``basis``, the column ids of its last optimal
-    basis.  Its ``values`` are the coordinate values of dense sections, and
-    its ``coset_norms`` certify an answer.
+    ``hold`` coordinate j, for every facet i at every coordinate j,
+    w_j = f_j + g_j . z.  At every coordinate j of an ideal, the bound is
+    m_t for a coordinate of a 1x1 block of element t, else its own u_j, and
+    each line of a larger block (columns for p = 1, rows for p = inf)
+    bounds the sum of its u by m_t.  The dual has one row per primal
+    variable: Re z, Im z (equalities with right-hand side 0), then m_t
+    (<= 1) and u_j (<= 0), with ``rhs`` its right-hand side.  Its columns
+    are the facets, never stored (``columns`` builds those a basis needs;
+    facet i of coordinate j has id N_FACETS j + i), and then the
+    ``explicit`` ones: the lines, a slack per m and u row, and an artificial
+    per z row.  ``delta`` is the perturbation of the basic solution, and
+    ``basis`` the column ids of the last optimal basis.  ``values`` are the
+    coordinate values of dense sections, and ``coset_norms`` certify an
+    answer.
     """
+
+    action: Action
+    null: np.ndarray  # (k, D) orthonormal rows
+    el: np.ndarray  # the element (position in offsets) of each coordinate
+    coord: np.ndarray  # and its algebra coordinate
+    bound: np.ndarray  # the row of each coordinate's bound
+    explicit: np.ndarray  # (row, column) the explicit columns
+    norm_lines: np.ndarray  # (line, algebra coordinate): the lines of every block
+    rhs: np.ndarray
+    delta: np.ndarray
+    basis: np.ndarray | None = None
 
     @property
     def k(self) -> int:
-        return self.g.shape[2] // 2
+        return len(self.null)
 
     @property
     def n_rows(self) -> int:
@@ -664,7 +825,19 @@ class _DualProgram:
 
     @property
     def n_facets(self) -> int:
-        return self.hold.shape[1] * N_FACETS
+        return len(self.bound) * N_FACETS
+
+    @cached_property
+    def hold(self) -> np.ndarray:
+        return np.eye(self.n_rows)[:, self.bound]
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """(2, coordinate, 2k): the z rows of facets 0 and N_FACETS/4.  As
+        one (2 coordinate, 2k) matrix it maps (Re z, Im z) to (Re, Im) of
+        the null rows' value N_j . z at each coordinate."""
+        nv = self.values(self.null)
+        return np.stack([np.hstack([nv.real, -nv.imag]), np.hstack([nv.imag, nv.real])])
 
     def columns(self, ids) -> np.ndarray:
         """(row, id) the columns of the ids.  The z rows of a facet are
@@ -696,42 +869,6 @@ class _DualProgram:
         col[: 2 * self.k] = _COS[i] * self.g[0, j] + _SIN[i] * self.g[1, j]
         return col, _COS[i] * fv[j].real + _SIN[i] * fv[j].imag
 
-
-@dataclass(eq=False)
-class _SectionProgram(_DualProgram):
-    """The program over the section coordinates and the null rows.
-
-    At every coordinate j of an ideal, the bound is m_t for a coordinate of
-    a 1x1 block of element t, else its own u_j, and each line of a larger
-    block (columns for p = 1, rows for p = inf) bounds the sum of its u by
-    m_t.  The dual rows are Re z, Im z, then m_t (<= 1) and u_j (<= 0); the
-    explicit columns are the lines, a slack per m and u row, then the
-    artificials.
-    """
-
-    action: Action
-    null: np.ndarray  # (k, D) orthonormal rows
-    el: np.ndarray  # the element (position in offsets) of each coordinate
-    coord: np.ndarray  # and its algebra coordinate
-    bound: np.ndarray  # the row of each coordinate's bound
-    explicit: np.ndarray  # (row, column) the explicit columns
-    norm_lines: np.ndarray  # (line, algebra coordinate): the lines of every block
-    rhs: np.ndarray
-    delta: np.ndarray
-    basis: np.ndarray | None = None
-
-    @cached_property
-    def hold(self) -> np.ndarray:
-        return np.eye(self.n_rows)[:, self.bound]
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """(2, coordinate, 2k): the z rows of facets 0 and N_FACETS/4.  As
-        one (2 coordinate, 2k) matrix it maps (Re z, Im z) to (Re, Im) of
-        the null rows' value N_j . z at each coordinate."""
-        nv = self.values(self.null)
-        return np.stack([np.hstack([nv.real, -nv.imag]), np.hstack([nv.imag, nv.real])])
-
     def values(self, rows: np.ndarray) -> np.ndarray:
         """(coordinate, row) values of dense sections (row, D)."""
         act = self.action
@@ -745,49 +882,10 @@ class _SectionProgram(_DualProgram):
         rho[self.el, self.coord] = _nearest_facet(w)[1]
         return float((rho @ self.norm_lines.T).max(1).sum())
 
-    def coset_norms(self, dense: np.ndarray, fv: np.ndarray, pi: np.ndarray) -> tuple:
+    def coset_norms(self, fv: np.ndarray, pi: np.ndarray) -> tuple:
         """The polygon-model norms of f and of f + z N, z = -(pi_Re + i pi_Im)."""
         z = pi[: 2 * self.k]
         return self.model_norm(fv), self.model_norm(fv - (self.g[0] @ z + 1j * (self.g[1] @ z)))
-
-
-@dataclass(eq=False)
-class _GermProgram(_DualProgram):
-    """The program over the germ classes of an induced action (see
-    ``quotient_ell1_norm``): no z and no u, so the dual rows are the m_t
-    (<= 1), ``hold`` marks the elements holding each class, and the
-    explicit columns are the slacks."""
-
-    germs: _Germs
-    hold: np.ndarray  # (element, class)
-    explicit: np.ndarray
-    rhs: np.ndarray
-    delta: np.ndarray
-    basis: np.ndarray | None = None
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        return np.zeros((2, self.hold.shape[1], 0))
-
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        """(class, row) class totals of dense sections (row, D)."""
-        return self.germs.projection @ rows.T
-
-    def model_norm(self, w: np.ndarray) -> float:
-        """The polygon-model section norm at section coordinate values w."""
-        starts = list(self.germs.action.offsets.values())
-        return float(np.maximum.reduceat(_nearest_facet(w)[1], starts).sum())
-
-    def coset_norms(self, dense: np.ndarray, fv: np.ndarray, pi: np.ndarray) -> tuple:
-        """The polygon-model norms of f and of its split at m = pi: each
-        class total c_C spread over the coordinates of C in proportion to
-        their m_t (all on the first coordinate when the m_t add up to 0)."""
-        label, owner = self.germs.label, self.germs.owner
-        held = (pi @ self.hold)[label]
-        first = np.zeros(len(label))
-        first[self.germs.first] = 1.0
-        share = np.divide(pi[owner], held, out=first, where=held > 0)
-        return self.model_norm(dense), self.model_norm(fv[label] * share)
 
 
 def _dual_program(action: Action, null: np.ndarray) -> _SectionProgram:
@@ -833,7 +931,7 @@ def _pivot(binv: np.ndarray, a: np.ndarray, r: int) -> None:
     binv[r] = row
 
 
-def _crash(lp: _DualProgram) -> np.ndarray:
+def _crash(lp: _SectionProgram) -> np.ndarray:
     """A first feasible basis: the slacks and artificials (lambda = 0), with
     each artificial swapped out at level 0 for facet 0 or N_FACETS/4 of a
     coordinate, the largest pivot first."""
@@ -854,10 +952,10 @@ def _crash(lp: _DualProgram) -> np.ndarray:
     return basis
 
 
-def _dual_simplex(lp: _DualProgram, dense: np.ndarray, tol: float) -> float:
+def _dual_simplex(lp: _SectionProgram, dense: np.ndarray, tol: float) -> float:
     """The optimum of the quotient-norm program at the dense section f.
 
-    A revised simplex on the dual of ``_DualProgram``, from the last optimal
+    A revised simplex on the ``_SectionProgram``, from the last optimal
     basis or else from ``_crash``.  The simplex multipliers pi are the
     primal variables, z = -(pi_Re + i pi_Im), so the best of the 64 facet
     columns of coordinate j has reduced cost rho(w_j) less pi at the bounds
@@ -922,9 +1020,9 @@ def _dual_simplex(lp: _DualProgram, dense: np.ndarray, tol: float) -> float:
     binv = _inverse(lp.columns(basis))
     lam, pi = binv @ rhs, cb @ binv
     lo = float(cb @ lam)
-    at_zero, at_opt = lp.coset_norms(dense, fv, pi)
+    at_zero, at_opt = lp.coset_norms(fv, pi)
     # f wins a tie within the rounding of the norm: it is read without the
-    # rounding of the null rows or of the split
+    # rounding of the null rows
     hi = at_zero if at_zero <= at_opt * (1 + 4 * np.finfo(float).eps) else at_opt
     if lam.min() < -tol or hi - lo > tol * max(1.0, hi):
         raise QuotientNormLPFailed(

@@ -17,6 +17,7 @@ from .errors import (
     NonUniqueInverse,
     NotAHomomorphism,
     NotAssociative,
+    SchemaError,
     SizeCapExceeded,
     ZeroNotAbsorbing,
 )
@@ -178,6 +179,8 @@ class InvSemigroup:
         """
         table = np.asarray(table, dtype=int)
         n = table.shape[0]
+        if labels is not None and (len(labels) != n or len(set(labels)) != n):
+            raise SchemaError(f"labels: expected {n} distinct names, got {list(labels)}")
         found = validate_inverse(table)
         if star is not None and not np.array_equal(np.asarray(star, dtype=int), found):
             raise NonUniqueInverse("<supplied star>", [tuple(star), tuple(found)])

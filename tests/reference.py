@@ -54,11 +54,17 @@ now extends orthonormal rows by one residual per choice.
 ``reference_germ_classes`` is a union-find over partial bijections given as
 frozensets of pairs: the germ partition of an induced action's section
 coordinates, computed without semicross, as the oracle of ``ell1._Germs``.
+``reference_block_classes`` is a union-find over the pairs (t, block) of
+an action whose ideal bases are identity rows, linked by the natural order
+pair by pair: the block classes of ``ell1._block_germs``.
 ``reference_germ_basis`` builds the class contrasts of that partition
 through (D, D) masks, as ``_Germs.basis`` did before it built them one
-class at a time.  ``reference_germ_quotient_norm`` writes the per-germ quotient-norm program
-out over those classes and solves it by HiGHS, where the section program
-is too large for the reference (sim4).
+class at a time.  ``reference_germ_quotient_norm`` writes the exact
+quotient-norm program, one covering row per class with the block norm of
+the class total on its right-hand side, out over the classes of either
+union-find and solves it by HiGHS.  ``reference_sim_quotient_norm`` is its
+closed form for the full symmetric inverse monoid: the largest row or
+column sum of the moduli of the class totals.
 
 ``reference_ideal_witness`` runs the ideal check of ``ell1._ideal_witness``
 with one (q, rows) product per spanning monomial and side, in index
@@ -331,34 +337,88 @@ def reference_germ_basis(label: np.ndarray) -> np.ndarray:
     return (rows / np.sqrt(rank * (rank + 1.0))[rank > 0, None]).astype(complex)
 
 
-def reference_germ_quotient_norm(f: Ell1Element, elements) -> float:
-    """The quotient norm of f over an induced action of the maps ``elements``
-    (as for ``reference_germ_classes``) as the per-germ program of
-    ``quotient_ell1_norm``, written out from the union-find's classes and
-    solved by HiGHS as ``reference_quotient_norm`` is: minimize the sum of
-    m_t >= 0 subject to, at each class C and facet i, the sum of m_t over
-    the t holding C >= cos(theta_i) Re c_C + sin(theta_i) Im c_C, with c_C
-    the class total of f.  (With every class a single coordinate this is the
-    polygon model of the norm, where ``quotient_ell1_norm`` returns the norm.)"""
+def reference_block_classes(action) -> dict:
+    """The block class of each pair (t, b) with the block b inside I_t, as a
+    representative, for an action whose ideal bases are identity rows: a
+    union-find that links (s, b) and (t, b) for every s <= t in the
+    natural order and every block b of I_s, one pair at a time."""
+    A = action.algebra
+    block = {int(i): b for b, idx in enumerate(A.blocks) for i in idx.flat}
+    held = {t: {block[int(np.flatnonzero(row)[0])] for row in action.ideal(t).basis}
+            for t in range(len(action.semigroup))}
+    parent = {(t, b): (t, b) for t, bs in held.items() for b in bs}
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for s, t in sorted(action.semigroup.order):
+        for b in held[s]:
+            parent[find((s, b))] = find((t, b))
+    return {u: find(u) for u in parent}
+
+
+def reference_germ_quotient_norm(f: Ell1Element, elements=None) -> float:
+    """The exact quotient norm of f over its action's own N, as the covering
+    program of ``quotient_ell1_norm`` written out and solved by HiGHS:
+    minimize the sum of m_t >= 0 subject to, at each block class C, the sum
+    of m_t over the t holding C >= the p-operator norm (``np.linalg.norm``)
+    of the class total c_C, a matrix on C's block.  The classes are those of
+    ``reference_germ_classes(elements)`` for an induced action of the maps
+    ``elements``, else those of ``reference_block_classes``.  The program is
+    solved with its right-hand side divided by the norm of f."""
     from scipy.optimize import linprog
 
+    act, A = f.action, f.action.algebra
     scale = ell1_norm(f)
     if not scale:
         return 0.0
-    points = f.action.algebra.points
-    classes = reference_germ_classes(elements)
-    index = {r: i for i, r in enumerate(sorted(set(classes.values())))}
-    total = np.zeros(len(index), dtype=complex)
-    hold = np.zeros((len(index), len(elements)))
-    for (t, y), r in classes.items():
-        total[index[r]] += f.value(t)[points.index(y)] / scale
-        hold[index[r], t] = 1.0
-    theta = 2.0 * np.pi * np.arange(N_FACETS) / N_FACETS
-    facets = np.cos(theta) * total.real[:, None] + np.sin(theta) * total.imag[:, None]
+    if elements is not None:
+        germs = reference_germ_classes(elements)
+        key = lambda t, b, i: germs[t, A.points[i]]
+    else:
+        blocks = reference_block_classes(act)
+        key = lambda t, b, i: blocks[t, b]
+    index, totals, holders = {}, [], []
+    for t in act.offsets:
+        for row, c in zip(act.ideal(t).basis, f.coeffs.get(t, np.zeros(act.ideal(t).dim))):
+            i = int(np.flatnonzero(row)[0])
+            b = next(b for b, idx in enumerate(A.blocks) if i in idx)
+            C = index.setdefault(key(t, b, i), len(index))
+            if C == len(totals):
+                totals.append(np.zeros(A.blocks[b].shape, dtype=complex))
+                holders.append(set())
+            totals[C][tuple(np.argwhere(A.blocks[b] == i)[0])] += c / scale
+            holders[C].add(t)
+    rho = [np.linalg.norm(c, ord=A.p) for c in totals]
+    hold = np.zeros((len(totals), len(act.semigroup)))
+    for C, ts in enumerate(holders):
+        hold[C, sorted(ts)] = 1.0
     tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(c=np.ones(len(elements)), A_ub=-np.repeat(hold, N_FACETS, axis=0),
-                  b_ub=-facets.ravel(), bounds=(0, None), method="highs-ipm", options=tight)
+    res = linprog(c=np.ones(hold.shape[1]), A_ub=-hold, b_ub=-np.array(rho), bounds=(0, None),
+                  method="highs", options=tight)
     return scale * res.fun
+
+
+def reference_sim_quotient_norm(f: Ell1Element) -> float:
+    """The quotient norm of f over the action of the full symmetric inverse
+    monoid sim_n induced on its n points, in closed form.  The germ of
+    (t, y) is the pair (y, x), x = theta_t^-1(y), since the least idempotent
+    holding x is id{x}, and every partial bijection is an element.  So the
+    class totals c_(y,x) form an n x n matrix and a cover is a nonnegative
+    combination of partial permutation matrices that dominates |c|: its
+    least total weight is the largest row or column sum of |c|, by
+    Birkhoff and von Neumann for doubly substochastic matrices."""
+    act = f.action
+    pos = {x: i for i, x in enumerate(act.algebra.points)}
+    totals = np.zeros((len(pos), len(pos)), dtype=complex)
+    for t in act.offsets:
+        value = f.value(t)
+        for x, y in act._theta.maps[t].pairs:
+            totals[pos[y], pos[x]] += value[pos[y]]
+    moduli = np.abs(totals)
+    return float(max(moduli.sum(0).max(), moduli.sum(1).max()))
 
 
 def reference_from_support(parent, points) -> Ideal:

@@ -301,6 +301,25 @@ class TestInduce:
             action = induce_action(PartialSetAction.tautological(sg))
             assert validate_action(action).passed
 
+    @pytest.mark.parametrize("name", ["flip", "semi", "sim2", "z2", "sim3"])
+    def test_one_ideal_per_support(self, name, monkeypatch):
+        # the source of alpha_t is the target of alpha_t*, and both are the one
+        # ideal of their support, built once and as the reference builds it
+        theta = getattr(fixtures, name)().theta
+        built = []
+        real = Ideal.from_support.__func__
+        monkeypatch.setattr(Ideal, "from_support", classmethod(
+            lambda cls, parent, points: (built.append(points), real(cls, parent, points))[1]))
+        act = induce_action(theta)
+        supports = {s for m in theta.maps for s in (m.domain, m.image)}
+        assert sorted(map(sorted, built)) == sorted(map(sorted, supports))
+        sg = act.semigroup
+        for t, m in enumerate(theta.maps):
+            assert act.paut(t).source is act.ideal(sg.inv(t))
+            want = reference.reference_from_support(act.algebra, m.image)
+            for a, b in ((act.ideal(t).basis, want.basis), (act.ideal(t).unit, want.unit)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_homomorphism_property_is_checked(self, flip):
         maps = list(flip.theta.maps)
         sg = flip.semigroup

@@ -494,6 +494,27 @@ class TestStarLaws:
 
 
 class TestWagnerPreston:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_labels_must_be_n_distinct_names(self, flags):
+        # duplicate labels once gave wagner_preston_embed two copies of a -> a
+        code = (
+            "from semicross.errors import CheckError\n"
+            "from semicross.semigroups import InvSemigroup, wagner_preston_embed\n"
+            "for labels in (['a', 'a'], ['a'], ['a', 'b', 'c']):\n"
+            "    try:\n"
+            "        wagner_preston_embed(InvSemigroup.from_table([[0, 1], [1, 0]], labels=labels))\n"
+            "    except CheckError as err:\n"
+            "        print(err.code)\n"
+            "print(len(InvSemigroup.from_table([[0, 1], [1, 0]], labels=['a', 'b'])))\n"
+        )
+        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["SchemaError"] * 3 + ["2"]
+
     def test_flip_roundtrip(self):
         sg = generate_semigroup([T])
         image = wagner_preston_embed(sg)

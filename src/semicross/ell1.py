@@ -20,6 +20,7 @@ is exact: one covering program with one row per class.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -248,7 +249,6 @@ class _Germs:
     numbered in the order of their first coordinates.
     """
 
-    action: Action
     label: np.ndarray  # the class of each coordinate
     first: np.ndarray  # the first coordinate of each class
     owner: np.ndarray  # the position in offsets of each coordinate's element
@@ -306,7 +306,7 @@ class _Germs:
     @cached_property
     def hold(self) -> np.ndarray:
         """(block class, element): 1 where the element holds a member."""
-        out = np.zeros((self.group.max(initial=-1) + 1, len(self.action.offsets)))
+        out = np.zeros((self.group.max(initial=-1) + 1, self.owner[-1] + 1))
         out[self.group[self.label], self.owner] = 1.0
         return out
 
@@ -339,7 +339,7 @@ def _theta_germs(action: Action) -> _Germs:
     x = back[el, y]
     label, first = classes_by_first(sg.table[el, least[x]] * n + x)
     owner = np.searchsorted(np.array(action.nonzero_elements), el)
-    return _Germs(action, label, first, owner, np.arange(len(first)), y[first])
+    return _Germs(label, first, owner, np.arange(len(first)), y[first])
 
 
 def _block_germs(action: Action):
@@ -373,7 +373,7 @@ def _block_germs(action: Action):
     np.minimum.at(least, t[pair] * nb + b, below[s[pair]] * n + s[pair])
     group_key = least[el * nb + block[alg]] % n * nb + block[alg]
     label, first = classes_by_first(group_key * A.dim + alg)
-    return _Germs(action, label, first, owner, classes_by_first(group_key)[0][first], alg[first])
+    return _Germs(label, first, owner, classes_by_first(group_key)[0][first], alg[first])
 
 
 def convolve(f: Ell1Element, g: Ell1Element, tol: float = DEFAULT_TOL) -> Ell1Element:
@@ -462,16 +462,24 @@ class NullIdeal:
     the monomials (else ``NotAnIdeal``).  From ``germs``, an action's own
     N as a partition (exact, see ``null_ideal``), ``basis`` is the class
     contrasts, built on first use.  ``basis`` is read-only either way.
+    The action is held by a weak reference: ``null_ideal`` memoizes the
+    object on the action, and a strong one would make a cycle that only
+    the garbage collector frees, so the action's tensor and ideals would
+    outlive it.
     """
 
     def __init__(self, action: Action, rows=None, tol: float = DEFAULT_TOL, germs=None):
-        self.action, self.tol, self.germs = action, tol, germs
+        self._action, self.tol, self.germs = weakref.ref(action), tol, germs
         if germs is None:
             self.basis = orth_rows(rows, tol)
             self.comp = null_rows(self.basis, tol)
             if witness := _ideal_witness(action, self.basis, self.comp, tol):
                 raise NotAnIdeal(witness)
             self.basis.flags.writeable = False
+
+    @property
+    def action(self) -> Action | None:
+        return self._action()
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -691,14 +699,14 @@ def quotient_ell1_norm(f: Ell1Element, null, tol: float = DEFAULT_TOL) -> float:
     if null.dim == 0:
         return ell1_norm(f)
     if null.germs is not None:
-        return _class_norm(null.germs, f.to_dense(), tol)
+        return _class_norm(f.action, null.germs, f.to_dense(), tol)
     return _dual_simplex(null.program, f.to_dense(), tol)
 
 
-def _class_norm(germs: _Germs, dense: np.ndarray, tol: float) -> float:
+def _class_norm(act: Action, germs: _Germs, dense: np.ndarray, tol: float) -> float:
     """The certified optimum of the covering program at the dense section f
     (see ``quotient_ell1_norm``)."""
-    act, label = germs.action, germs.label
+    label = germs.label
     total = germs.projection @ dense  # the class totals
     cells = np.zeros((len(germs.hold), act.algebra.dim), dtype=complex)
     cells[germs.group, germs.coord] = total  # each c_C on its block

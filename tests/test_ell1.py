@@ -3,11 +3,13 @@ order-difference ideal and quotients, and the class path of induced and
 validated actions (exact quotient norms) against the numeric path of the
 same maps."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from math import comb, factorial
 from pathlib import Path
 
@@ -1019,6 +1021,25 @@ class TestGermPath:
         null = null_ideal(validated.action)
         assert null.germs is not None and null.dim == 4
         assert quotient_ell1_norm(validated.elements["a"], null) == 1.0
+
+    @pytest.mark.parametrize("name", ["sim2", "matrix swap_e3"])
+    def test_an_action_is_freed_without_the_garbage_collector(self, name):
+        # the action memoizes its null ideal, which holds the action weakly:
+        # no cycle keeps the action's tensor and ideals alive after its last
+        # reference goes, until a collection
+        act = TENSOR_CASES[name]()
+        if name.startswith("matrix"):
+            validate_action(act)
+        null = null_ideal(act)
+        quotient_algebra(act, null)
+        quotient_ell1_norm(Ell1Element.from_dense(act, np.ones(act.total_dim)), null)
+        alive = weakref.ref(act)
+        gc.disable()
+        try:
+            del act, null
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_a_null_ideal_of_another_action_is_refused(self, sim2):
         f = Ell1Element.zero(sim2.action)

@@ -173,7 +173,7 @@ def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check the zero convention, unital ideals with full idempotent span,
     and the composition law, in that order; reports every checked pair.
     The action records that it passed at ``tol``: ``ell1`` then reads its
-    null ideal and quotient norm off the natural order (``ell1._germs``)."""
+    null ideal and quotient norm off the natural order (``germs._germs``)."""
     sg = action.semigroup
     report = CheckReport("action axioms")
     if sg.zero is not None:

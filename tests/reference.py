@@ -53,10 +53,10 @@ now extends orthonormal rows by one residual per choice.
 
 ``reference_germ_classes`` is a union-find over partial bijections given as
 frozensets of pairs: the germ partition of an induced action's section
-coordinates, computed without semicross, as the oracle of ``ell1._Germs``.
+coordinates, computed without semicross, as the oracle of ``germs._Germs``.
 ``reference_block_classes`` is a union-find over the pairs (t, block) of
 an action whose ideal bases are identity rows, linked by the natural order
-pair by pair: the block classes of ``ell1._block_germs``.
+pair by pair: the block classes of ``germs._block_germs``.
 ``reference_germ_basis`` builds the class contrasts of that partition
 through (D, D) masks, as ``_Germs.basis`` did before it built them one
 class at a time.  ``reference_germ_quotient_norm`` writes the exact
@@ -326,7 +326,7 @@ def reference_germ_classes(elements) -> dict:
 
 
 def reference_germ_basis(label: np.ndarray) -> np.ndarray:
-    """The class contrasts of ``ell1._Germs.basis`` from the labels of a
+    """The class contrasts of ``germs._Germs.basis`` from the labels of a
     partition, through (D, D) masks: row i, for a coordinate with r >= 1
     earlier coordinates in its class, is their sum less r e_i, over
     sqrt(r (r + 1))."""

@@ -169,11 +169,14 @@ def _paut_stacks(action: Action) -> tuple:
     return src, maps, np.linalg.pinv(src) @ maps
 
 
-def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
+def validate_action(
+    action: Action, tol: float = DEFAULT_TOL, record: bool = True
+) -> CheckReport:
     """Check the zero convention, unital ideals with full idempotent span,
     and the composition law, in that order; reports every checked pair.
-    The action records that it passed at ``tol``: ``ell1`` then reads its
-    null ideal and quotient norm off the natural order (``germs._germs``)."""
+    With ``record``, the action records that it passed at ``tol``: ``ell1``
+    then reads its null ideal and quotient norm off the natural order
+    (``germs._germs``)."""
     sg = action.semigroup
     report = CheckReport("action axioms")
     if sg.zero is not None:
@@ -220,7 +223,8 @@ def validate_action(action: Action, tol: float = DEFAULT_TOL) -> CheckReport:
         ):
             raise PA1Violation(sg.labels[t], sg.labels[sg.inv(t)], "source is not I_{t*}")
     report.add("sources", "every alpha_t starts at I_{t*}", True)
-    vars(action).setdefault("_valid", set()).add(tol)
+    if record:
+        vars(action).setdefault("_valid", set()).add(tol)
     return report
 
 

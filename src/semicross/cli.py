@@ -125,7 +125,10 @@ def _run_validate(args, inst: ParsedInstance, out: dict) -> None:
             "partial automorphisms", label, True, f"isometry: {cert.isometry_level}"
         )
     _add_report(args, out, components)
-    _add_report(args, out, validate_action(inst.action, tol=args.tol))
+    # unrecorded: build and eval do not validate (an invalid instance fails
+    # at the step it reaches), so every command reads an explicit
+    # instance's null ideal and quotient norm by the same numeric path
+    _add_report(args, out, validate_action(inst.action, tol=args.tol, record=False))
     _add_report(args, out, check_derived_identities(inst.action, tol=args.tol))
     for name, rep in inst.representations.items():
         _add_report(args, out, validate_rep(rep, tol=args.tol, seed=args.seed))

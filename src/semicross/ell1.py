@@ -636,10 +636,11 @@ class _SectionProgram:
     per z row.  ``delta`` is the perturbation of the basic solution, and
     ``basis`` the column ids of the last optimal basis.  ``values`` are the
     coordinate values of dense sections, and ``coset_norms`` certify an
-    answer.
+    answer.  The program is cached on the action's ``NullIdeal``, so it
+    holds the action weakly, as that does.
     """
 
-    action: Action
+    ref: weakref.ref  # the action
     null: np.ndarray  # (k, D) orthonormal rows
     el: np.ndarray  # the element (position in offsets) of each coordinate
     coord: np.ndarray  # and its algebra coordinate
@@ -649,6 +650,10 @@ class _SectionProgram:
     rhs: np.ndarray
     delta: np.ndarray
     basis: np.ndarray | None = None
+
+    @property
+    def action(self) -> Action:
+        return self.ref()
 
     @property
     def k(self) -> int:
@@ -746,7 +751,7 @@ def _dual_program(action: Action, null: np.ndarray) -> _SectionProgram:
     units, rhs = np.eye(n_rows), np.zeros(n_rows)
     rhs[k2 : k2 + n_el] = 1.0
     return _SectionProgram(
-        action, null, el, coord, bound, np.hstack([lines, units[:, k2:], units[:, :k2]]),
+        weakref.ref(action), null, el, coord, bound, np.hstack([lines, units[:, k2:], units[:, :k2]]),
         norm_lines, rhs, _PERTURB * (1 + np.random.default_rng(0).random(n_rows)),
     )
 

@@ -6,14 +6,15 @@ the structure tensor of the section algebra comes from theta's int rows
 passed whose ideal bases are distinct identity rows, the order-difference
 ideal N is the span of the differences within the classes of a partition
 of the section coordinates (``_Germs``, built once per action by
-``_germs``): from theta's germs, or from the natural order.  ``ell1`` reads
-N, its quotient and the exact quotient norm off that partition.
+``_germs``) from the natural order; for an induced action its classes are
+theta's germs.  ``ell1`` reads N, its quotient and the exact quotient norm
+off that partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -22,25 +23,18 @@ from .actions import Action
 from .semigroups import _inverse_rows, _pbij_rows
 
 
-def _theta_rows(action: Action) -> tuple:
-    """(at, back) of an induced action, once: at[t, y] is the coordinate of
-    (t, y), else -1 (also in one padding column), and back[t, y] is
-    theta_t^-1(y), else the padding point n."""
-    if not hasattr(action, "_rows"):
-        points, maps = action.algebra.points, action._theta.maps
-        back = _inverse_rows(_pbij_rows(points, maps))
-        el, y = np.nonzero(back >= 0)  # the coordinates (t, y), in dense order
-        at = np.full((len(maps), len(points) + 1), -1, dtype=np.intp)
-        at[el, y] = np.arange(len(el))
-        action._rows = at, np.where(back >= 0, back, len(points))
-    return action._rows
-
-
 def _theta_tensor(action: Action) -> tuple:
     """``structure_tensor`` from theta: m_(s,y) * m_(t,x) = m_(st,y) with
     coefficient 1 when x = theta_s^-1(y) lies in the image of theta_t, in
-    the order of (s, t, y), which is that of (s, t, a, b, k)."""
-    (at, back), table = _theta_rows(action), action.semigroup.table
+    the order of (s, t, y), which is that of (s, t, a, b, k).  Here at[t, y]
+    is the coordinate of (t, y), else -1 (also in one padding column), and
+    back[t, y] is theta_t^-1(y), else the padding point n."""
+    points, table = action.algebra.points, action.semigroup.table
+    back = _inverse_rows(_pbij_rows(points, action._theta.maps))
+    el, y = np.nonzero(back >= 0)  # the coordinates (t, y), in dense order
+    at = np.full((len(back), len(points) + 1), -1, dtype=np.intp)
+    at[el, y] = np.arange(len(el))
+    back = np.where(back >= 0, back, len(points))
     nz = np.array(action.nonzero_elements, dtype=np.intp)
     # s has one entry per t and x in the domain of theta_s and the image of theta_t
     held = np.append((at[nz, :-1] >= 0).sum(0), 0)
@@ -131,45 +125,27 @@ class _Germs:
 
 
 def _germs(action: Action, tol: float = DEFAULT_TOL):
-    """The ``_Germs`` of an action, once: from theta for an action that
-    ``induce_action`` built, and from the natural order for one that
-    ``validate_action`` passed at ``tol`` whose ideal bases are distinct
-    identity rows.  None for any other action."""
-    theta = getattr(action, "_theta", None)
-    if theta is None and tol not in getattr(action, "_valid", ()):
+    """The ``_Germs`` of an action, once (``_block_germs``), for an action
+    that ``induce_action`` built, which theta certifies, or that
+    ``validate_action`` passed at ``tol``.  None for any other action, or
+    when the ideal bases are not distinct identity rows."""
+    if getattr(action, "_theta", None) is None and tol not in getattr(action, "_valid", ()):
         return None
     if not hasattr(action, "_germ"):
-        action._germ = _block_germs(action) if theta is None else _theta_germs(action)
+        action._germ = _block_germs(action)
     return action._germ
 
 
-def _theta_germs(action: Action) -> _Germs:
-    """The coordinate (t, y), y in the image of theta_t, is the germ [t, x]
-    at x = theta_t^-1(y), and [s, x] = [t, x] iff s e = t e for an
-    idempotent e whose domain holds x, iff s e_x = t e_x for the least such
-    e_x.  So (t e_x, x) keys the class of (t, y)."""
-    sg, n = action.semigroup, len(action.algebra.points)
-    at, back = _theta_rows(action)
-    el, y = np.nonzero(at[:, :-1] >= 0)
-    idem = np.array(sg.idempotents, dtype=np.intp)
-    least = np.empty(n, dtype=np.intp)  # e_x: the product of the e with x in their domain
-    for x in range(n):
-        least[x] = reduce(lambda e, f: sg.table[e, f], idem[back[idem, x] < n])
-    x = back[el, y]
-    label, first = classes_by_first(sg.table[el, least[x]] * n + x)
-    owner = np.searchsorted(np.array(action.nonzero_elements), el)
-    return _Germs(label, first, owner, np.arange(len(first)), y[first])
-
-
 def _block_germs(action: Action):
-    """The classes of a valid action whose ideal bases are distinct identity
-    rows, else None.  The seed a delta_s - a delta_t at a = e_i is
-    e_(s,i) - e_(t,i), and I_s is a sum of whole blocks, so the classes of
-    the pairs (t, block) linked by s <= t, both holding the block, give
-    those of the coordinates (t, i).  The class of (t, b) has a least
-    member (r, b) with r <= t: r = t e for the least idempotent e whose
-    ideal holds alpha_t*(b), as alpha_t(I_t* & I_e) = I_te.  So r is the
-    element below t holding b with the fewest elements below it."""
+    """The classes of a valid action (validated, or induced and so certified
+    by theta) whose ideal bases are distinct identity rows, else None.  The
+    seed a delta_s - a delta_t at a = e_i is e_(s,i) - e_(t,i), and I_s is
+    a sum of whole blocks, so the classes of the pairs (t, block) linked by
+    s <= t, both holding the block, give those of the coordinates (t, i).
+    The class of (t, b) has a least member (r, b) with r <= t: r = t e for
+    the least idempotent e whose ideal holds alpha_t*(b), as
+    alpha_t(I_t* & I_e) = I_te.  So r is the element below t holding b with
+    the fewest elements below it."""
     sg, A = action.semigroup, action.algebra
     dims = [action.ideal(t).dim for t in action.offsets]
     rows = np.vstack([action.ideal(t).basis for t in action.offsets] + [np.zeros((0, A.dim))])
@@ -185,7 +161,7 @@ def _block_germs(action: Action):
     n, nb, el = len(sg), len(A.blocks), np.array(action.nonzero_elements)[owner]
     holds = np.zeros((n, nb), dtype=bool)
     holds[el, block[alg]] = True
-    s, t = np.array(sorted(sg.order), dtype=np.intp).reshape(-1, 2).T
+    s, t = np.array(list(sg.order), dtype=np.intp).reshape(-1, 2).T
     pair, b = np.nonzero(holds[s])
     below = np.bincount(t, minlength=n)  # the elements below each element
     least = np.full(n * nb, np.iinfo(np.intp).max)  # per (t, b): fewest below, then least index

@@ -167,6 +167,26 @@ class TestBuild:
         assert "dim null = 4" in out
         assert "dim quotient = 4" in out
 
+    def test_commands_read_an_explicit_instance_by_one_path(self, capsys, tmp_path):
+        # validate and report do not record that an explicit instance passed,
+        # so report, build and eval read its null ideal by the same numeric
+        # path: one null basis, printed as it always was, and no exact norm
+        # over operator-2-norm blocks, which the 64-gon program cannot model
+        trivial_m2 = tmp_path / "trivial_m2.json"
+        trivial_m2.write_text(json.dumps(fixtures.TRIVIAL_M2))
+        for path in (str(INSTANCES / "semi_table.json"), str(trivial_m2)):
+            report, build = (
+                json.loads(run(capsys, "--json", *argv)[1])["build"]["null_basis"]
+                for argv in (["report", path], ["build", path, "--null"])
+            )
+            assert report == build
+        row = "  null basis row: [-0.707107+0.j  0.      +0.j  0.707107+0.j]"
+        for argv in (["report"], ["build", "--null"]):
+            code, out, _ = run(capsys, argv[0], str(INSTANCES / "semi_table.json"), *argv[1:])
+            assert code == 0 and row in out.splitlines()
+        code, _, err = run(capsys, "eval", str(trivial_m2), "qnorm(a)")
+        assert code == 1 and err.startswith("error[QuotientNormNotLP]: ")
+
     def test_matrix_group_action_kernel_strictly_above_null(self, capsys):
         # one 2-dimensional representation cannot see all of the 8-dimensional
         # section algebra of the swap-conjugation action, so its kernel is a

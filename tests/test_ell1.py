@@ -1015,6 +1015,7 @@ class TestGermPath:
         # class, held by both elements, so qnorm(a) = ||1||_2 = 1; the
         # unvalidated instance has no LP model
         unvalidated, validated = (parse_instance(json.dumps(fixtures.TRIVIAL_M2)) for _ in "ab")
+        validate_action(unvalidated.action, record=False)  # as the CLI validates
         with pytest.raises(QuotientNormNotLP):
             quotient_ell1_norm(unvalidated.elements["a"], null_ideal(unvalidated.action))
         validate_action(validated.action)
@@ -1022,12 +1023,13 @@ class TestGermPath:
         assert null.germs is not None and null.dim == 4
         assert quotient_ell1_norm(validated.elements["a"], null) == 1.0
 
-    @pytest.mark.parametrize("name", ["sim2", "matrix swap_e3"])
+    @pytest.mark.parametrize("name", ["sim2", "matrix swap_e3", "unvalidated matrix swap_e3"])
     def test_an_action_is_freed_without_the_garbage_collector(self, name):
-        # the action memoizes its null ideal, which holds the action weakly:
-        # no cycle keeps the action's tensor and ideals alive after its last
-        # reference goes, until a collection
-        act = TENSOR_CASES[name]()
+        # the action memoizes its null ideal, which holds the action weakly,
+        # as does the section program that the null ideal of an unvalidated
+        # action caches: no cycle keeps the action's tensor and ideals alive
+        # after its last reference goes, until a collection
+        act = TENSOR_CASES[name.removeprefix("unvalidated ")]()
         if name.startswith("matrix"):
             validate_action(act)
         null = null_ideal(act)

@@ -751,8 +751,9 @@ def _dual_program(action: Action, null: np.ndarray) -> _SectionProgram:
     units, rhs = np.eye(n_rows), np.zeros(n_rows)
     rhs[k2 : k2 + n_el] = 1.0
     return _SectionProgram(
-        weakref.ref(action), null, el, coord, bound, np.hstack([lines, units[:, k2:], units[:, :k2]]),
-        norm_lines, rhs, _PERTURB * (1 + np.random.default_rng(0).random(n_rows)),
+        weakref.ref(action), null, el, coord, bound,
+        np.hstack([lines, units[:, k2:], units[:, :k2]]), norm_lines, rhs,
+        _PERTURB * (1 + np.random.default_rng(0).random(n_rows)),
     )
 
 

@@ -10,7 +10,7 @@ block layout with 1x1 blocks, so the norm code is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,12 +61,25 @@ class FinAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """The nonzero entries c = structure[i, j, k] as (i, j, c), and the
+        (nnz, dim) matrix that adds each term into its k, read off
+        ``structure`` on first use."""
+        i, j, k = np.nonzero(self.structure)
+        scatter = np.zeros((len(k), self.dim), dtype=complex)
+        scatter[np.arange(len(k)), k] = 1.0
+        return i, j, self.structure[i, j, k], scatter
+
     def mul(self, x, y) -> np.ndarray:
-        """x y, or the products of broadcast stacks (..., dim) row by row."""
+        """x y, or the products of broadcast stacks (..., dim) row by row:
+        the terms x_i y_j c over the nonzero entries of ``structure`` (one
+        gather), added into their coordinates k by one matmul."""
         x, y = as_complex(x), as_complex(y)
         if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected vectors of length {self.dim}")
-        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
+        i, j, c, scatter = self._terms
+        return (x[..., i] * y[..., j] * c) @ scatter
 
     def norm(self, x):
         """The norm of a vector, or an array of the norms of a stack (..., dim)."""
@@ -80,6 +93,14 @@ class FinAlgebra:
             ]
         out = np.max([operator_norm(x[..., idx], self.p).max(-1) for idx in self._stacks], axis=0)
         return float(out) if x.ndim == 1 else out
+
+    @cached_property
+    def _place(self) -> np.ndarray:
+        """(4, dim): the block, row, column and block size of each coordinate."""
+        place = np.empty((4, self.dim), dtype=np.intp)
+        for b, idx in enumerate(self.blocks):
+            place[:, idx] = np.broadcast_arrays(b, *np.indices(idx.shape), len(idx))
+        return place
 
     def star(self, x) -> np.ndarray:
         """x*, or the star of each row of a 2-d x."""
@@ -191,18 +212,28 @@ class Ideal:
             self.basis = self.basis.reshape(0, self.parent.dim)
         self.unit = as_complex(self.unit)
 
-    @cached_property
-    def _orth(self) -> np.ndarray:
-        """An orthonormal basis of the subspace, on first use: only the
-        membership checks read it."""
-        return orth_rows(self.basis)
+    def orth(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """``orth_rows(basis, tol)``, computed once per tol; the membership
+        checks read it at the default tol."""
+        memo = vars(self).setdefault("_orths", {})
+        if tol not in memo:
+            memo[tol] = orth_rows(self.basis, tol)
+        return memo[tol]
+
+    def leq(self, other: "Ideal", tol: float = DEFAULT_TOL) -> bool:
+        """``rows_leq`` of the bases, through the memoized rows of ``other``."""
+        return in_rowspace(other.orth(tol), self.basis, tol)
+
+    def same(self, other: "Ideal", tol: float = DEFAULT_TOL) -> bool:
+        """``rows_equal`` of the bases: each inside the other."""
+        return self.leq(other, tol) and other.leq(self, tol)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return in_rowspace(self._orth, x, tol)
+        return in_rowspace(self.orth(), x, tol)
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -261,14 +292,22 @@ class Ideal:
 
 
 def ideal_validate(ideal: Ideal, tol: float = DEFAULT_TOL) -> None:
-    """Check the two-sided ideal property and that the unit works."""
+    """Check the two-sided ideal property and that the unit works, once per
+    ideal and tol: the ideal records each tol it passed at (its arrays do
+    not change, as its cached ``pinv`` and ``orth`` assume), and a later call
+    at that tol returns at once."""
+    if tol not in vars(ideal).get("_valid", ()):
+        _check_ideal(ideal, tol)
+        vars(ideal).setdefault("_valid", set()).add(tol)
+
+
+def _check_ideal(ideal: Ideal, tol: float) -> None:
     A, B = ideal.parent, ideal.basis
     # [r, b, side]: basis row r times basis vector b on the right, then on the left
     prods = np.stack(
-        [np.einsum("ri,ibk->rbk", B, A.structure), np.einsum("rj,bjk->rbk", B, A.structure)],
-        axis=2,
+        [np.tensordot(B, A.structure, 1), np.tensordot(B, A.structure, (1, 1))], axis=2
     )
-    off = off_rowspace(ideal._orth, prods, tol)
+    off = off_rowspace(ideal.orth(), prods, tol)
     if off.any():
         r, b, side = np.argwhere(off)[0]
         raise NotAnIdeal((int(r), A.labels[b], ("right", "left")[side]))
@@ -324,11 +363,9 @@ def _is_block_relabeling(phi: PartialAut, tol: float) -> bool:
     so it keeps every block norm.  The blocks of C(X) are 1x1, and there the
     witness says that phi permutes the points of its source."""
     A = phi.parent
-    place = np.empty((4, A.dim), dtype=np.intp)  # block, row, column, block size
-    for b, idx in enumerate(A.blocks):
-        place[:, idx] = np.broadcast_arrays(b, *np.indices(idx.shape), len(idx))
+    place = A._place  # block, row, column, block size
     eye = np.eye(A.dim, dtype=complex)
-    src = np.flatnonzero(~off_rowspace(phi.source._orth, eye, tol))
+    src = np.flatnonzero(~off_rowspace(phi.source.orth(), eye, tol))
     block = place[0, src]
     # the source holds these coordinates only, and with each one its whole block
     if len(src) != phi.source.dim or (np.bincount(block)[block] != place[3, src] ** 2).any():
@@ -354,7 +391,16 @@ def paut_validate(
     phi: PartialAut, tol: float = DEFAULT_TOL, seed: int = 0, samples: int = 2000
 ) -> PautCertificate:
     """Bijectivity, isometry and multiplicativity, which force phi(1_s) = 1_t
-    (the test suite proves it rather than this function)."""
+    (the test suite proves it rather than this function).
+
+    Each ideal is checked once per tol (``ideal_validate``), so a later
+    ``validate_action`` at that tol does not check it again.  A source
+    basis with dependent rows is ``NotBijective``: the rows of ``matrix``
+    would not define one map.  On independent rows, c @ matrix is
+    phi(c @ basis) for every coordinate vector c, so isometry is sampled in
+    coordinates: for ``samples`` seeded complex draws c, |c M| lies within
+    (1 +- tol) |c B| (draws with |c B| < tol are skipped), unless phi is a
+    block relabeling and so exactly isometric."""
     ideal_validate(phi.source, tol)
     ideal_validate(phi.target, tol)
     A = phi.parent
@@ -366,6 +412,8 @@ def paut_validate(
         s = np.linalg.svd(phi.matrix, compute_uv=False)
         if s[-1] <= tol:
             raise NotBijective("map matrix is rank deficient")
+        if phi.source.orth(tol).shape[0] < phi.source.dim:
+            raise NotBijective("source basis is rank deficient")
     cert = _certify_isometry(phi, tol, seed, samples)
     # [i, j]: phi(x_i x_j) against phi(x_i) phi(x_j) over the source basis
     B, img = phi.source.basis, phi.apply(phi.source.basis, tol)
@@ -374,20 +422,29 @@ def paut_validate(
     return cert
 
 
+@lru_cache(maxsize=8)
+def _draws(seed: int, samples: int, dim: int) -> np.ndarray:
+    """The complex draws (samples, dim) of the isometry sample, read-only,
+    shared by the maps of one source dimension."""
+    z = np.random.default_rng(seed).standard_normal((samples, 2, dim))
+    c = z[:, 0] + 1j * z[:, 1]
+    c.flags.writeable = False
+    return c
+
+
 def _certify_isometry(phi: PartialAut, tol, seed, samples) -> PautCertificate:
     """Exact for a block relabeling (``_is_block_relabeling``; the zero map is
-    one), randomized unit-sphere sampling (both inequality directions) otherwise."""
+    one), randomized sampling (both inequality directions) otherwise.  The
+    witness is the first moved point x = c B, scaled to norm 1."""
     A = phi.parent
     if _is_block_relabeling(phi, tol):
         return PautCertificate("exact")
-    draws = np.random.default_rng(seed).standard_normal((samples, 2, phi.source.dim))
-    x = phi.source.to_parent(draws[:, 0] + 1j * draws[:, 1])
-    nx = A.norm(x)
-    keep = ~(nx < tol)  # points too close to 0 to normalize are skipped
-    x = x[keep] / nx[keep, None]
-    ny = A.norm(phi.apply(x, tol))
-    moved = (ny > 1.0 + tol) | (ny < 1.0 - tol)
+    c = _draws(seed, samples, phi.source.dim)
+    x = c @ phi.source.basis
+    nx, ny = A.norm(x), A.norm(c @ phi.matrix)
+    # points too close to 0 to normalize are skipped
+    moved = ~(nx < tol) & ((ny > (1.0 + tol) * nx) | (ny < (1.0 - tol) * nx))
     if moved.any():
-        raise NotIsometric(np.round(x[np.argmax(moved)], 6))
+        i = np.argmax(moved)
+        raise NotIsometric(np.round(x[i] / nx[i], 6))
     return PautCertificate("sampled")
-

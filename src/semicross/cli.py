@@ -125,9 +125,9 @@ def _run_validate(args, inst: ParsedInstance, out: dict) -> None:
             "partial automorphisms", label, True, f"isometry: {cert.isometry_level}"
         )
     _add_report(args, out, components)
-    # unrecorded: build and eval do not validate (an invalid instance fails
-    # at the step it reaches), so every command reads an explicit
-    # instance's null ideal and quotient norm by the same numeric path
+    # unrecorded: eval does not validate (an invalid instance fails at the
+    # step it reaches), so every command reads an explicit instance's null
+    # ideal and quotient norm by the same numeric path
     _add_report(args, out, validate_action(inst.action, tol=args.tol, record=False))
     _add_report(args, out, check_derived_identities(inst.action, tol=args.tol))
     for name, rep in inst.representations.items():
@@ -152,6 +152,11 @@ def _try(check, rep, tol) -> str | None:
 
 def _run_build(args, inst: ParsedInstance, out: dict, everything: bool = False) -> None:
     action = inst.action
+    # an explicit action is validated first (``report`` has just done so), so
+    # an invalid one is named as ``validate`` names it; theta certifies an
+    # induced one
+    if not everything and getattr(action, "_theta", None) is None:
+        validate_action(action, tol=args.tol, record=False)
     want_null = everything or getattr(args, "null", False)
     want_quotient = everything or getattr(args, "quotient", False)
     seminorm_names = getattr(args, "seminorm", None)

@@ -19,6 +19,7 @@ from semicross import errors
 from semicross.cli import eval_expression, main
 from semicross.errors import CheckError, EvalError, SchemaError
 from semicross.io_json import load_instance, parse_instance, serialize_instance
+from semicross.reps import group_case_check
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -593,24 +594,28 @@ class TestHugeValues:
 class TestGroupCheckOfAnInvalidAction:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_ideal_short_of_the_algebra(self, tmp_path, flags):
-        # semi_table with e e = 1 is the group Z2, but I_e is still one point:
-        # build, which does not validate the action, raised LinAlgError from
-        # alpha_e on the monomial d_2 of I_1, which lies outside I_e
+        # semi_table with e e = 1 is the group Z2, but I_e is still one point.
+        # build validates an explicit action before its later checks, so it
+        # names the failure as validate does; the group check, which build
+        # reached first before it validated, still names the pair (e, 1)
         doc = json.loads((INSTANCES / "semi_table.json").read_text())
         doc["semigroup"]["table"][1][1] = 0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        result = subprocess.run(
-            [sys.executable, *flags, "-m", "semicross.cli", "--json", "build", str(bad)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        )
-        assert result.returncode == 1, result.stderr
-        assert json.loads(result.stdout)["error"] == {
-            "code": "GroupConvolutionMismatch",
-            "message": "group and semigroup convolutions disagree at (e, 1)",
-        }
+        for command in ("validate", "build"):
+            result = subprocess.run(
+                [sys.executable, *flags, "-m", "semicross.cli", "--json", command, str(bad)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            )
+            assert result.returncode == 1, result.stderr
+            assert json.loads(result.stdout)["error"] == {
+                "code": "PA1Violation",
+                "message": "composition law fails at (e, e): source subspaces differ",
+            }, command
+        with pytest.raises(errors.GroupConvolutionMismatch, match=r"at \(e, 1\)"):
+            group_case_check(load_instance(bad).action)
 
 
 class TestLazyScipy:

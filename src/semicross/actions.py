@@ -167,10 +167,9 @@ def validate_action(
     and the composition law, in that order; reports every checked pair.
     With ``record``, the action records that it passed at ``tol``: ``ell1``
     then reads its null ideal and quotient norm off the natural order
-    (``germs._germs``), and a numeric null ideal memoized before at ``tol``
-    is dropped.  Ideals that ``paut_validate`` already checked at ``tol``
-    are not checked again, and each subspace comparison reads the ideal's
-    memoized orthonormal rows."""
+    (``germs._germs``), and a numeric null ideal memoized at ``tol`` is
+    dropped.  Ideals checked at ``tol`` (by ``paut_validate``) are not
+    checked again; subspace tests read each ideal's memoized ``orth``."""
     sg = action.semigroup
     report = CheckReport("action axioms")
     if sg.zero is not None:
@@ -217,8 +216,7 @@ def validate_action(
     report.add("sources", "every alpha_t starts at I_{t*}", True)
     if record:
         vars(action).setdefault("_valid", set()).add(tol)
-        # a numeric null ideal memoized earlier at tol gives way to the
-        # partition; a caller that holds it still holds a correct N
+        # a caller that holds the numeric N still holds a correct N
         memo = vars(action).get("_null", {})
         if tol in memo and memo[tol].germs is None:
             del memo[tol]

@@ -63,18 +63,17 @@ class FinAlgebra:
 
     @cached_property
     def _terms(self) -> tuple:
-        """The nonzero entries c = structure[i, j, k] as (i, j, c), and the
-        (nnz, dim) matrix that adds each term into its k, read off
-        ``structure`` on first use."""
+        """i, j, c = structure[i, j, k] over the nonzero entries, and the
+        (nnz, dim) 0/1 matrix that adds each term into its k."""
         i, j, k = np.nonzero(self.structure)
         scatter = np.zeros((len(k), self.dim), dtype=complex)
         scatter[np.arange(len(k)), k] = 1.0
         return i, j, self.structure[i, j, k], scatter
 
     def mul(self, x, y) -> np.ndarray:
-        """x y, or the products of broadcast stacks (..., dim) row by row:
-        the terms x_i y_j c over the nonzero entries of ``structure`` (one
-        gather), added into their coordinates k by one matmul."""
+        """x y, or the products of broadcast stacks (..., dim) row by row: the
+        terms x_i y_j c over the nonzero entries of ``structure``, read once
+        per algebra, summed into place by one matmul."""
         x, y = as_complex(x), as_complex(y)
         if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected vectors of length {self.dim}")
@@ -213,19 +212,18 @@ class Ideal:
         self.unit = as_complex(self.unit)
 
     def orth(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """``orth_rows(basis, tol)``, computed once per tol; the membership
-        checks read it at the default tol."""
+        """``orth_rows(basis, tol)``, once per tol (membership reads the default)."""
         memo = vars(self).setdefault("_orths", {})
         if tol not in memo:
             memo[tol] = orth_rows(self.basis, tol)
         return memo[tol]
 
     def leq(self, other: "Ideal", tol: float = DEFAULT_TOL) -> bool:
-        """``rows_leq`` of the bases, through the memoized rows of ``other``."""
+        """``rows_leq`` of the bases."""
         return in_rowspace(other.orth(tol), self.basis, tol)
 
     def same(self, other: "Ideal", tol: float = DEFAULT_TOL) -> bool:
-        """``rows_equal`` of the bases: each inside the other."""
+        """``rows_equal`` of the bases."""
         return self.leq(other, tol) and other.leq(self, tol)
 
     @property
@@ -293,9 +291,8 @@ class Ideal:
 
 def ideal_validate(ideal: Ideal, tol: float = DEFAULT_TOL) -> None:
     """Check the two-sided ideal property and that the unit works, once per
-    ideal and tol: the ideal records each tol it passed at (its arrays do
-    not change, as its cached ``pinv`` and ``orth`` assume), and a later call
-    at that tol returns at once."""
+    ideal and tol: the ideal records the tols it passed at (its arrays do
+    not change, as its cached ``pinv`` and ``orth`` assume)."""
     if tol not in vars(ideal).get("_valid", ()):
         _check_ideal(ideal, tol)
         vars(ideal).setdefault("_valid", set()).add(tol)
@@ -391,16 +388,12 @@ def paut_validate(
     phi: PartialAut, tol: float = DEFAULT_TOL, seed: int = 0, samples: int = 2000
 ) -> PautCertificate:
     """Bijectivity, isometry and multiplicativity, which force phi(1_s) = 1_t
-    (the test suite proves it rather than this function).
-
-    Each ideal is checked once per tol (``ideal_validate``), so a later
-    ``validate_action`` at that tol does not check it again.  A source
-    basis with dependent rows is ``NotBijective``: the rows of ``matrix``
-    would not define one map.  On independent rows, c @ matrix is
-    phi(c @ basis) for every coordinate vector c, so isometry is sampled in
-    coordinates: for ``samples`` seeded complex draws c, |c M| lies within
-    (1 +- tol) |c B| (draws with |c B| < tol are skipped), unless phi is a
-    block relabeling and so exactly isometric."""
+    (the test suite proves it rather than this function).  Each ideal is
+    checked once per tol (``ideal_validate``).  Dependent source rows B are
+    ``NotBijective``: the rows of M = ``matrix`` would define no map.  On
+    independent rows phi(c B) = c M, so isometry is sampled in coordinates:
+    |c M| within (1 +- tol) |c B| for ``samples`` seeded complex c (skipping
+    |c B| < tol), unless phi is a block relabeling, an exact isometry."""
     ideal_validate(phi.source, tol)
     ideal_validate(phi.target, tol)
     A = phi.parent
@@ -424,8 +417,8 @@ def paut_validate(
 
 @lru_cache(maxsize=8)
 def _draws(seed: int, samples: int, dim: int) -> np.ndarray:
-    """The complex draws (samples, dim) of the isometry sample, read-only,
-    shared by the maps of one source dimension."""
+    """The read-only draws c of the isometry sample, shared by the maps of
+    one source dimension."""
     z = np.random.default_rng(seed).standard_normal((samples, 2, dim))
     c = z[:, 0] + 1j * z[:, 1]
     c.flags.writeable = False
@@ -434,8 +427,8 @@ def _draws(seed: int, samples: int, dim: int) -> np.ndarray:
 
 def _certify_isometry(phi: PartialAut, tol, seed, samples) -> PautCertificate:
     """Exact for a block relabeling (``_is_block_relabeling``; the zero map is
-    one), randomized sampling (both inequality directions) otherwise.  The
-    witness is the first moved point x = c B, scaled to norm 1."""
+    one), randomized sampling (both inequality directions) otherwise; the
+    witness is the first moved x = c B, scaled to norm 1."""
     A = phi.parent
     if _is_block_relabeling(phi, tol):
         return PautCertificate("exact")

@@ -152,9 +152,8 @@ def _try(check, rep, tol) -> str | None:
 
 def _run_build(args, inst: ParsedInstance, out: dict, everything: bool = False) -> None:
     action = inst.action
-    # an explicit action is validated first (``report`` has just done so), so
-    # an invalid one is named as ``validate`` names it; theta certifies an
-    # induced one
+    # an invalid explicit action fails here as under ``validate`` (``report``
+    # has just validated it; theta certifies an induced one)
     if not everything and getattr(action, "_theta", None) is None:
         validate_action(action, tol=args.tol, record=False)
     want_null = everything or getattr(args, "null", False)

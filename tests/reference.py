@@ -22,6 +22,10 @@ checks theta's homomorphism law on int rows at every pair (s, t) in
 row-major order, which ``semigroups._check_rows`` now checks over the
 semigroup's generating cover only.
 
+``reference_mul`` is the product of ``FinAlgebra.mul`` as the dense
+three-operand einsum over the whole structure tensor, which ``mul``
+replaced with one gather of its nonzero entries and one matmul.
+
 ``reference_from_support`` fills a support ideal with one ``points.index``
 lookup per point, which ``Ideal.from_support`` replaced with one position
 map per call.
@@ -36,7 +40,10 @@ The sampled and per-pair certificates (``reference_paut_validate``,
 ``reference_validate_algebra``, ``reference_integrate_contractive``) are the
 loops the batched checks replaced: one draw, one norm and one comparison per
 sample or pair, raising at the first failure.  They draw the same random
-numbers in the same order, so they certify the same points.  The algebra
+numbers in the same order, so they certify the same points.
+``reference_certify_isometry`` normalizes each point x = c B and maps it
+through ``apply``, where ``paut_validate`` compares |c M| with |c B| in
+coordinates.  The algebra
 laws raise the named errors that replaced their ``assert`` statements.
 
 ``reference_quotient_lp`` fills the quotient-norm LP one 64-facet row at a
@@ -421,6 +428,10 @@ def reference_sim_quotient_norm(f: Ell1Element) -> float:
     return float(max(moduli.sum(0).max(), moduli.sum(1).max()))
 
 
+def reference_mul(algebra, x, y) -> np.ndarray:
+    return np.einsum("...i,...j,ijk->...k", x, y, algebra.structure)
+
+
 def reference_from_support(parent, points) -> Ideal:
     """``Ideal.from_support`` with one ``points.index`` lookup and one write
     per point, as it was built before it kept a position map."""
@@ -613,6 +624,8 @@ def reference_paut_validate(phi, tol=DEFAULT_TOL, seed=0, samples=2000):
         s = np.linalg.svd(phi.matrix, compute_uv=False)
         if s[-1] <= tol:
             raise NotBijective("map matrix is rank deficient")
+        if orth_rows(phi.source.basis, tol).shape[0] < phi.source.dim:
+            raise NotBijective("source basis is rank deficient")
     cert = reference_certify_isometry(phi, tol, seed, samples)
     for i, x in enumerate(phi.source.basis):
         for j, y in enumerate(phi.source.basis):

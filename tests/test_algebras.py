@@ -248,6 +248,14 @@ class TestPartialAut:
         with pytest.raises(NotBijective):
             paut_validate(bad)
 
+    def test_dependent_source_basis_is_not_bijective(self):
+        # the rows [e_1, e_1] cannot go to [e_1, e_2]: no map, so no isometry
+        # to sample (tests/test_batched.py checks it under python -O)
+        source = Ideal(C2, [e(C2, 0), e(C2, 0)], e(C2, 0))
+        target = Ideal.from_support(C2, ["1", "2"])
+        with pytest.raises(NotBijective, match="source basis is rank deficient"):
+            paut_validate(PartialAut(source, target, [e(C2, 0), e(C2, 1)]))
+
     def test_block_swap_is_exact(self):
         a = matrix_algebra([1, 1], 2)
         src = Ideal(a, [e(a, 0)], e(a, 0))

@@ -4,14 +4,19 @@ sample instance and on the section-matrix actions, the same first-failure
 payload on crafted failures, the same LP optimum, closed-form facet pricing
 that reaches the maximum of the reference's 64 facet rows, a count of
 ``FinAlgebra.norm`` calls that does not grow with the number of samples,
-the one block-relabeling isometry witness against the two it replaced, and
-the unit law that a validated partial automorphism obeys."""
+the one block-relabeling isometry witness against the two it replaced, the
+unit law that a validated partial automorphism obeys, the sparse product
+against the dense einsum, the isometry sample in coordinates against the
+normalized loop, and the ideal checks and orthonormal rows made once per
+ideal and tol."""
 
 import dataclasses
 import itertools
+import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +24,20 @@ import pytest
 
 import fixtures
 import reference
-from semicross.actions import Action, PartialSetAction, induce_action
+from semicross import algebras
+from semicross.actions import (
+    Action,
+    PartialSetAction,
+    check_derived_identities,
+    induce_action,
+    validate_action,
+)
 from semicross.algebras import (
     FinAlgebra,
     Ideal,
     PartialAut,
+    _certify_isometry,
+    _draws,
     _is_block_relabeling,
     function_algebra,
     ideal_validate,
@@ -367,6 +381,139 @@ class TestSameFirstFailure:
             assert got[0] == cls.__name__
 
 
+C3 = function_algebra("abc")
+PERTURBED_C3 = dataclasses.replace(C3, structure=C3.structure.copy())
+PERTURBED_C3.structure[0, 1, 2] = 0.5  # as in TestSameFirstFailure.test_algebra_laws
+MUL_ALGEBRAS = {
+    "C(X)": function_algebra("wxyz"),
+    **{f"M0 + M2 + M3, p = {p}": matrix_algebra([0, 2, 3], p) for p in (1, 2, np.inf)},
+    "perturbed C3": PERTURBED_C3,
+    "1.5 M2": dataclasses.replace(M2, structure=1.5 * M2.structure),
+}
+
+
+class TestSparseMul:
+    """``FinAlgebra.mul`` over the nonzero entries of ``structure`` against
+    the dense einsum it replaced."""
+
+    @pytest.mark.parametrize("name", list(MUL_ALGEBRAS))
+    def test_equals_the_dense_einsum(self, name):
+        A = MUL_ALGEBRAS[name]
+        z = np.random.default_rng(12).standard_normal((4, 5, A.dim))
+        x, y = (z[0] + 1j * z[1])[:, None], z[2] + 1j * z[3]  # (r, 1, d) by (r, d)
+        got = A.mul(x, y)
+        assert got.shape == (5, 5, A.dim)
+        assert np.abs(got - reference.reference_mul(A, x, y)).max() <= 1e-12
+        one = A.mul(y[0], y[1])
+        assert np.abs(one - reference.reference_mul(A, y[0], y[1])).max() <= 1e-12
+
+    def test_reads_the_perturbed_entry(self):
+        a, b, c = np.eye(3, dtype=complex)
+        assert np.array_equal(PERTURBED_C3.mul(a, b), 0.5 * c)
+        assert np.array_equal(C3.mul(a, b), np.zeros(3))
+
+
+def skipped_draws(seed: int, tol: float) -> tuple:
+    """A one-point map that doubles norms, its source row scaled so that the
+    draws before the first one of larger modulus than draw 0 have
+    |c B| < tol and that one, k > 0, has not; and k."""
+    c = np.abs(_draws(seed, 2000, 1)[:, 0])
+    k = int(np.argmax(c > c[0]))
+    beta = 2 * tol / (c[0] + c[k])
+    eye = np.eye(POINTS.dim, dtype=complex)
+    source, target = Ideal(POINTS, beta * eye[[0]], eye[0]), Ideal(POINTS, eye[[1]], eye[1])
+    return PartialAut(source, target, 2 * beta * eye[[1]]), k
+
+
+# large enough that 1 + 10 tol is no coefficient 1 to the relabeling
+# witness, which compares by np.isclose at rtol 1e-5
+TOL = 1e-4
+NOT_ISOMETRIC = {
+    # isometric where block 0 carries the norm, stretched where block 1 does
+    "block 1 scaled by 1 + 10 tol": entrywise(
+        BLOCKS, (0, 1), lambda b, i, j: (1 + 10 * TOL if b else 1, b, i, j)),
+    # moves only the draws whose norm point z carries
+    "point z halved": entrywise(
+        POINTS, (0, 1, 2), lambda b, i, j: (0.5 if b == 2 else 1, b, 0, 0)),
+}
+
+
+class TestIsometryInCoordinates:
+    """The sample |c M| against (1 +- tol) |c B| names the same level and
+    the same first moved point as the loop that normalizes x = c B and
+    maps it through ``apply``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", list(NOT_ISOMETRIC))
+    def test_same_first_moved_point(self, case, seed):
+        got = same(_certify_isometry, reference.reference_certify_isometry,
+                   NOT_ISOMETRIC[case], TOL, seed, 2000)
+        assert got[0] == NotIsometric.__name__
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_near_zero_are_skipped_by_both(self, seed):
+        tol = 1e-3
+        phi, k = skipped_draws(seed, tol)
+        got = same(_certify_isometry, reference.reference_certify_isometry, phi, tol, seed, 2000)
+        c = _draws(seed, 2000, 1)[k, 0]
+        assert k > 0 and got[0] == NotIsometric.__name__
+        assert got[2] == np.round(c / abs(c) * np.eye(POINTS.dim)[0], 6).tolist()
+
+    def test_isometric_maps_are_sampled_alike(self, actions):
+        rows = [(np.array([[0.6, -0.8], [0.8, 0.6]]) @ e @ np.array([[0.6, 0.8], [-0.8, 0.6]]))
+                .ravel() for e in np.eye(4).reshape(4, 2, 2)]
+        full = Ideal(M2, np.eye(4), M2.one())
+        for seed in range(4):
+            got = same(_certify_isometry, reference.reference_certify_isometry,
+                       PartialAut(full, full, np.array(rows)), TOL, seed, 2000)
+            assert got[1].isometry_level == "sampled"
+
+
+class TestOncePerIdeal:
+    """After ``paut_validate`` of every alpha_t, ``validate_action`` checks
+    no ideal again, and every subspace query reads one set of orthonormal
+    rows per ideal and tol."""
+
+    def test_each_ideal_is_checked_once_per_tol(self, monkeypatch):
+        act = matrix_action(MATRIX_ACTIONS["sim2"])
+        checked, svds = [], []
+        inner, orth = algebras._check_ideal, algebras.orth_rows
+        monkeypatch.setattr(algebras, "_check_ideal",
+                            lambda ideal, tol: checked.append((id(ideal), tol)) or inner(ideal, tol))
+        monkeypatch.setattr(algebras, "orth_rows", lambda m, tol: svds.append(1) or orth(m, tol))
+        for phi in act.pauts:
+            paut_validate(phi)
+        validate_action(act)
+        check_derived_identities(act)
+        ideals = {id(i): i for phi in act.pauts for i in (phi.source, phi.target)}
+        assert sorted(checked) == sorted((key, 1e-9) for key in ideals)
+        # one SVD per ideal: the checks, PA1, the sources and the derived laws share it
+        assert len(svds) == len(ideals) == sum(len(vars(i)["_orths"]) for i in ideals.values())
+        # another tol checks again, once
+        checked.clear()
+        validate_action(act, tol=1e-8)
+        validate_action(act, tol=1e-8)
+        assert sorted(checked) == sorted({(id(act.ideal(t)), 1e-8) for t in range(len(act.pauts))})
+        # so does a fresh ideal over equal arrays
+        checked.clear()
+        old = act.ideal(1)
+        fresh = Ideal(old.parent, old.basis.copy(), old.unit.copy())
+        ideal_validate(fresh)
+        ideal_validate(old)
+        assert checked == [(id(fresh), 1e-9)]
+        for ideal in ideals.values():
+            for tol in vars(ideal)["_orths"]:
+                assert np.array_equal(ideal.orth(tol), orth_rows(ideal.basis, tol))
+
+    def test_draws_are_shared_read_only(self):
+        c = _draws(5, 2000, 4)
+        assert not c.flags.writeable and c.shape == (2000, 4)
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.0
+        assert _draws(5, 2000, 4) is c
+        assert _draws.cache_info().maxsize == 8
+
+
 class TestEdgeCases:
     def test_empty_block(self):
         algebra = matrix_algebra([0, 2], 2)
@@ -550,3 +697,94 @@ def test_algebra_laws_are_named_errors_under_python_flags(flags):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["NotAssociative", "NotSubmultiplicative", "NotAnInvolution"]
+
+
+DEPENDENT_SOURCE_UNDER_O = textwrap.dedent(
+    """
+    import numpy as np
+    from semicross.algebras import Ideal, PartialAut, function_algebra, paut_validate
+    from semicross.errors import CheckError
+
+    # B = [e_x, e_x] -> M = [e_x, e_y] on C({x, y}) defines no map; a
+    # consistent M on the same rows is rank deficient
+    C = function_algebra("xy")
+    e = np.eye(2, dtype=complex)
+    source, target = Ideal(C, e[[0, 0]], e[0]), Ideal(C, e, e[0] + e[1])
+    for rows in ([0, 1], [1, 1]):
+        try:
+            paut_validate(PartialAut(source, target, e[rows]))
+            print("passed")
+        except CheckError as err:
+            print(err.code + ":", err)
+    """
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_dependent_source_basis_is_not_bijective_under_python_flags(flags):
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", DEPENDENT_SOURCE_UNDER_O],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "NotBijective: source basis is rank deficient",
+        "NotBijective: map matrix is rank deficient",
+    ]
+
+
+SIM4_CERTIFICATES = textwrap.dedent(
+    """
+    import time
+    start = time.perf_counter()
+    from test_batched import matrix_action
+    from semicross import check_derived_identities, paut_validate, validate_action
+
+    sim4 = [{1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 3, 3: 4, 4: 1}, {2: 2, 3: 3, 4: 4}]
+    act = matrix_action(sim4)
+    times = [time.perf_counter()]
+    levels = [paut_validate(phi).isometry_level for phi in act.pauts]
+    times.append(time.perf_counter())
+    passed = validate_action(act).passed
+    times.append(time.perf_counter())
+    passed = passed and check_derived_identities(act).passed
+    times.append(time.perf_counter())
+    try:  # on Linux, ru_maxrss also counts the parent's peak from before exec
+        with open("/proc/self/status") as fh:
+            peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        import resource
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    steps = " ".join(f"{b - a:.2f}" for a, b in zip(times, times[1:]))
+    print(len(act.pauts), levels.count("sampled"), passed, peak // 1024, steps)
+    """
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_sim4_on_m2_blocks_is_certified_in_bounded_time_and_memory(flags):
+    # |S| = 209 on four M_2 blocks: every paut_validate (160 sampled maps),
+    # then validate_action and check_derived_identities.  Three runs of each
+    # flag on a 2-core host with one BLAS thread took 0.42 + 2.0-2.2 +
+    # 1.2 s at 88 MiB peak (pytest imported with test_batched); the
+    # certificates alone took 1.66 s when each re-solved its sample
+    root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", SIM4_CERTIFICATES],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])},
+        timeout=300,
+    )
+    wall = time.perf_counter() - start
+    assert run.returncode == 0, run.stderr
+    size, sampled, passed, peak_mib, *steps = run.stdout.split()
+    assert (int(size), int(sampled), passed) == (209, 160, "True")
+    assert int(peak_mib) < 200, f"peak RSS {peak_mib} MiB"
+    assert wall < 25.0, f"{wall:.1f} s (paut_validate, validate_action, derived: {steps})"

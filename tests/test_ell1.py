@@ -1023,6 +1023,23 @@ class TestGermPath:
         assert null.germs is not None and null.dim == 4
         assert quotient_ell1_norm(validated.elements["a"], null) == 1.0
 
+    def test_validation_drops_a_numeric_null_ideal_memoized_before(self):
+        # null_ideal before validate_action memoized the numeric N; recording
+        # the validation drops it at that tol, so the next null_ideal is the
+        # class partition, as for a fresh parse validated first.  The numeric
+        # N a caller kept is still a correct N, and one at another tol stays
+        inst = parse_instance(json.dumps(fixtures.TRIVIAL_M2))
+        early, other = null_ideal(inst.action), null_ideal(inst.action, 1e-8)
+        assert early.germs is None and other.germs is None
+        validate_action(inst.action)
+        null = null_ideal(inst.action)
+        assert null is not early and null.germs is not None
+        assert null_ideal(inst.action, 1e-8) is other
+        assert quotient_ell1_norm(inst.elements["a"], null) == 1.0
+        assert rows_equal(early.basis, null.basis)
+        with pytest.raises(QuotientNormNotLP):
+            quotient_ell1_norm(inst.elements["a"], early)
+
     @pytest.mark.parametrize("name", ["sim2", "matrix swap_e3", "unvalidated matrix swap_e3"])
     def test_an_action_is_freed_without_the_garbage_collector(self, name):
         # the action memoizes its null ideal, which holds the action weakly,

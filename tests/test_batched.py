@@ -478,8 +478,8 @@ class TestOncePerIdeal:
         act = matrix_action(MATRIX_ACTIONS["sim2"])
         checked, svds = [], []
         inner, orth = algebras._check_ideal, algebras.orth_rows
-        monkeypatch.setattr(algebras, "_check_ideal",
-                            lambda ideal, tol: checked.append((id(ideal), tol)) or inner(ideal, tol))
+        monkeypatch.setattr(algebras, "_check_ideal", lambda ideal, tol: (
+            checked.append((id(ideal), tol)) or inner(ideal, tol)))
         monkeypatch.setattr(algebras, "orth_rows", lambda m, tol: svds.append(1) or orth(m, tol))
         for phi in act.pauts:
             paut_validate(phi)

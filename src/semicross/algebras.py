@@ -220,6 +220,8 @@ class Ideal:
 
     def leq(self, other: "Ideal", tol: float = DEFAULT_TOL) -> bool:
         """``rows_leq`` of the bases."""
+        if other is self:
+            return True
         return in_rowspace(other.orth(tol), self.basis, tol)
 
     def same(self, other: "Ideal", tol: float = DEFAULT_TOL) -> bool:
@@ -370,7 +372,7 @@ def _is_block_relabeling(phi: PartialAut, tol: float) -> bool:
     img = phi.apply(eye[src], tol)
     hot = np.abs(img) > tol
     to = hot.argmax(-1)  # each entry's image, if it has exactly one
-    if (hot.sum(-1) != 1).any() or not np.isclose(img[hot], 1.0, atol=tol).all():
+    if (hot.sum(-1) != 1).any() or not (np.abs(img[hot] - 1.0) <= tol).all():
         return False
     target = np.zeros(len(A.blocks), dtype=np.intp)
     target[block] = place[0, to]  # some target of each source block: all must be it

@@ -47,6 +47,18 @@ except CheckError as err:
     print(err.code, *err.pair)
 """
 
+# flip with alpha at id{1} scaled by 2 and id{1} listed first, off the cover
+OFF_THE_COVER = """
+import reference
+from test_actions import scaled_idempotent_first
+from test_batched import outcome
+from semicross.actions import validate_action
+act = scaled_idempotent_first()
+got = outcome(validate_action, act)
+print(0 in act.semigroup.cover, got == outcome(reference.reference_validate_action, act))
+print(got[1])
+"""
+
 # fixtures.generator_lists live on at most 4 points, so a closure has at most
 # |sim_4| = sum over k of C(4, k)^2 k! = 209 elements; these three reach it
 SIM4_SIZE = 209
@@ -66,6 +78,29 @@ def with_matrix(action, label, matrix):
     t = action.semigroup.index(label)
     old = action.paut(t)
     return replace_paut(action, t, PartialAut(old.source, old.target, matrix))
+
+
+def listed_first(action: Action, first: int) -> Action:
+    """``action`` with the element ``first`` moved to index 0 of its
+    semigroup, the others kept in order; the cover stays the letters, so
+    index 0 is off it unless it is a letter."""
+    sg = action.semigroup
+    order = [first] + [t for t in range(len(sg)) if t != first]
+    rank = np.argsort(order)
+    moved = InvSemigroup.from_table(
+        rank[sg.table[np.ix_(order, order)]], [sg.labels[t] for t in order],
+        zero=None if sg.zero is None else int(rank[sg.zero]),
+    )
+    moved.cover = tuple(sorted(int(rank[g]) for g in sg.cover))
+    return Action(moved, action.algebra, tuple(action.pauts[t] for t in order))
+
+
+def scaled_idempotent_first() -> Action:
+    """flip with alpha at id{1} scaled by 2 and id{1} listed first: the first
+    failing pair in row-major order, (id{1}, id{1}), lies off the cover."""
+    flip = fixtures.flip().action
+    e = flip.semigroup.index("id{1}")
+    return listed_first(with_matrix(flip, "id{1}", 2 * flip.paut(e).matrix), e)
 
 
 def scaled_map() -> Action:
@@ -156,6 +191,7 @@ class TestStackedAgainstReference:
             (scaled_map, "(1>2)", "(2>1)", "maps differ on the source"),
             (swapped_maps, "(1>2,2>1)", "(1>2,2>1)", "maps differ on the source"),
             (map_off_its_source, "(1>2)", "(1>2)", "source subspaces differ"),
+            (scaled_idempotent_first, "id{1}", "id{1}", "maps differ on the source"),
         ],
     )
     def test_crafted_failures(self, build, s, t, reason):
@@ -182,14 +218,33 @@ class TestStackedAgainstReference:
             validate_action(fixtures.escaping_flip())
         assert err.value.pair == ("(1>2)", "(1>2)")
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_first_failure_off_the_cover_in_a_subprocess(self, flags):
+        # the cover rounds fail at a letter; the row-major scan that follows
+        # names the pair before it, as the pair-by-pair reference does
+        path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", OFF_THE_COVER],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "False True",
+            "composition law fails at (id{1}, id{1}): maps differ on the source",
+        ]
+
     @settings(max_examples=30, deadline=None)
     @given(
         fixtures.generator_lists,
         st.sampled_from(["none", "scale", "mix", "permute"]),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    @example(SIM4_GENERATORS, "none", 0)
-    def test_random_actions_with_one_perturbed_map(self, gens, kind, seed):
+    @example(SIM4_GENERATORS, "none", False, 0)
+    def test_random_actions_with_one_perturbed_map(self, gens, kind, on_cover, seed):
         sg = generate_semigroup(gens, cap=SIM4_SIZE)
         if len(sg) > 40:  # the reference takes about a millisecond per pair
             return
@@ -198,7 +253,9 @@ class TestStackedAgainstReference:
         except PA2SpanDeficit:
             return
         rng = np.random.default_rng(seed)
-        t = int(rng.choice(action.nonzero_elements))
+        # the perturbed map on the cover or off it, where there is such a map
+        pick = [t for t in action.nonzero_elements if (t in sg.cover) == on_cover]
+        t = int(rng.choice(pick or action.nonzero_elements))
         m = action.paut(t).matrix
         k = len(m)
         z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))

@@ -243,6 +243,10 @@ CRAFTED = {
         False, False,
     ),
     "coefficient 1j": (entrywise(BLOCKS, (0,), lambda b, i, j: (1j, 1, i, j)), False, False),
+    "coefficient 1 + 2e-6": (
+        entrywise(BLOCKS, (0,), lambda b, i, j: (1 + 2e-6 if (i, j) == (1, 0) else 1, 1, i, j)),
+        False, False,
+    ),
     "point to -1": (entrywise(POINTS, (0,), lambda b, i, j: (-1, 1, 0, 0)), False, False),
     "point to 1j": (entrywise(POINTS, (0,), lambda b, i, j: (1j, 1, 0, 0)), False, False),
     # the old pair took a 2x2 block into the corner of a 3x3 one; paut_validate
@@ -505,6 +509,48 @@ class TestOncePerIdeal:
             for tol in vars(ideal)["_orths"]:
                 assert np.array_equal(ideal.orth(tol), orth_rows(ideal.basis, tol))
 
+    @pytest.mark.parametrize("name, distinct", [("flip", 3), ("sim2", 4), ("swap_e3", 5)])
+    def test_equal_ideals_are_one_object(self, monkeypatch, name, distinct):
+        # the maps as a caller builds them, with two fresh ideals each
+        act = matrix_action(MATRIX_ACTIONS[name])
+        given = tuple(
+            PartialAut(*(Ideal(i.parent, i.basis.copy(), i.unit.copy())
+                         for i in (phi.source, phi.target)), phi.matrix.copy())
+            for phi in act.pauts
+        )
+        before = [(phi.source, phi.target, phi.matrix,
+                   [a.copy() for i in (phi.source, phi.target) for a in (i.basis, i.unit)])
+                  for phi in given]
+        checked = []
+        inner = algebras._check_ideal
+        monkeypatch.setattr(algebras, "_check_ideal", lambda ideal, tol: (
+            checked.append(id(ideal)) or inner(ideal, tol)))
+        shared = Action(act.semigroup, act.algebra, given)
+        for phi in shared.pauts:
+            paut_validate(phi)
+        assert validate_action(shared).passed and check_derived_identities(shared).passed
+        assert len(checked) == len(set(checked)) == distinct
+        ends = {id(i) for phi in shared.pauts for i in (phi.source, phi.target)}
+        assert ends == set(checked)
+        # the caller's maps keep their own ideals, arrays unchanged
+        for phi, (source, target, matrix, arrays) in zip(given, before):
+            assert (phi.source, phi.target, phi.matrix) == (source, target, matrix)
+            now = [a for i in (phi.source, phi.target) for a in (i.basis, i.unit)]
+            assert all(np.array_equal(a, b) for a, b in zip(now, arrays))
+        for phi, mine in zip(shared.pauts, given):
+            assert np.array_equal(phi.matrix, mine.matrix)
+            assert np.array_equal(phi.source.basis, mine.source.basis)
+            assert np.array_equal(phi.target.unit, mine.target.unit)
+
+    def test_ideals_equal_to_within_tol_stay_apart(self):
+        act = matrix_action(MATRIX_ACTIONS["flip"])
+        phi = act.paut(0)
+        near = Ideal(phi.source.parent, phi.source.basis + 1e-15, phi.source.unit)
+        other = Action(act.semigroup, act.algebra,
+                       (PartialAut(near, phi.target, phi.matrix),) + act.pauts[1:])
+        assert other.paut(0).source is near
+        assert near.leq(phi.source) and near is not phi.source
+
     def test_draws_are_shared_read_only(self):
         c = _draws(5, 2000, 4)
         assert not c.flags.writeable and c.shape == (2000, 4)
@@ -737,6 +783,42 @@ def test_dependent_source_basis_is_not_bijective_under_python_flags(flags):
     ]
 
 
+NEAR_ONE_UNDER_O = textwrap.dedent(
+    """
+    import numpy as np
+    import reference
+    from test_batched import outcome
+    from semicross.algebras import Ideal, PartialAut, matrix_algebra, paut_validate
+
+    # conjugation by diag(1, 1 + 2e-6) on M_2 with the 2-norm: multiplicative,
+    # every coefficient within 2e-6 of 1, and not isometric
+    A = matrix_algebra([2], 2)
+    D = np.diag([1.0, 1.0 + 2e-6])
+    rows = [(D @ e @ np.linalg.inv(D)).ravel() for e in np.eye(4).reshape(4, 2, 2)]
+    whole = Ideal(A, np.eye(4), A.one())
+    phi = PartialAut(whole, whole, np.array(rows))
+    got = outcome(paut_validate, phi)
+    print(got[0], got == outcome(reference.reference_paut_validate, phi))
+    """
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_coefficients_near_one_are_no_exact_isometry_under_python_flags(flags):
+    # np.isclose's relative tolerance of 1e-5 once certified this map "exact"
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", NEAR_ONE_UNDER_O],
+        capture_output=True,
+        text=True,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])},
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["NotIsometric", "True"]
+
+
 SIM4_CERTIFICATES = textwrap.dedent(
     """
     import time
@@ -769,9 +851,10 @@ SIM4_CERTIFICATES = textwrap.dedent(
 def test_sim4_on_m2_blocks_is_certified_in_bounded_time_and_memory(flags):
     # |S| = 209 on four M_2 blocks: every paut_validate (160 sampled maps),
     # then validate_action and check_derived_identities.  Three runs of each
-    # flag on a 2-core host with one BLAS thread took 0.42 + 2.0-2.2 +
-    # 1.2 s at 88 MiB peak (pytest imported with test_batched); the
-    # certificates alone took 1.66 s when each re-solved its sample
+    # flag on a 2-core host with one BLAS thread took 0.20-0.21 +
+    # 0.07-0.08 + 1.3-1.4 s at 88 MiB peak (pytest imported with
+    # test_batched); validate_action took 2.0-2.2 s when it checked PA1 for
+    # every s, and the certificates 1.66 s when each re-solved its sample
     root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
     run = subprocess.run(
@@ -788,3 +871,5 @@ def test_sim4_on_m2_blocks_is_certified_in_bounded_time_and_memory(flags):
     assert (int(size), int(sampled), passed) == (209, 160, "True")
     assert int(peak_mib) < 200, f"peak RSS {peak_mib} MiB"
     assert wall < 25.0, f"{wall:.1f} s (paut_validate, validate_action, derived: {steps})"
+    # PA1 in |G| = 3 rounds, not |S| = 209
+    assert float(steps[1]) < 0.5, f"validate_action took {steps[1]} s"

@@ -851,10 +851,11 @@ SIM4_CERTIFICATES = textwrap.dedent(
 def test_sim4_on_m2_blocks_is_certified_in_bounded_time_and_memory(flags):
     # |S| = 209 on four M_2 blocks: every paut_validate (160 sampled maps),
     # then validate_action and check_derived_identities.  Three runs of each
-    # flag on a 2-core host with one BLAS thread took 0.20-0.21 +
-    # 0.07-0.08 + 1.3-1.4 s at 88 MiB peak (pytest imported with
-    # test_batched); validate_action took 2.0-2.2 s when it checked PA1 for
-    # every s, and the certificates 1.66 s when each re-solved its sample
+    # flag on a 2-core host with one BLAS thread took 0.23-0.27 +
+    # 0.07-0.10 + 1.4-1.9 s at 77 MiB peak (pytest imported with
+    # test_batched).  With PA1 checked for every s and one ideal object per
+    # map end, two runs took 0.58-0.69 + 2.8-3.0 + 1.5-2.0 s at 83 MiB; the
+    # certificates took 1.66 s when each re-solved its sample
     root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
     run = subprocess.run(
